@@ -15,8 +15,8 @@
 //! - `decode_v2` — the zero-copy [`LtfTrace`] cursor over one shared
 //!   buffer, delta-compressed streams, one op per virtual call.
 //! - `decode_v2_batch` — the same cursor drained through
-//!   [`TraceSource::next_ops`], which is how the engine's shard feeds and
-//!   the serial core pull actually consume traces.
+//!   [`TraceSource::next_ops`], which is how the engine's per-core refill
+//!   buffer actually consumes traces.
 
 use std::io::{BufReader, Seek, SeekFrom, Write};
 
@@ -26,7 +26,7 @@ use lacc_sim::trace::TraceOp;
 use lacc_sim::TraceSource;
 use lacc_workloads::Benchmark;
 
-/// Matches the engine's shard-feed refill batch (`FEED_BATCH`).
+/// Matches the engine's per-core refill batch (`LOCAL_BATCH`).
 const BATCH: usize = 64;
 
 /// Per-core read-buffer size of the pre-v2 replay path.

@@ -1,4 +1,4 @@
-//! Sweep-dispatch throughput: the same 16-job grid through `run_jobs`
+//! Sweep-dispatch throughput: the same 16-job grid through `run_jobs_hinted`
 //! serially (`--jobs 1`) and on the scoped worker pool (`--jobs 2`).
 //! The two medians land in `results/bench_summary.json`, so the
 //! parallel-sweep speedup — and any regression in the pool's
@@ -6,7 +6,7 @@
 //! benches (suite `sweep`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lacc_experiments::run_jobs;
+use lacc_experiments::run_jobs_hinted;
 use lacc_model::SystemConfig;
 use lacc_sim::SimOptions;
 use lacc_workloads::Benchmark;
@@ -32,7 +32,7 @@ fn grid() -> Vec<(String, Benchmark, SystemConfig)> {
 fn sweep_dispatch(c: &mut Criterion) {
     c.bench_function("run_jobs_16grid/serial", |b| {
         b.iter(|| {
-            let out = run_jobs(grid(), SCALE, true, SimOptions::default(), 1);
+            let out = run_jobs_hinted(grid(), SCALE, true, SimOptions::default(), 1, None);
             black_box(out.len())
         });
     });
@@ -40,7 +40,7 @@ fn sweep_dispatch(c: &mut Criterion) {
     // host and would silently measure the serial branch twice.
     c.bench_function("run_jobs_16grid/parallel", |b| {
         b.iter(|| {
-            let out = run_jobs(grid(), SCALE, true, SimOptions::default(), 2);
+            let out = run_jobs_hinted(grid(), SCALE, true, SimOptions::default(), 2, None);
             black_box(out.len())
         });
     });

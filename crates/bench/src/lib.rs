@@ -14,7 +14,7 @@
 //! Helpers shared by the suites live here.
 
 use lacc_model::SystemConfig;
-use lacc_sim::{SimOptions, SimReport, Simulator};
+use lacc_sim::{SimReport, Simulator};
 use lacc_workloads::Benchmark;
 
 /// Runs `bench` on an `n`-core test machine at `scale` with the given PCT.
@@ -25,29 +25,8 @@ use lacc_workloads::Benchmark;
 /// must measure correct executions only.
 #[must_use]
 pub fn run_small(bench: Benchmark, cores: usize, pct: u32, scale: f64) -> SimReport {
-    run_small_sharded(bench, cores, pct, scale, 1)
-}
-
-/// [`run_small`] on the sharded engine (`--shards N`). `shards = 1` is
-/// the serial engine; any other count must produce the identical report,
-/// so the `end_to_end` suite benches both and the delta is pure engine
-/// overhead/speedup.
-///
-/// # Panics
-///
-/// As [`run_small`].
-#[must_use]
-pub fn run_small_sharded(
-    bench: Benchmark,
-    cores: usize,
-    pct: u32,
-    scale: f64,
-    shards: usize,
-) -> SimReport {
     let cfg = SystemConfig::small_for_tests(cores).with_pct(pct);
-    let opts = SimOptions { shards, ..SimOptions::default() };
-    let r =
-        Simulator::with_options(cfg, bench.build(cores, scale), opts).expect("valid config").run();
+    let r = Simulator::new(cfg, bench.build(cores, scale)).expect("valid config").run();
     assert_eq!(r.monitor.violations, 0);
     r
 }

@@ -27,30 +27,11 @@
 //! Aliased handles to the same live slot compare equal (retain does not
 //! advance the generation).
 //!
-//! # Sharded arenas
-//!
-//! A slab built with [`DataSlab::sharded`] is internally partitioned into
-//! up to 256 *arenas*, one per engine shard. Each [`DataRef`] carries its
-//! arena in the top 8 bits of the index, so a handle always finds its way
-//! back to the arena that owns the slot no matter which shard it has
-//! crossed to since. Allocations land in the *home* arena selected with
-//! [`DataSlab::set_home`] (the simulator points it at the shard of the
-//! event being committed); copy-on-write clones stay in the arena of the
-//! slot being split, so refcount traffic for a slot never migrates between
-//! arenas. Every arena keeps its own [`SlabStats`] ledger —
-//! [`DataSlab::ledger`] exposes one arena's counters for the drain-time
-//! audit, and the aggregate accessors ([`DataSlab::stats`],
-//! [`DataSlab::live`], [`DataSlab::total_refs`]) sum across arenas.
-//! Because slot identity and arena choice are never observable in reports,
-//! a fixed commit order produces byte-identical aggregate stats at any
-//! arena count.
-//!
 //! The API is deliberately iteration-free: there is no way to walk the
 //! slab, so nothing can depend on slot order and determinism never
-//! hinges on hash or allocation order. Each arena's free list is LIFO,
-//! making allocation itself deterministic for a deterministic
-//! alloc/release sequence (the simulator's sequenced commit loop provides
-//! one).
+//! hinges on hash or allocation order. The free list is LIFO, making
+//! allocation itself deterministic for a deterministic alloc/release
+//! sequence (the simulator's event loop provides one).
 //!
 //! Every operation is metered in [`SlabStats`] — allocations, aliases,
 //! CoW clones, and the bytes copied vs aliased — so "this path avoids a
@@ -94,23 +75,13 @@ use crate::data::LineData;
 /// accounting).
 const LINE_BYTES: u64 = std::mem::size_of::<LineData>() as u64;
 
-/// Bits of a [`DataRef`] index reserved for the slot within its arena.
-const SLOT_BITS: u32 = 24;
-/// Mask extracting the slot bits of a [`DataRef`] index.
-const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
-/// Maximum arenas a slab can be partitioned into (the arena tag is the
-/// top `32 - SLOT_BITS` bits of the index).
-pub const MAX_ARENAS: usize = 1 << (32 - SLOT_BITS);
-
 /// Compact handle to a [`LineData`] stored in a [`DataSlab`].
 ///
 /// 8 bytes, `Copy`, and niche-optimized so `Option<DataRef>` is the same
 /// size — a payload-bearing message costs one word where it used to cost
-/// a whole cache line. The index packs the owning arena in its top 8 bits
-/// and the slot in the low 24, so a handle crossing shards still resolves
-/// against the arena that allocated it. A handle is valid from
-/// [`DataSlab::alloc`] (or [`DataSlab::retain`]) until the matching
-/// [`DataSlab::release`]; using it after the slot's last release panics.
+/// a whole cache line. A handle is valid from [`DataSlab::alloc`] (or
+/// [`DataSlab::retain`]) until the matching [`DataSlab::release`]; using
+/// it after the slot's last release panics.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DataRef {
     index: u32,
@@ -120,32 +91,25 @@ pub struct DataRef {
 }
 
 impl DataRef {
-    /// The packed slot index (diagnostics only — slots are recycled, so
-    /// an index does not identify a logical line).
+    /// The slot index (diagnostics only — slots are recycled, so an
+    /// index does not identify a logical line).
     #[must_use]
     pub fn index(self) -> u32 {
         self.index
     }
 
-    /// The arena (engine shard) that owns this handle's slot.
-    #[must_use]
-    pub fn arena(self) -> usize {
-        (self.index >> SLOT_BITS) as usize
-    }
-
     fn slot(self) -> usize {
-        (self.index & SLOT_MASK) as usize
+        self.index as usize
     }
 }
 
-/// Hot-path copy accounting for a [`DataSlab`] (or one of its arenas).
+/// Hot-path copy accounting for a [`DataSlab`].
 ///
 /// The counters are monotone over the slab's lifetime and obey
 /// `live() == allocs + cow_clones - frees` and
 /// `total_refs() == allocs + cow_clones + retains - releases` at every
-/// step — per arena and therefore also for the summed aggregate.
-/// `bytes_copied` meters real 64-byte line copies into the slab (fills
-/// and CoW clones); `bytes_aliased` meters the copies *avoided* by
+/// step. `bytes_copied` meters real 64-byte line copies into the slab
+/// (fills and CoW clones); `bytes_aliased` meters the copies *avoided* by
 /// handing out an alias instead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SlabStats {
@@ -166,25 +130,6 @@ pub struct SlabStats {
     pub bytes_aliased: u64,
 }
 
-impl SlabStats {
-    /// Outstanding handles implied by this ledger
-    /// (`allocs + cow_clones + retains - releases`).
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.allocs + self.cow_clones + self.retains - self.releases
-    }
-
-    fn absorb(&mut self, other: &SlabStats) {
-        self.allocs += other.allocs;
-        self.retains += other.retains;
-        self.releases += other.releases;
-        self.frees += other.frees;
-        self.cow_clones += other.cow_clones;
-        self.bytes_copied += other.bytes_copied;
-        self.bytes_aliased += other.bytes_aliased;
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct SlotMeta {
     /// Odd = occupied, even = vacant. Advances by one when the slot
@@ -195,12 +140,20 @@ struct SlotMeta {
     refs: u32,
 }
 
-/// One shard's storage partition: a self-contained generational slab with
-/// its own free list and [`SlabStats`] ledger.
-#[derive(Clone, Debug)]
-struct Arena {
-    /// This arena's tag, pre-shifted into index position.
-    tag: u32,
+/// Refcounted generational slab of [`LineData`] with free-list slot
+/// reuse.
+///
+/// Storage is split struct-of-arrays style: the 8-byte bookkeeping
+/// records (`meta`) and the 64-byte payloads (`data`) live in parallel
+/// arrays. Handle traffic — retain, release, generation checks — touches
+/// only the dense `meta` array, and because [`LineData`] is 64-byte
+/// aligned every payload occupies exactly one host cache line (a 72-byte
+/// interleaved slot would straddle two for almost every index).
+///
+/// See the [module docs](self) for the handle-lifetime and copy-on-write
+/// rules.
+#[derive(Clone, Debug, Default)]
+pub struct DataSlab {
     meta: Vec<SlotMeta>,
     data: Vec<LineData>,
     free: Vec<u32>,
@@ -208,16 +161,17 @@ struct Arena {
     stats: SlabStats,
 }
 
-impl Arena {
-    fn new(index: usize, cap: usize) -> Self {
-        Arena {
-            tag: u32::try_from(index << SLOT_BITS).expect("arena index fits the tag bits"),
-            meta: Vec::with_capacity(cap),
-            data: Vec::with_capacity(cap),
-            free: Vec::new(),
-            live: 0,
-            stats: SlabStats::default(),
-        }
+impl DataSlab {
+    /// An empty slab.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty slab with room for `cap` lines before regrowing.
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        DataSlab { meta: Vec::with_capacity(cap), data: Vec::with_capacity(cap), ..Self::default() }
     }
 
     fn fill_slot(&mut self, data: LineData) -> DataRef {
@@ -233,7 +187,6 @@ impl Arena {
             }
             None => {
                 let i = u32::try_from(self.meta.len()).expect("slab exceeds u32::MAX slots");
-                assert!(i <= SLOT_MASK, "slab arena exceeds 2^24 slots");
                 self.meta.push(SlotMeta { generation: 1, refs: 1 });
                 self.data.push(data);
                 i
@@ -243,7 +196,7 @@ impl Arena {
         self.stats.bytes_copied += LINE_BYTES;
         let generation = NonZeroU32::new(self.meta[slot as usize].generation)
             .expect("odd generation is never zero");
-        DataRef { index: self.tag | slot, generation }
+        DataRef { index: slot, generation }
     }
 
     fn meta(&self, r: DataRef, ctx: &str) -> SlotMeta {
@@ -257,108 +210,16 @@ impl Arena {
         assert_eq!(meta.generation, r.generation.get(), "{ctx}");
         meta
     }
-}
 
-/// Refcounted generational slab of [`LineData`], partitioned into
-/// per-shard arenas with free-list slot reuse.
-///
-/// Storage inside each arena is split struct-of-arrays style: the 8-byte
-/// bookkeeping records (`meta`) and the 64-byte payloads (`data`) live in
-/// parallel arrays. Handle traffic — retain, release, generation checks —
-/// touches only the dense `meta` array, and because [`LineData`] is
-/// 64-byte aligned every payload occupies exactly one host cache line (a
-/// 72-byte interleaved slot would straddle two for almost every index).
-///
-/// See the [module docs](self) for the handle-lifetime, copy-on-write,
-/// and arena-partitioning rules.
-#[derive(Clone, Debug)]
-pub struct DataSlab {
-    arenas: Vec<Arena>,
-    /// Arena receiving new allocations; see [`DataSlab::set_home`].
-    home: usize,
-}
-
-impl Default for DataSlab {
-    fn default() -> Self {
-        Self::sharded(1)
-    }
-}
-
-impl DataSlab {
-    /// An empty single-arena slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty single-arena slab with room for `cap` lines before
-    /// regrowing.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        DataSlab { arenas: vec![Arena::new(0, cap)], home: 0 }
-    }
-
-    /// An empty slab partitioned into `shards` arenas (one per engine
-    /// shard). The home arena starts at 0.
+    /// Stores `data` in a recycled (LIFO) or fresh slot and returns its
+    /// handle (refcount 1).
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= shards <= MAX_ARENAS`.
-    #[must_use]
-    pub fn sharded(shards: usize) -> Self {
-        assert!(
-            (1..=MAX_ARENAS).contains(&shards),
-            "shard count {shards} outside 1..={MAX_ARENAS}"
-        );
-        DataSlab { arenas: (0..shards).map(|i| Arena::new(i, 0)).collect(), home: 0 }
-    }
-
-    /// Number of arenas this slab is partitioned into.
-    #[must_use]
-    pub fn num_arenas(&self) -> usize {
-        self.arenas.len()
-    }
-
-    /// Points new allocations at arena `shard`. Existing handles are
-    /// unaffected — they stay pinned to the arena that allocated them.
-    ///
-    /// An out-of-range `shard` is debug-asserted (this sits on the
-    /// per-event dispatch path); in release builds the next `alloc`
-    /// would panic on the arena index instead.
-    pub fn set_home(&mut self, shard: usize) {
-        debug_assert!(shard < self.arenas.len(), "home arena {shard} out of range");
-        self.home = shard;
-    }
-
-    /// One arena's private [`SlabStats`] ledger (the per-shard audit
-    /// quantity; [`DataSlab::stats`] is the sum of these).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn ledger(&self, shard: usize) -> SlabStats {
-        self.arenas[shard].stats
-    }
-
-    fn arena(&self, r: DataRef) -> &Arena {
-        &self.arenas[r.arena()]
-    }
-
-    fn arena_mut(&mut self, r: DataRef) -> &mut Arena {
-        &mut self.arenas[r.arena()]
-    }
-
-    /// Stores `data` in the home arena — a recycled (LIFO) or fresh
-    /// slot — and returns its handle (refcount 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena would exceed 2^24 slots.
+    /// Panics if the slab would exceed `u32::MAX` slots.
     pub fn alloc(&mut self, data: LineData) -> DataRef {
-        let arena = &mut self.arenas[self.home];
-        arena.stats.allocs += 1;
-        arena.fill_slot(data)
+        self.stats.allocs += 1;
+        self.fill_slot(data)
     }
 
     /// Mints another handle to the slot behind `r` (refcount + 1) without
@@ -370,10 +231,9 @@ impl DataSlab {
     /// Panics if `r` is stale (the slot's last handle was released).
     #[must_use = "retain mints a handle that must be released"]
     pub fn retain(&mut self, r: DataRef) -> DataRef {
-        let arena = self.arena_mut(r);
-        arena.meta_mut(r, "retain of stale DataRef").refs += 1;
-        arena.stats.retains += 1;
-        arena.stats.bytes_aliased += LINE_BYTES;
+        self.meta_mut(r, "retain of stale DataRef").refs += 1;
+        self.stats.retains += 1;
+        self.stats.bytes_aliased += LINE_BYTES;
         r
     }
 
@@ -384,9 +244,8 @@ impl DataSlab {
     /// Panics if `r` is stale (the slot was fully released).
     #[must_use]
     pub fn get(&self, r: DataRef) -> &LineData {
-        let arena = self.arena(r);
-        arena.meta(r, "stale DataRef: slot was released");
-        &arena.data[r.slot()]
+        self.meta(r, "stale DataRef: slot was released");
+        &self.data[r.slot()]
     }
 
     /// Mutable access to the line behind a live handle that is the **sole
@@ -400,60 +259,55 @@ impl DataSlab {
     /// owner.
     #[must_use]
     pub fn get_mut(&mut self, r: DataRef) -> &mut LineData {
-        let arena = self.arena_mut(r);
-        let meta = arena.meta(r, "stale DataRef: slot was released");
+        let meta = self.meta(r, "stale DataRef: slot was released");
         assert_eq!(meta.refs, 1, "get_mut of aliased DataRef: use make_mut");
-        &mut arena.data[r.slot()]
+        &mut self.data[r.slot()]
     }
 
     /// Prepares the line behind `r` for writing, copy-on-write style:
     /// returns `r` unchanged when it is the sole owner, otherwise moves
     /// this handle to a fresh private copy of the line (the other owners
-    /// keep the original slot) and returns the new handle. The clone is
-    /// allocated in `r`'s own arena, so a slot's whole refcount history
-    /// stays inside one arena. The input handle must not be used
-    /// afterwards — only the returned one.
+    /// keep the original slot) and returns the new handle. The input
+    /// handle must not be used afterwards — only the returned one.
     ///
     /// # Panics
     ///
     /// Panics if `r` is stale.
     #[must_use = "make_mut may move the handle; use the returned DataRef"]
     pub fn make_mut(&mut self, r: DataRef) -> DataRef {
-        let arena = self.arena_mut(r);
-        let meta = arena.meta_mut(r, "make_mut of stale DataRef");
+        let meta = self.meta_mut(r, "make_mut of stale DataRef");
         if meta.refs == 1 {
             return r;
         }
         meta.refs -= 1;
-        let data = arena.data[r.slot()];
+        let data = self.data[r.slot()];
         // The writer's handle on the shared slot is dropped (counted as a
         // release) and replaced by a fresh private copy (counted as a CoW
         // clone), keeping the handle ledger balanced.
-        arena.stats.releases += 1;
-        arena.stats.cow_clones += 1;
-        arena.fill_slot(data)
+        self.stats.releases += 1;
+        self.stats.cow_clones += 1;
+        self.fill_slot(data)
     }
 
-    /// Drops one handle to the slot behind `r`; the slot returns to its
-    /// arena's free list when this was the last one. The released handle
-    /// (and, after the last release, every copy of it) is dead afterwards.
+    /// Drops one handle to the slot behind `r`; the slot returns to the
+    /// free list when this was the last one. The released handle (and,
+    /// after the last release, every copy of it) is dead afterwards.
     ///
     /// # Panics
     ///
     /// Panics on release of a stale handle (double release past zero).
     pub fn release(&mut self, r: DataRef) {
-        let arena = self.arena_mut(r);
-        let meta = arena.meta_mut(r, "double release of DataRef");
+        let meta = self.meta_mut(r, "double release of DataRef");
         meta.refs -= 1;
         let last = meta.refs == 0;
         if last {
             meta.generation = meta.generation.wrapping_add(1);
         }
-        arena.stats.releases += 1;
+        self.stats.releases += 1;
         if last {
-            arena.live -= 1;
-            arena.stats.frees += 1;
-            arena.free.push(u32::try_from(r.slot()).expect("slot fits u32"));
+            self.live -= 1;
+            self.stats.frees += 1;
+            self.free.push(r.index);
         }
     }
 
@@ -464,46 +318,42 @@ impl DataSlab {
     /// Panics if `r` is stale.
     #[must_use]
     pub fn refs(&self, r: DataRef) -> u32 {
-        self.arena(r).meta(r, "refs of stale DataRef").refs
+        self.meta(r, "refs of stale DataRef").refs
     }
 
     /// Number of live (occupied) slots — distinct lines resident in the
-    /// slab, summed across arenas.
+    /// slab.
     #[must_use]
     pub fn live(&self) -> usize {
-        self.arenas.iter().map(|a| a.live).sum()
+        self.live
     }
 
-    /// Number of live handles outstanding across all arenas — the
-    /// refcount-audit quantity: at a quiescent point it must equal the
-    /// number of handles the owners collectively hold.
+    /// Number of live handles outstanding — the refcount-audit quantity:
+    /// at a quiescent point it must equal the number of handles the
+    /// owners collectively hold.
     #[must_use]
     pub fn total_refs(&self) -> usize {
-        let sum: u64 = self.arenas.iter().map(|a| a.stats.outstanding()).sum();
-        usize::try_from(sum).expect("outstanding handles fit usize")
+        let s = &self.stats;
+        usize::try_from(s.allocs + s.cow_clones + s.retains - s.releases)
+            .expect("outstanding handles fit usize")
     }
 
-    /// The copy-accounting counters, summed across arenas.
+    /// The copy-accounting counters.
     #[must_use]
     pub fn stats(&self) -> SlabStats {
-        let mut total = SlabStats::default();
-        for arena in &self.arenas {
-            total.absorb(&arena.stats);
-        }
-        total
+        self.stats
     }
 
-    /// Total slots ever created (live + free-listed), summed across
-    /// arenas.
+    /// Total slots ever created (live + free-listed).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arenas.iter().map(|a| a.meta.len()).sum()
+        self.meta.len()
     }
 
     /// Whether the slab has never allocated (no slots at all).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arenas.iter().all(|a| a.meta.is_empty())
+        self.meta.is_empty()
     }
 }
 
@@ -660,50 +510,6 @@ mod tests {
         s.release(a);
         s.release(c);
         assert_eq!((s.live(), s.total_refs()), (0, 0));
-    }
-
-    #[test]
-    fn sharded_arenas_tag_handles_and_keep_private_ledgers() {
-        let mut s = DataSlab::sharded(3);
-        assert_eq!(s.num_arenas(), 3);
-        let a = s.alloc(line(1)); // arena 0 (default home)
-        s.set_home(2);
-        let b = s.alloc(line(2)); // arena 2
-        assert_eq!((a.arena(), b.arena()), (0, 2));
-        assert_ne!(a.index() >> 24, b.index() >> 24, "arena tag lives in the top bits");
-
-        // Handles resolve against their owning arena regardless of home.
-        s.set_home(1);
-        assert_eq!(s.get(a).word(0), 1);
-        assert_eq!(s.get(b).word(0), 2);
-
-        // Retains and CoW clones stay inside the handle's arena.
-        let alias = s.retain(b);
-        let own = s.make_mut(alias);
-        assert_eq!(own.arena(), 2, "CoW clone must stay in the shared slot's arena");
-
-        // Per-arena ledgers are private; the aggregate is their sum.
-        assert_eq!(s.ledger(0).allocs, 1);
-        assert_eq!(s.ledger(1), SlabStats::default());
-        assert_eq!((s.ledger(2).allocs, s.ledger(2).retains, s.ledger(2).cow_clones), (1, 1, 1));
-        assert_eq!(s.stats().allocs, 2);
-        assert_eq!(s.total_refs() as u64, s.stats().outstanding());
-
-        s.release(a);
-        s.release(b);
-        s.release(own);
-        assert_eq!((s.live(), s.total_refs()), (0, 0));
-        for shard in 0..3 {
-            assert_eq!(s.ledger(shard).outstanding(), 0, "arena {shard} must drain to zero");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "home arena")]
-    #[cfg(debug_assertions)] // the range check is a debug_assert (hot path)
-    fn set_home_rejects_out_of_range_arena() {
-        let mut s = DataSlab::sharded(2);
-        s.set_home(2);
     }
 
     #[test]

@@ -186,121 +186,6 @@ proptest! {
     }
 }
 
-/// One step of simulated cross-shard message traffic against a sharded
-/// slab (see `sharded_traffic_balances_per_shard_ledgers`).
-#[derive(Clone, Copy, Debug)]
-enum ShardOp {
-    /// Re-point the allocation home (the committing event's shard).
-    SetHome(usize),
-    /// Allocate at the current home.
-    Alloc(u64),
-    /// Retain the `k % len`-th handle — wherever its arena is; this is
-    /// the "payload aliased by a remote tile" case.
-    Retain(usize),
-    /// CoW-write the `k % len`-th handle from a foreign home.
-    Write(usize, u64),
-    /// Release the `k % len`-th handle — the "payload consumed on the
-    /// far side of a message" case.
-    Release(usize),
-}
-
-fn shard_op_strategy(shards: usize) -> impl Strategy<Value = ShardOp> {
-    prop_oneof![
-        (0..shards).prop_map(ShardOp::SetHome),
-        (0u64..1000).prop_map(ShardOp::Alloc),
-        (0usize..64).prop_map(ShardOp::Retain),
-        (0usize..64, 0u64..1000).prop_map(|(k, v)| ShardOp::Write(k, v)),
-        (0usize..64).prop_map(ShardOp::Release),
-    ]
-}
-
-proptest! {
-    /// Cross-shard `DataRef` ownership transfer (DESIGN.md §7): random
-    /// traffic across 2–4 shard arenas, where handles allocated under
-    /// one home are retained, rewritten and released under others — the
-    /// slab-level shape of a payload handle crossing shards inside a
-    /// message. At every step each arena's ledger outstanding count must
-    /// equal the number of outstanding handles *tagged* with that arena
-    /// (ownership follows the handle, not the current home), allocation
-    /// must land in the home arena, CoW must stay in the written
-    /// handle's arena, and the drain must end with every per-shard
-    /// ledger balanced at zero — no leaks parked in a foreign arena.
-    #[test]
-    fn sharded_traffic_balances_per_shard_ledgers(
-        shards in 2usize..=4,
-        seed_ops in proptest::collection::vec(0u64..1000, 1..4),
-        ops in proptest::collection::vec(shard_op_strategy(4), 1..300),
-    ) {
-        let mut slab = DataSlab::sharded(shards);
-        let mut handles: Vec<DataRef> = Vec::new();
-        let mut home = 0;
-        for (i, tag) in seed_ops.iter().enumerate() {
-            home = i % shards;
-            slab.set_home(home);
-            let r = slab.alloc(tagged(*tag));
-            prop_assert_eq!(r.arena(), home, "allocation must land in the home arena");
-            handles.push(r);
-        }
-        let check = |slab: &DataSlab, handles: &[DataRef]| -> Result<(), TestCaseError> {
-            let mut per_arena = vec![0u64; shards];
-            for r in handles {
-                per_arena[r.arena()] += 1;
-            }
-            for (s, &expect) in per_arena.iter().enumerate() {
-                prop_assert_eq!(
-                    slab.ledger(s).outstanding(), expect,
-                    "arena {} ledger diverged from its tagged handles", s
-                );
-            }
-            let total: u64 = (0..shards).map(|s| slab.ledger(s).outstanding()).sum();
-            prop_assert_eq!(total as usize, slab.total_refs(), "ledger sum vs refcounts");
-            Ok(())
-        };
-        check(&slab, &handles)?;
-        for op in ops {
-            match op {
-                ShardOp::SetHome(s) => {
-                    home = s % shards;
-                    slab.set_home(home);
-                }
-                ShardOp::Alloc(tag) => {
-                    let r = slab.alloc(tagged(tag));
-                    prop_assert_eq!(r.arena(), home, "allocation must land in the home arena");
-                    handles.push(r);
-                }
-                ShardOp::Retain(k) if !handles.is_empty() => {
-                    let r = handles[k % handles.len()];
-                    handles.push(slab.retain(r));
-                }
-                ShardOp::Write(k, v) if !handles.is_empty() => {
-                    let idx = k % handles.len();
-                    let r = handles[idx];
-                    let own = slab.make_mut(r);
-                    prop_assert_eq!(own.arena(), r.arena(), "CoW must stay in its arena");
-                    slab.get_mut(own).set_word(0, v);
-                    handles[idx] = own;
-                }
-                ShardOp::Release(k) if !handles.is_empty() => {
-                    let r = handles.remove(k % handles.len());
-                    slab.release(r);
-                }
-                _ => {}
-            }
-            check(&slab, &handles)?;
-        }
-        // Drain: every handle releases cleanly against its own arena and
-        // every per-shard ledger balances to zero.
-        while let Some(r) = handles.pop() {
-            slab.release(r);
-        }
-        for s in 0..shards {
-            prop_assert_eq!(slab.ledger(s).outstanding(), 0, "arena {} leaked", s);
-        }
-        prop_assert_eq!(slab.live(), 0);
-        prop_assert_eq!(slab.total_refs(), 0);
-    }
-}
-
 #[test]
 #[should_panic(expected = "double release")]
 fn double_release_of_live_alias_panics_past_zero() {

@@ -2,14 +2,17 @@
 //! invoking the sibling experiment binaries with the same flags.
 //!
 //! All flags are forwarded verbatim — in particular `--jobs N` (sweep
-//! workers) and `--shards N` (threads inside each simulation), so one
-//! invocation parallelizes every sweep (`--jobs 1 --shards 1` reproduces
-//! the serial baseline byte-for-byte; CI diffs both axes). Per-binary
-//! wall-clock goes to stderr to keep stdout deterministic across worker
-//! and shard counts.
+//! workers), so one invocation parallelizes every sweep (`--jobs 1`
+//! reproduces the serial baseline byte-for-byte; CI diffs it against
+//! `--jobs 2`). Per-binary wall-clock goes to stderr to keep stdout
+//! deterministic across worker counts. The flags are checked once up
+//! front, so a malformed command line exits with status 2 before any
+//! binary runs.
 
 use std::process::Command;
 use std::time::Instant;
+
+use lacc_experiments::Cli;
 
 const BINS: [&str; 13] = [
     "tab01_parameters",
@@ -28,6 +31,7 @@ const BINS: [&str; 13] = [
 ];
 
 fn main() {
+    let _ = Cli::parse();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe dir");

@@ -17,8 +17,12 @@
 //!
 //! Default output path: `results/<benchmark>.ltf`.
 
+use lacc_experiments::{flag_benchmark, flag_value, or_exit, CliError};
 use lacc_sim::ltf;
 use lacc_workloads::Benchmark;
+
+const USAGE: &str =
+    "usage: trace_dump --bench <name> [--cores N] [--scale F] [--out PATH] [--v2] [--stats]";
 
 struct Args {
     bench: Benchmark,
@@ -29,52 +33,31 @@ struct Args {
     stats: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     let mut bench = None;
     let mut cores = 64;
     let mut scale = 1.0;
     let mut out = None;
     let mut v2 = false;
     let mut stats = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => {
-                i += 1;
-                bench = Some(
-                    Benchmark::by_name(&args[i])
-                        .unwrap_or_else(|| panic!("unknown benchmark '{}'", args[i])),
-                );
-            }
-            "--cores" => {
-                i += 1;
-                cores = args[i].parse().expect("--cores takes an integer");
-            }
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float");
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args[i].clone());
-            }
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => bench = Some(flag_benchmark(&mut args, "--bench")?),
+            "--cores" => cores = flag_value(&mut args, "--cores", "an integer")?,
+            "--scale" => scale = flag_value(&mut args, "--scale", "a number")?,
+            "--out" => out = Some(flag_value(&mut args, "--out", "a path")?),
             "--v2" => v2 = true,
             "--stats" => stats = true,
-            other => {
-                panic!("unknown flag '{other}' (try --bench/--cores/--scale/--out/--v2/--stats)")
-            }
+            _ => return Err(CliError::UnknownFlag(arg)),
         }
-        i += 1;
     }
-    let bench = bench.expect(
-        "usage: trace_dump --bench <name> [--cores N] [--scale F] [--out PATH] [--v2] [--stats]",
-    );
-    Args { bench, cores, scale, out, v2, stats }
+    let bench = bench.ok_or(CliError::Usage("--bench is required"))?;
+    Ok(Args { bench, cores, scale, out, v2, stats })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = or_exit(parse_args(std::env::args().skip(1)), USAGE);
     let path = args.out.clone().unwrap_or_else(|| format!("results/{}.ltf", args.bench.name()));
     if let Some(parent) = std::path::Path::new(&path).parent() {
         if !parent.as_os_str().is_empty() {

@@ -13,9 +13,11 @@
 //! Table-1 machine for the reduced test configuration (what the repo's
 //! tests use at small scales).
 
-use lacc_experiments::config_for_cores;
+use lacc_experiments::{config_for_cores, flag_value, or_exit, CliError};
 use lacc_model::SystemConfig;
 use lacc_sim::{ltf, Simulator};
+
+const USAGE: &str = "usage: trace_replay <file.ltf> [--cores N] [--pct N] [--small]";
 
 struct Args {
     path: String,
@@ -24,40 +26,28 @@ struct Args {
     small: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     let mut path = None;
     let mut cores = None;
     let mut pct = None;
     let mut small = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cores" => {
-                i += 1;
-                cores = Some(args[i].parse().expect("--cores takes an integer"));
-            }
-            "--pct" => {
-                i += 1;
-                pct = Some(args[i].parse().expect("--pct takes an integer"));
-            }
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--cores" => cores = Some(flag_value(&mut args, "--cores", "an integer")?),
+            "--pct" => pct = Some(flag_value(&mut args, "--pct", "an integer")?),
             "--small" => small = true,
-            flag if flag.starts_with("--") => {
-                panic!("unknown flag '{flag}' (try --cores/--pct/--small)")
-            }
-            file => {
-                assert!(path.is_none(), "exactly one trace file expected");
-                path = Some(file.to_string());
-            }
+            flag if flag.starts_with("--") => return Err(CliError::UnknownFlag(arg)),
+            _ if path.is_some() => return Err(CliError::Usage("exactly one trace file expected")),
+            _ => path = Some(arg),
         }
-        i += 1;
     }
-    let path = path.expect("usage: trace_replay <file.ltf> [--cores N] [--pct N] [--small]");
-    Args { path, cores, pct, small }
+    let path = path.ok_or(CliError::Usage("a trace file is required"))?;
+    Ok(Args { path, cores, pct, small })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = or_exit(parse_args(std::env::args().skip(1)), USAGE);
     let workload = ltf::read_workload(&args.path).unwrap_or_else(|e| {
         eprintln!("error: cannot replay '{}': {e}", args.path);
         std::process::exit(1);

@@ -14,28 +14,26 @@
 //! * `--bench <name>` — restrict to one benchmark (repeatable);
 //! * `--jobs <n>` — worker threads for the sweep (default: all cores;
 //!   `--jobs 1` runs serially on the calling thread);
-//! * `--shards <n>` — worker threads *inside each simulation* (default 1
-//!   = the serial engine; `0` = one per available hardware thread).
-//!   Reports are byte-identical for any shard count — the serial engine
-//!   is the oracle (DESIGN.md §7);
-//! * `--shard-commit inline|concurrent` — how sharded runs harvest
-//!   their commit windows: on the coordinator (`inline`, default) or on
-//!   per-shard crew threads (`concurrent`). Byte-identical either way;
 //! * `--quiet` — suppress per-run progress lines;
 //! * `--no-monitor` — disable the shadow-memory coherence monitor
 //!   (large calibration sweeps; drops its per-access checking cost).
 //!
+//! A malformed command line is a [`CliError`] naming the flag and the bad
+//! value; the binaries print it with the usage line and exit with code 2.
+//!
 //! ## Parallel sweeps are deterministic
 //!
-//! Every grid point of a figure is an independent simulation, so
-//! [`run_jobs`] dispatches them across a scoped worker pool — but it
-//! aggregates results, prints progress and reports failures **in
-//! submission order**. Figure CSVs and stdout tables are byte-identical
-//! for any worker count (see DESIGN.md §7 for why this holds).
+//! Every simulation runs on one thread. Every grid point of a figure is
+//! an independent simulation, so [`run_jobs_hinted`] dispatches them
+//! across a scoped worker pool — but it aggregates results, prints
+//! progress and reports failures **in submission order**. Figure CSVs and
+//! stdout tables are byte-identical for any worker count (see DESIGN.md
+//! §7 for why this holds).
 
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -43,6 +41,100 @@ use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
 use lacc_model::SystemConfig;
 use lacc_sim::{SimOptions, SimReport, Simulator};
 use lacc_workloads::Benchmark;
+
+/// The flags of the figure and table binaries, for the usage line.
+const FLAGS: &str = "[--scale F] [--cores N] [--bench NAME]... [--jobs N] [--quiet] [--no-monitor]";
+
+/// A malformed command line, naming the offending flag and value.
+///
+/// # Examples
+///
+/// ```
+/// use lacc_experiments::{Cli, CliError};
+///
+/// let err = Cli::parse_from(["--jobs"]).unwrap_err();
+/// assert_eq!(err, CliError::MissingValue { flag: "--jobs".into() });
+/// assert_eq!(err.to_string(), "--jobs needs a value");
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// A flag the tool does not accept.
+    UnknownFlag(String),
+    /// A flag that takes a value came last, with no value after it.
+    MissingValue {
+        /// The flag.
+        flag: String,
+    },
+    /// A flag's value did not parse.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The value as given.
+        value: String,
+        /// What the flag accepts.
+        expected: &'static str,
+    },
+    /// A required argument is absent or a positional one is repeated.
+    Usage(&'static str),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag '{flag}'"),
+            CliError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            CliError::BadValue { flag, value, expected } => {
+                write!(f, "{flag} takes {expected}, got '{value}'")
+            }
+            CliError::Usage(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+/// Takes the value following `flag` from `args` and parses it.
+///
+/// # Errors
+///
+/// [`CliError::MissingValue`] when `args` is exhausted, and
+/// [`CliError::BadValue`] (quoting `expected`) when the value does not
+/// parse as `T`.
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &'static str,
+) -> Result<T, CliError> {
+    let value = args.next().ok_or_else(|| CliError::MissingValue { flag: flag.into() })?;
+    value.parse().map_err(|_| CliError::BadValue { flag: flag.into(), value, expected })
+}
+
+/// Takes the benchmark name following `flag` from `args`.
+///
+/// # Errors
+///
+/// As [`flag_value`], plus [`CliError::BadValue`] for a name that is not
+/// a Table-2 benchmark.
+pub fn flag_benchmark(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<Benchmark, CliError> {
+    let name: String = flag_value(args, flag, "a benchmark name")?;
+    Benchmark::by_name(&name).ok_or(CliError::BadValue {
+        flag: flag.into(),
+        value: name,
+        expected: "a Table-2 benchmark name",
+    })
+}
+
+/// Unwraps a parsed command line, or prints the error and `usage` to
+/// stderr and exits with status 2.
+pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{usage}");
+        std::process::exit(2);
+    })
+}
 
 /// Parsed command-line options shared by all experiment binaries.
 ///
@@ -53,9 +145,7 @@ use lacc_workloads::Benchmark;
 ///
 /// let cli = Cli::default();
 /// assert_eq!((cli.scale, cli.cores, cli.jobs), (1.0, 64, 0)); // 0 = auto
-/// assert_eq!(cli.shards, 1); // serial engine unless asked
 /// assert!(cli.sim_options().monitor);
-/// assert_eq!(cli.sim_options().shards, 1);
 /// assert_eq!(cli.benchmarks().len(), 21); // the full Table-2 suite
 /// ```
 #[derive(Clone, Debug)]
@@ -66,17 +156,9 @@ pub struct Cli {
     pub cores: usize,
     /// Benchmark filter (empty = all 21).
     pub benches: Vec<Benchmark>,
-    /// Worker threads for [`run_jobs`]: `0` = one per available hardware
-    /// thread, `1` = serial on the calling thread.
+    /// Worker threads for [`run_jobs_hinted`]: `0` = one per available
+    /// hardware thread, `1` = serial on the calling thread.
     pub jobs: usize,
-    /// Shards *within* each simulation (`SimOptions::shards`): `1` =
-    /// the serial engine, `0` = one shard per available hardware thread.
-    /// Any value produces byte-identical reports.
-    pub shards: usize,
-    /// `--shard-commit concurrent`: harvest shard windows on real crew
-    /// threads (`SimOptions::concurrent_commit`); `inline` (default)
-    /// harvests on the coordinator. Byte-identical either way.
-    pub concurrent_commit: bool,
     /// Suppress progress output.
     pub quiet: bool,
     /// Disable the coherence monitor (calibration sweeps).
@@ -85,76 +167,55 @@ pub struct Cli {
 
 impl Default for Cli {
     fn default() -> Self {
-        Cli {
-            scale: 1.0,
-            cores: 64,
-            benches: Vec::new(),
-            jobs: 0,
-            shards: 1,
-            concurrent_commit: false,
-            quiet: false,
-            no_monitor: false,
-        }
+        Cli { scale: 1.0, cores: 64, benches: Vec::new(), jobs: 0, quiet: false, no_monitor: false }
     }
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags or unknown
-    /// benchmark names.
+    /// Parses `std::env::args`; on a malformed command line, prints the
+    /// error and the usage line to stderr and exits with status 2.
     #[must_use]
     pub fn parse() -> Self {
+        let mut args = std::env::args();
+        let prog = args.next().unwrap_or_default();
+        let prog = std::path::Path::new(&prog).file_name().unwrap_or_default().to_string_lossy();
+        or_exit(Self::parse_from(args), &format!("usage: {prog} {FLAGS}"))
+    }
+
+    /// Parses `args` (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// A [`CliError`] naming the first unknown flag, missing value, or
+    /// value that does not parse.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lacc_experiments::Cli;
+    ///
+    /// let cli = Cli::parse_from(["--scale", "0.5", "--jobs", "2", "--quiet"]).unwrap();
+    /// assert_eq!((cli.scale, cli.jobs, cli.quiet), (0.5, 2, true));
+    /// ```
+    pub fn parse_from<I>(args: I) -> Result<Self, CliError>
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
         let mut cli = Cli::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    cli.scale = args[i].parse().expect("--scale takes a float");
-                }
-                "--cores" => {
-                    i += 1;
-                    cli.cores = args[i].parse().expect("--cores takes an integer");
-                }
-                "--bench" => {
-                    i += 1;
-                    let b = Benchmark::by_name(&args[i])
-                        .unwrap_or_else(|| panic!("unknown benchmark '{}'", args[i]));
-                    cli.benches.push(b);
-                }
-                "--jobs" => {
-                    i += 1;
-                    cli.jobs = args[i].parse().expect("--jobs takes an integer (0 = auto)");
-                }
-                "--shards" => {
-                    i += 1;
-                    cli.shards = args[i].parse().expect("--shards takes an integer (0 = auto)");
-                }
-                "--shard-commit" => {
-                    i += 1;
-                    cli.concurrent_commit = match args.get(i).map(String::as_str) {
-                        Some("concurrent") => true,
-                        Some("inline") => false,
-                        other => {
-                            panic!("--shard-commit takes 'inline' or 'concurrent', got {other:?}")
-                        }
-                    };
-                }
+        let mut args = args.into_iter().map(Into::into);
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--scale" => cli.scale = flag_value(&mut args, "--scale", "a number")?,
+                "--cores" => cli.cores = flag_value(&mut args, "--cores", "an integer")?,
+                "--bench" => cli.benches.push(flag_benchmark(&mut args, "--bench")?),
+                "--jobs" => cli.jobs = flag_value(&mut args, "--jobs", "an integer (0 = auto)")?,
                 "--quiet" => cli.quiet = true,
                 "--no-monitor" => cli.no_monitor = true,
-                other => panic!(
-                    "unknown flag '{other}' \
-                     (try --scale/--cores/--bench/--jobs/--shards/--shard-commit/--quiet/\
-                      --no-monitor)"
-                ),
+                _ => return Err(CliError::UnknownFlag(arg)),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// The benchmarks to run.
@@ -173,22 +234,10 @@ impl Cli {
         config_for_cores(self.cores)
     }
 
-    /// The run-time simulator options these flags select. `--shards 0`
-    /// resolves to one shard per available hardware thread here (the
-    /// simulator itself clamps to the tile count).
+    /// The run-time simulator options these flags select.
     #[must_use]
     pub fn sim_options(&self) -> SimOptions {
-        let shards = if self.shards == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.shards
-        };
-        SimOptions {
-            monitor: !self.no_monitor,
-            shards,
-            concurrent_commit: self.concurrent_commit,
-            ..SimOptions::default()
-        }
+        SimOptions { monitor: !self.no_monitor, ..SimOptions::default() }
     }
 
     /// Runs a sweep with this invocation's scale, verbosity, simulator
@@ -288,7 +337,7 @@ pub fn run_one_opts(
 /// Results of one sweep, keyed by `(label, benchmark name)` and ordered
 /// by submission.
 ///
-/// Produced by [`run_jobs`]. Lookups are O(1) via [`SweepResults::get`]
+/// Produced by [`run_jobs_hinted`]. Lookups are O(1) via [`SweepResults::get`]
 /// or indexing; [`SweepResults::iter`] walks the reports in the exact
 /// order the jobs were submitted, never the order worker threads finished
 /// in — which is what keeps every figure CSV and stdout table
@@ -343,55 +392,6 @@ impl std::ops::Index<&(String, &'static str)> for SweepResults {
     }
 }
 
-/// Runs a set of `(label, benchmark, config)` jobs across `workers`
-/// threads (`0` = one per available hardware thread, `1` = serial on the
-/// calling thread) and aggregates the reports **in submission order**.
-///
-/// Each job builds, owns and runs its own [`Simulator`] — nothing is
-/// shared between workers except the read-only job list, which the
-/// compiler enforces via the `Send` assertions in `lacc-sim`. Progress
-/// lines (unless `quiet`) are printed by the aggregator as the completed
-/// prefix of the submission order grows, so stderr is as deterministic as
-/// the results themselves.
-///
-/// # Examples
-///
-/// ```
-/// use lacc_experiments::run_jobs;
-/// use lacc_model::SystemConfig;
-/// use lacc_sim::SimOptions;
-/// use lacc_workloads::Benchmark;
-///
-/// let cfg = SystemConfig::small_for_tests(2);
-/// let jobs = vec![
-///     ("pct1".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
-///     ("pct4".to_string(), Benchmark::WaterSp, cfg.with_pct(4)),
-/// ];
-/// let results = run_jobs(jobs, 0.02, true, SimOptions::default(), 2);
-/// assert_eq!(results.len(), 2);
-/// // Iteration follows submission order, not completion order.
-/// let labels: Vec<&str> = results.iter().map(|((l, _), _)| l.as_str()).collect();
-/// assert_eq!(labels, ["pct1", "pct4"]);
-/// assert!(results[&("pct1".to_string(), "water-sp")].completion_time > 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if two jobs share a `(label, benchmark)` key, or — after every
-/// remaining job has finished — if any job panicked, with a message
-/// naming each failed job. A panicking job never deadlocks the pool or
-/// poisons the other jobs' results.
-#[must_use]
-pub fn run_jobs(
-    jobs: Vec<(String, Benchmark, SystemConfig)>,
-    scale: f64,
-    quiet: bool,
-    opts: SimOptions,
-    workers: usize,
-) -> SweepResults {
-    run_jobs_hinted(jobs, scale, quiet, opts, workers, None)
-}
-
 /// The order workers pull jobs in: indices sorted by descending cost
 /// hint, submission order breaking ties (and standing in entirely when
 /// no hints are given). Dispatch order affects wall-clock only — results
@@ -405,20 +405,54 @@ fn dispatch_order(n: usize, cost_hint: Option<&[u64]>) -> Vec<usize> {
     order
 }
 
-/// [`run_jobs`] with an optional per-job cost hint controlling *dispatch*
-/// order.
+/// Runs a set of `(label, benchmark, config)` jobs across `workers`
+/// threads (`0` = one per available hardware thread, `1` = serial on the
+/// calling thread) and aggregates the reports **in submission order**.
 ///
-/// With hints, workers pick up jobs largest-first, which packs the long
+/// Each job builds, owns and runs its own [`Simulator`] — nothing is
+/// shared between workers except the read-only job list, which the
+/// compiler enforces via the `Send` assertions in `lacc-sim`. Progress
+/// lines (unless `quiet`) are printed by the aggregator as the completed
+/// prefix of the submission order grows, so stderr is as deterministic as
+/// the results themselves.
+///
+/// `cost_hint` (one value per job) controls *dispatch* order only: with
+/// hints, workers pick up jobs largest-first, which packs the long
 /// simulations into the front of the sweep instead of letting one
 /// late-dispatched giant straggle after every other worker has drained
-/// (the classic LPT schedule). Aggregation, progress printing and the
-/// returned [`SweepResults`] remain strictly submission-ordered, so
-/// output bytes are unaffected by the hints (and by the worker count).
+/// (the classic LPT schedule); without, they follow submission order.
+/// Aggregation, progress printing and the returned [`SweepResults`]
+/// remain strictly submission-ordered, so output bytes are unaffected by
+/// the hints (and by the worker count).
+///
+/// # Examples
+///
+/// ```
+/// use lacc_experiments::run_jobs_hinted;
+/// use lacc_model::SystemConfig;
+/// use lacc_sim::SimOptions;
+/// use lacc_workloads::Benchmark;
+///
+/// let cfg = SystemConfig::small_for_tests(2);
+/// let jobs = vec![
+///     ("pct1".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
+///     ("pct4".to_string(), Benchmark::WaterSp, cfg.with_pct(4)),
+/// ];
+/// let results = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 2, None);
+/// assert_eq!(results.len(), 2);
+/// // Iteration follows submission order, not completion order.
+/// let labels: Vec<&str> = results.iter().map(|((l, _), _)| l.as_str()).collect();
+/// assert_eq!(labels, ["pct1", "pct4"]);
+/// assert!(results[&("pct1".to_string(), "water-sp")].completion_time > 0);
+/// ```
 ///
 /// # Panics
 ///
-/// As [`run_jobs`], plus if `cost_hint` is `Some` with a length other
-/// than `jobs.len()`.
+/// Panics if two jobs share a `(label, benchmark)` key, if `cost_hint`
+/// is `Some` with a length other than `jobs.len()`, or — after every
+/// remaining job has finished — if any job panicked, with a message
+/// naming each failed job. A panicking job never deadlocks the pool or
+/// poisons the other jobs' results.
 #[must_use]
 pub fn run_jobs_hinted(
     jobs: Vec<(String, Benchmark, SystemConfig)>,
@@ -445,15 +479,15 @@ pub fn run_jobs_hinted(
     )
 }
 
-/// [`run_jobs`] with an explicit sink receiving each job's
-/// `[lacc-sim-stats]` ledger line (one intact line per job, in
-/// submission order, regardless of `--jobs`/`--shards`). The
-/// `LACC_SIM_STATS` environment variable is ignored on this path — the
-/// sink *is* the opt-in — which keeps tests hermetic.
+/// [`run_jobs_hinted`] without hints and with an explicit sink receiving
+/// each job's `[lacc-sim-stats]` ledger line (one intact line per job,
+/// in submission order, regardless of `--jobs`). The `LACC_SIM_STATS`
+/// environment variable is ignored on this path — the sink *is* the
+/// opt-in — which keeps tests hermetic.
 ///
 /// # Panics
 ///
-/// As [`run_jobs`].
+/// As [`run_jobs_hinted`].
 #[must_use]
 pub fn run_jobs_with_stats_sink(
     jobs: Vec<(String, Benchmark, SystemConfig)>,
@@ -849,7 +883,7 @@ mod tests {
                 ("mid".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(4)),
             ]
         };
-        let plain = run_jobs(jobs(), 0.02, true, SimOptions::default(), 2);
+        let plain = run_jobs_hinted(jobs(), 0.02, true, SimOptions::default(), 2, None);
         // Hints reorder dispatch only: completion times and iteration
         // order must be exactly the submission order either way.
         let hinted =
@@ -872,7 +906,7 @@ mod tests {
             ("a".to_string(), Benchmark::WaterSp, cfg.clone()),
             ("b".to_string(), Benchmark::WaterSp, cfg.with_pct(1)),
         ];
-        let out = run_jobs(jobs, 0.02, true, SimOptions::default(), 2);
+        let out = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 2, None);
         assert_eq!(out.len(), 2);
         assert!(out.contains_key(&("a".to_string(), "water-sp")));
         let order: Vec<&str> = out.iter().map(|((l, _), _)| l.as_str()).collect();
@@ -887,7 +921,54 @@ mod tests {
             ("a".to_string(), Benchmark::WaterSp, cfg.clone()),
             ("a".to_string(), Benchmark::WaterSp, cfg),
         ];
-        let _ = run_jobs(jobs, 0.02, true, SimOptions::default(), 1);
+        let _ = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 1, None);
+    }
+
+    #[test]
+    fn cli_errors_name_the_flag_and_value() {
+        assert_eq!(
+            Cli::parse_from(["--scale", "0.1", "--jobs"]).unwrap_err(),
+            CliError::MissingValue { flag: "--jobs".into() }
+        );
+        let bad = Cli::parse_from(["--scale", "abc"]).unwrap_err();
+        assert_eq!(
+            bad,
+            CliError::BadValue {
+                flag: "--scale".into(),
+                value: "abc".into(),
+                expected: "a number"
+            }
+        );
+        assert_eq!(bad.to_string(), "--scale takes a number, got 'abc'");
+        let removed = Cli::parse_from(["--shards", "2"]).unwrap_err();
+        assert_eq!(removed, CliError::UnknownFlag("--shards".into()));
+        assert_eq!(removed.to_string(), "unknown flag '--shards'");
+        assert!(matches!(
+            Cli::parse_from(["--bench", "nope"]),
+            Err(CliError::BadValue { ref value, .. }) if value == "nope"
+        ));
+    }
+
+    #[test]
+    fn cli_parses_every_flag() {
+        let cli = Cli::parse_from([
+            "--scale",
+            "0.25",
+            "--cores",
+            "16",
+            "--bench",
+            "water-sp",
+            "--bench",
+            "radix",
+            "--jobs",
+            "3",
+            "--quiet",
+            "--no-monitor",
+        ])
+        .unwrap();
+        assert_eq!((cli.scale, cli.cores, cli.jobs), (0.25, 16, 3));
+        assert_eq!(cli.benches, [Benchmark::WaterSp, Benchmark::Radix]);
+        assert!(cli.quiet && cli.no_monitor);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The scoped sweep pool (`run_jobs`): worker count must never change the
+//! The scoped sweep pool (`run_jobs_hinted`): worker count must never change the
 //! ordered output, a panicking job must be contained and named, and the
 //! empty sweep must be a no-op at any worker count.
 //!
@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use lacc_experiments::{run_jobs, run_jobs_hinted, run_jobs_with_stats_sink, SweepResults};
+use lacc_experiments::{run_jobs_hinted, run_jobs_with_stats_sink, SweepResults};
 use lacc_model::SystemConfig;
 use lacc_sim::SimOptions;
 use lacc_workloads::Benchmark;
@@ -54,15 +54,16 @@ proptest! {
         njobs in 2usize..7,
     ) {
         let serial =
-            fingerprint(&run_jobs(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1));
+            fingerprint(&run_jobs_hinted(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1, None));
         prop_assert!(!serial.is_empty());
         for workers in [2usize, 8] {
-            let parallel = fingerprint(&run_jobs(
+            let parallel = fingerprint(&run_jobs_hinted(
                 jobs_from_seed(seed, njobs),
                 SCALE,
                 true,
                 SimOptions::default(),
                 workers,
+                None,
             ));
             prop_assert_eq!(&serial, &parallel, "workers={} diverged from serial", workers);
         }
@@ -78,7 +79,7 @@ proptest! {
         invert in proptest::bool::ANY,
     ) {
         let serial =
-            fingerprint(&run_jobs(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1));
+            fingerprint(&run_jobs_hinted(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1, None));
         let costs: Vec<u64> = (0..njobs as u64)
             .map(|i| if invert { i } else { njobs as u64 - i })
             .collect();
@@ -105,37 +106,10 @@ fn panicking_job_is_contained_and_named() {
         ("broken".to_string(), Benchmark::Streamcluster, bad),
         ("ok-2".to_string(), Benchmark::WaterSp, good.with_pct(2)),
     ];
-    let payload =
-        catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, SCALE, true, SimOptions::default(), 2)))
-            .expect_err("a panicking job must fail the sweep");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a message");
-    assert!(msg.contains("1 sweep job(s) panicked"), "got: {msg}");
-    assert!(msg.contains("[broken] streamclus."), "failure must name the job, got: {msg}");
-    assert!(!msg.contains("ok-1") && !msg.contains("ok-2"), "healthy jobs not blamed: {msg}");
-}
-
-#[test]
-fn panicking_job_under_shards_is_contained_and_named() {
-    // Same containment contract when the job runs the *sharded* engine:
-    // the deadlock/validation panic may originate with worker threads
-    // parked inside the simulation, yet the sweep still finishes the
-    // healthy jobs and names the broken one.
-    let good = SystemConfig::small_for_tests(CORES);
-    let mut bad = SystemConfig::small_for_tests(CORES);
-    bad.classifier.pct = 0;
-
-    let jobs = vec![
-        ("ok-1".to_string(), Benchmark::WaterSp, good.clone()),
-        ("broken".to_string(), Benchmark::Streamcluster, bad),
-        ("ok-2".to_string(), Benchmark::WaterSp, good.with_pct(2)),
-    ];
-    let opts = SimOptions { shards: 2, ..SimOptions::default() };
-    let payload = catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, SCALE, true, opts, 2)))
-        .expect_err("a panicking sharded job must fail the sweep");
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        run_jobs_hinted(jobs, SCALE, true, SimOptions::default(), 2, None)
+    }))
+    .expect_err("a panicking job must fail the sweep");
     let msg = payload
         .downcast_ref::<String>()
         .cloned()
@@ -153,16 +127,22 @@ fn panicking_job_under_shards_is_contained_and_named() {
 #[test]
 fn stats_sink_gets_one_intact_line_per_job_in_submission_order() {
     let mk = || jobs_from_seed(11, 5);
-    let collect = |workers: usize, shards: usize| -> Vec<String> {
+    let collect = |workers: usize| -> Vec<String> {
         let mut lines = Vec::new();
-        let opts = SimOptions { shards, ..SimOptions::default() };
-        let _ = run_jobs_with_stats_sink(mk(), SCALE, true, opts, workers, &mut |line| {
-            lines.push(line.to_string());
-        });
+        let _ = run_jobs_with_stats_sink(
+            mk(),
+            SCALE,
+            true,
+            SimOptions::default(),
+            workers,
+            &mut |line| {
+                lines.push(line.to_string());
+            },
+        );
         lines
     };
 
-    let serial = collect(1, 1);
+    let serial = collect(1);
     assert_eq!(serial.len(), 5, "one line per job");
     let expected_workloads: Vec<String> =
         mk().iter().map(|(_, b, _)| format!("workload={}", b.name())).collect();
@@ -172,17 +152,16 @@ fn stats_sink_gets_one_intact_line_per_job_in_submission_order() {
         assert!(line.contains(" slab: allocs=") && line.contains(" total_refs="), "{line}");
         assert!(!line.contains('\n'), "one line, no tearing: {line:?}");
     }
-    // Any worker count — and the sharded engine inside each job — must
-    // reproduce the serial stream byte-for-byte.
-    for (workers, shards) in [(8, 1), (1, 2), (8, 2)] {
-        assert_eq!(collect(workers, shards), serial, "workers={workers} shards={shards}");
+    // Any worker count must reproduce the serial stream byte-for-byte.
+    for workers in [2, 8] {
+        assert_eq!(collect(workers), serial, "workers={workers}");
     }
 }
 
 #[test]
 fn empty_job_list_is_a_noop_at_any_worker_count() {
     for workers in [0usize, 1, 8] {
-        let out = run_jobs(Vec::new(), SCALE, false, SimOptions::default(), workers);
+        let out = run_jobs_hinted(Vec::new(), SCALE, false, SimOptions::default(), workers, None);
         assert!(out.is_empty());
         assert_eq!(out.len(), 0);
         assert_eq!(out.iter().count(), 0);
@@ -193,10 +172,11 @@ fn empty_job_list_is_a_noop_at_any_worker_count() {
 #[test]
 fn auto_and_oversubscribed_worker_counts_match_serial() {
     let mk = || jobs_from_seed(7, 3);
-    let serial = fingerprint(&run_jobs(mk(), SCALE, true, SimOptions::default(), 1));
+    let serial = fingerprint(&run_jobs_hinted(mk(), SCALE, true, SimOptions::default(), 1, None));
     // workers = 0 resolves to available parallelism; 16 > njobs clamps.
     for workers in [0usize, 16] {
-        let out = fingerprint(&run_jobs(mk(), SCALE, true, SimOptions::default(), workers));
+        let out =
+            fingerprint(&run_jobs_hinted(mk(), SCALE, true, SimOptions::default(), workers, None));
         assert_eq!(serial, out, "workers={workers}");
     }
 }

@@ -9,7 +9,7 @@ use lacc_mc::{config_matrix, explore, run_mutation, scenarios, CheckConfig, MUTA
 
 const USAGE: &str = "\
 usage: lacc_mc [--cores N] [--lines N] [--depth N | --depth-full]
-               [--max-states N] [--mutations] [--shard-plane]
+               [--max-states N] [--mutations]
 
   --cores N      machine size of the scenarios to run (default 2)
   --lines N      max distinct shared lines of the scenarios (default 1)
@@ -17,9 +17,6 @@ usage: lacc_mc [--cores N] [--lines N] [--depth N | --depth-full]
   --depth-full   no depth bound: enumerate the full reachable space (default)
   --max-states N safety cap on distinct states (default 2000000)
   --mutations    run the mutation kill matrix instead of the clean sweep
-  --shard-plane  differential-check the windowed shard plane's barrier
-                 boundary against the serial oracle (honors --depth,
-                 default 4 reaction steps) instead of the protocol sweep
 ";
 
 fn parse_num(args: &mut std::env::Args, flag: &str) -> usize {
@@ -33,7 +30,6 @@ fn main() -> ExitCode {
     let mut lines = 1u64;
     let mut ck = CheckConfig::default();
     let mut mutations = false;
-    let mut shard_plane = false;
 
     let mut args = std::env::args();
     let _ = args.next();
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
             "--depth-full" => ck.depth = None,
             "--max-states" => ck.max_states = parse_num(&mut args, "--max-states"),
             "--mutations" => mutations = true,
-            "--shard-plane" => shard_plane = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -55,23 +50,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    if shard_plane {
-        let depth = ck.depth.unwrap_or(4);
-        return match lacc_sim::engine::planecheck::check_shard_plane(depth) {
-            Ok(r) => {
-                println!(
-                    "shard-plane        depth {:<5} configs {:>7}  paths {:>9}  pops {:>9}  ok",
-                    depth, r.configs, r.paths, r.pops
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                println!("FAIL shard-plane\n{e}");
-                ExitCode::FAILURE
-            }
-        };
     }
 
     // Handler panics are kills the checker catches and reports; keep

@@ -76,18 +76,6 @@ impl MeshNetwork {
         self.topo.hops(src, dst)
     }
 
-    /// The minimum latency of any message between two *distinct* tiles:
-    /// one hop's router + link traversal. This is the mesh's lookahead
-    /// guarantee — an event committed at cycle `t` can schedule work on
-    /// another tile no earlier than `t + min_cross_tile_latency()` — and
-    /// the sharded engine sizes its commit windows from it, so it must
-    /// stay the single source of truth (a proptest pins `unicast`
-    /// against it).
-    #[must_use]
-    pub fn min_cross_tile_latency(&self) -> Cycle {
-        self.hop_cycles
-    }
-
     /// Zero-load latency of a unicast: `hops * hop_cycles + (flits - 1)`.
     /// Useful for analytical checks; does not reserve links.
     #[must_use]
@@ -311,8 +299,9 @@ mod proptests {
                 let arr = net.unicast(src, dst, f, now);
                 prop_assert!(arr >= now + zl);
                 if src != dst {
-                    // The sharded engine's window lookahead leans on this.
-                    prop_assert!(arr >= now + net.min_cross_tile_latency());
+                    // Distinct tiles are at least one hop apart: one
+                    // router cycle plus one link cycle.
+                    prop_assert!(arr >= now + 2);
                 }
                 if let Some(prev) = last.get(&(s, d)) {
                     prop_assert!(arr >= *prev);

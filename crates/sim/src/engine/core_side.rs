@@ -8,11 +8,10 @@
 //! and rescheduled at the core's clock — so inter-core interleavings stay
 //! event-ordered (the lax synchronization of §4.1).
 //!
-//! These handlers run at *commit* time on every event plane: serial,
-//! windowed-sharded, and the model checker's choice plane all funnel
-//! through the same `dispatch`, so nothing here may observe how events
-//! were batched or harvested (DESIGN.md §7) — only `(cycle, seq)` commit
-//! order, which all planes keep identical.
+//! These handlers run through the same `dispatch` under both the serial
+//! calendar queue and the model checker's choice plane, so nothing here
+//! may depend on which one is driving — only on the event and its
+//! dispatch time.
 
 use lacc_core::classifier::RemovalReason;
 use lacc_core::l1::StoreOutcome;
@@ -21,7 +20,7 @@ use lacc_model::{CoreId, Cycle, LineAddr};
 
 use crate::msg::{Message, Payload};
 use crate::sync::{SyncManager, SyncOutcome};
-use crate::trace::TraceOp;
+use crate::trace::{TraceOp, TraceSource};
 
 use super::state::{Blocked, Outstanding};
 use super::{Event, Simulator, INSTR_PER_LINE};
@@ -37,14 +36,14 @@ impl Simulator {
             }
             let op = match self.cores[ci].replay.take() {
                 Some(op) => op,
-                None => match self.cores[ci].trace.next_op() {
+                None => match self.cores[ci].trace.as_mut().and_then(|src| src.next_op()) {
                     Some(op) => {
                         self.cores[ci].ops_consumed += 1;
                         op
                     }
                     None => {
                         self.cores[ci].finished = true;
-                        self.cores[ci].trace = super::state::TraceFeed::Done;
+                        self.cores[ci].trace = None;
                         return;
                     }
                 },

@@ -113,12 +113,7 @@ impl Simulator {
         workload: Workload,
         fault: Option<FaultInjection>,
     ) -> Result<Self, ConfigError> {
-        let opts = SimOptions {
-            monitor: true,
-            panic_on_violation: false,
-            shards: 1,
-            concurrent_commit: false,
-        };
+        let opts = SimOptions { monitor: true, panic_on_violation: false };
         let mut sim = Self::with_options(cfg, workload, opts)?;
         let mut plane = ChoicePlane::new();
         while let Some((at, ev)) = sim.events.pop() {

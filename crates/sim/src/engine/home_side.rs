@@ -16,12 +16,6 @@
 //! `GrantLine` payloads retain (alias) the resident handle — no bytes
 //! move — and `DramWriteBack` transfers the victim's handle to the memory
 //! controller. A clean L2 eviction is a pure release.
-//!
-//! Under `--shards N` the slab is arena-per-shard and a handle adopted
-//! here may have been allocated in another shard's arena: the `DataRef`'s
-//! arena tag routes every retain/release to the owning arena, so this
-//! module never needs to know which shard a payload came from (DESIGN.md
-//! §7 — the handle *transfer* is the cross-shard ownership move).
 
 use lacc_cache::{DataRef, LineData};
 use lacc_core::classifier::{RemovalReason, SharerMode};

@@ -31,13 +31,11 @@
 //!   requests).
 
 pub mod explore;
-pub mod planecheck;
 pub mod queue;
 
 mod core_side;
 mod home_side;
 mod l1_side;
-mod shard;
 mod state;
 
 use lacc_cache::{DataRef, DataSlab, LineData, SetAssocCache};
@@ -59,8 +57,7 @@ use crate::trace::{TraceSource, Workload};
 
 use explore::{ChoicePlane, FaultInjection};
 use queue::CalendarQueue;
-use shard::{CrewShutdownGuard, FeedHandle, FeedShared, ShardPlane, ShutdownGuard};
-use state::{CoreState, TileState, TraceFeed, TxnArena, Waiters};
+use state::{CoreState, TileState, TxnArena, Waiters};
 
 pub(crate) const INSTR_PER_LINE: u64 = 8; // 64-byte line / 8-byte instruction
 pub(crate) const INSTALL_RETRY_CYCLES: Cycle = 32;
@@ -78,19 +75,6 @@ pub(crate) enum Event {
     Deliver(Message),
     /// The home's L2 tag/data access for a queued transaction completes.
     HomeLookup { tile: usize, line: LineAddr },
-}
-
-impl Event {
-    /// The tile an event executes at — the sharded plane's partition
-    /// key. Every event mutates state rooted at exactly one tile (a
-    /// core's step, a message's destination, a home lookup's slice).
-    pub(crate) fn owner_tile(&self) -> usize {
-        match self {
-            Event::CoreStep(c) => *c,
-            Event::Deliver(m) => m.dst.index(),
-            Event::HomeLookup { tile, .. } => *tile,
-        }
-    }
 }
 
 // Every queued occurrence moves one `Event` through the calendar queue,
@@ -115,9 +99,7 @@ const _: () = {
 ///
 /// let opts = SimOptions::default();
 /// assert!(opts.monitor && opts.panic_on_violation);
-/// assert_eq!(opts.shards, 1); // serial engine
-/// assert!(!opts.concurrent_commit); // barriers harvest inline by default
-/// let sweep = SimOptions { monitor: false, shards: 4, ..SimOptions::default() };
+/// let sweep = SimOptions { monitor: false, ..SimOptions::default() };
 /// assert!(!sweep.monitor);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,38 +110,20 @@ pub struct SimOptions {
     /// Panic on the first coherence violation (tests) instead of counting
     /// violations into the report. Irrelevant when `monitor` is off.
     pub panic_on_violation: bool,
-    /// Shards for the intra-simulation event plane (`--shards N`):
-    /// tiles partition into `shards` contiguous blocks, each with its
-    /// own calendar queue, payload-slab arena and trace-prefetch worker
-    /// thread; commit proceeds in cycle windows harvested at barriers.
-    /// `1` (or `0`) is the serial engine, untouched; any value is
-    /// clamped to the number of tiles. Every shard count produces
-    /// **byte-identical** reports — the serial engine is the oracle
-    /// (see DESIGN.md §7).
-    pub shards: usize,
-    /// Run the window-barrier harvests on per-shard worker threads
-    /// (`--shard-commit concurrent`) instead of inline on the
-    /// coordinator. Deterministic and byte-identical either way; the
-    /// concurrent mode buys overlap on multicore hosts and costs
-    /// condvar round-trips on single-CPU ones. `LACC_SHARD_COMMIT=
-    /// concurrent|inline` overrides this field. Ignored at `shards <= 1`.
-    pub concurrent_commit: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions { monitor: true, panic_on_violation: true, shards: 1, concurrent_commit: false }
+        SimOptions { monitor: true, panic_on_violation: true }
     }
 }
 
-/// The event queue behind [`Simulator::schedule`]: the single serial
-/// calendar queue, or the sharded plane (`SimOptions::shards > 1`).
-/// Both yield the identical global `(cycle, push order)` total order —
-/// the dispatch is one predictable branch per event.
+/// The event queue behind [`Simulator::schedule`]: the calendar queue of
+/// a normal run, or the model checker's choice plane. Both yield the
+/// `(cycle, push order)` total order.
 #[derive(Debug)]
 pub(crate) enum EventPlane {
     Serial(CalendarQueue<Event>),
-    Sharded(Box<ShardPlane>),
     /// The model checker's pending-event set ([`explore`]): every push
     /// lands in an inspectable list, pops replay the serial `(cycle,
     /// push-order)` total order, and `Simulator::fire_choice` can instead
@@ -172,7 +136,6 @@ impl EventPlane {
     fn push(&mut self, at: Cycle, ev: Event) {
         match self {
             EventPlane::Serial(q) => q.push(at, ev),
-            EventPlane::Sharded(p) => p.push(at, ev),
             EventPlane::Choice(p) => p.push(at, ev),
         }
     }
@@ -181,7 +144,6 @@ impl EventPlane {
     fn pop(&mut self) -> Option<(Cycle, Event)> {
         match self {
             EventPlane::Serial(q) => q.pop(),
-            EventPlane::Sharded(p) => p.pop(),
             EventPlane::Choice(p) => p.pop(),
         }
     }
@@ -210,7 +172,15 @@ pub struct Simulator {
     /// handle count `slab.total_refs()` equals resident L1 + L2 lines +
     /// backing entries — anything more is a leaked handle, anything less a
     /// double release (caught earlier by the slab's generation check).
-    pub(crate) slab: DataSlab,
+    ///
+    /// Boxed for the host allocator, not for size: the box is a small
+    /// allocation made above the tile arrays that lives as long as the
+    /// simulator. Measured with glibc malloc on a 2-CPU Linux host, an
+    /// unboxed slab let the memory a dropped simulator freed merge into
+    /// the heap top, which malloc returned to the OS and then
+    /// page-faulted back in for the next one: building the 42 Table-1
+    /// sweep grid points back to back took about twice as long.
+    pub(crate) slab: Box<DataSlab>,
     pub(crate) backing: LineMap<DataRef>,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) tiles: Vec<TileState>,
@@ -242,7 +212,7 @@ pub struct Simulator {
 /// for the determinism diffs). The phases index by [`Event`] kind.
 #[derive(Debug, Default)]
 struct ProfileCounters {
-    /// Nanoseconds inside `EventPlane::pop` (includes window barriers).
+    /// Nanoseconds inside `EventPlane::pop`.
     pop_ns: u64,
     /// Nanoseconds dispatching [CoreStep, Deliver, HomeLookup].
     phase_ns: [u64; 3],
@@ -320,30 +290,7 @@ impl Simulator {
         traces.resize_with(cfg.num_cores, || None);
 
         let cores = traces.into_iter().map(CoreState::new).collect::<Vec<_>>();
-
-        // `--shards 1` (or 0) is the serial engine, untouched; N > 1
-        // selects the sharded plane with the conservative lookahead set
-        // to the minimum cross-tile network latency (one mesh hop).
-        let shards = options.shards.clamp(1, cfg.num_cores);
-        let events = if shards > 1 {
-            let lookahead = net.min_cross_tile_latency();
-            let concurrent = match std::env::var("LACC_SHARD_COMMIT").as_deref() {
-                Ok("concurrent") => true,
-                Ok("inline") => false,
-                Ok(other) => {
-                    panic!("LACC_SHARD_COMMIT must be 'concurrent' or 'inline', got {other:?}")
-                }
-                Err(_) => options.concurrent_commit,
-            };
-            EventPlane::Sharded(Box::new(ShardPlane::new(
-                cfg.num_cores,
-                shards,
-                lookahead,
-                concurrent,
-            )))
-        } else {
-            EventPlane::Serial(CalendarQueue::new())
-        };
+        let events = EventPlane::Serial(CalendarQueue::new());
 
         let tiles = (0..cfg.num_cores)
             .map(|i| TileState {
@@ -370,10 +317,7 @@ impl Simulator {
             ),
             counts: EnergyCounts::default(),
             energy_params: EnergyParams::isca13_11nm(),
-            // One payload arena per shard: allocations land in the arena
-            // of the shard committing the event (`dispatch` points the
-            // home), handles stay pinned to their arena across shards.
-            slab: DataSlab::sharded(shards),
+            slab: Box::default(),
             backing: LineMap::default(),
             cores,
             tiles,
@@ -398,22 +342,12 @@ impl Simulator {
 
     /// Runs to completion and produces the report.
     ///
-    /// With `SimOptions::shards > 1` the run executes on the sharded
-    /// event plane with one trace-prefetch worker thread per shard; the
-    /// report is byte-identical to the serial engine's either way.
-    ///
     /// # Panics
     ///
     /// Panics if the system deadlocks (an event-queue drain while cores are
     /// still blocked) — this is a protocol-bug detector, not a user error.
-    /// Under shards, a panic on either side of a trace feed (a shard
-    /// worker or this coordinator) shuts the other side down instead of
-    /// hanging it, and the original message still propagates.
     pub fn run(mut self) -> SimReport {
-        match self.events {
-            EventPlane::Serial(_) | EventPlane::Choice(_) => self.event_loop(),
-            EventPlane::Sharded(_) => self.run_sharded(),
-        }
+        self.event_loop();
         self.finish()
     }
 
@@ -429,7 +363,7 @@ impl Simulator {
 
     /// The `LACC_SIM_PROFILE=1` event loop: identical commit order, plus
     /// two monotonic-clock reads per event charged to the pop (event
-    /// plane + barriers) and dispatch (handler) phases. A separate loop
+    /// queue) and dispatch (handler) phases. A separate loop
     /// keeps the hot path timer-free when profiling is off.
     fn event_loop_profiled(&mut self) {
         use std::time::Instant;
@@ -460,12 +394,6 @@ impl Simulator {
     pub(crate) fn dispatch(&mut self, ev: Event, now: Cycle) {
         self.committed += 1;
         self.monitor.set_event_seq(self.committed);
-        if let EventPlane::Sharded(p) = &self.events {
-            // Payload allocations made while committing this event land
-            // in the owning shard's slab arena (the plane precomputes
-            // the owner on its serve path).
-            self.slab.set_home(p.last_shard());
-        }
         match ev {
             Event::CoreStep(c) => self.step_core(c, now),
             Event::Deliver(msg) => self.deliver(msg, now),
@@ -473,106 +401,16 @@ impl Simulator {
         }
     }
 
-    /// The sharded run: hand each shard's trace sources to a prefetch
-    /// worker, wire the cores to blocking feed handles, and drive the
-    /// event plane on this thread. The shutdown guards make the thread
-    /// scope join on every exit path, panicking ones included.
-    ///
-    /// On a single-CPU host the workers cannot run concurrently with
-    /// the coordinator, so the feed machinery is pure overhead (measured
-    /// ~10 percentage points on top of the event plane's own cost —
-    /// docs/EXPERIMENTS.md): the run then uses the plane without
-    /// threads, which changes nothing observable (the report is
-    /// byte-identical either way — that is the plane's whole contract).
-    /// `LACC_SHARD_PREFETCH=1`/`=0` forces the choice; the containment
-    /// tests use it to exercise the worker panic paths on any host.
-    fn run_sharded(&mut self) {
-        let prefetch = match std::env::var("LACC_SHARD_PREFETCH").as_deref() {
-            Ok("0") => false,
-            Ok("1") => true,
-            _ => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > 1,
-        };
-        let EventPlane::Sharded(plane) = &self.events else { unreachable!("checked by run") };
-        let wants_crew = plane.wants_crew();
-        if !prefetch && !wants_crew {
-            self.event_loop();
-            return;
-        }
-        let nshards = plane.num_shards();
-        // One entry per populated shard: the shared feed plus the trace
-        // sources its worker thread will pump into it.
-        type ShardFeed = (std::sync::Arc<FeedShared>, Vec<Box<dyn TraceSource>>);
-        let mut workers: Vec<ShardFeed> = Vec::new();
-        if prefetch {
-            let mut shard_cores: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-            for c in 0..self.cores.len() {
-                if matches!(self.cores[c].trace, TraceFeed::Local(_)) {
-                    shard_cores[plane.shard_of_tile(c)].push(c);
-                }
-            }
-            for (s, cores) in shard_cores.iter().enumerate() {
-                if cores.is_empty() {
-                    continue;
-                }
-                let feed = FeedShared::new(cores.len());
-                let mut sources = Vec::with_capacity(cores.len());
-                for (slot, &c) in cores.iter().enumerate() {
-                    let prev = std::mem::replace(
-                        &mut self.cores[c].trace,
-                        TraceFeed::Ring(FeedHandle::new(feed.clone(), slot, s)),
-                    );
-                    let TraceFeed::Local(src) = prev else { unreachable!("selected Local above") };
-                    // The run has not started, so the batching wrapper's
-                    // refill buffer is empty; the worker adopts it whole and
-                    // keeps pulling batches through `next_ops`.
-                    sources.push(Box::new(src) as Box<dyn TraceSource>);
-                }
-                workers.push((feed, sources));
-            }
-        }
-        // Concurrent commit: hand each shard's calendar queue to a
-        // harvest worker; the coordinator keeps only the merge state.
-        let crew = if wants_crew {
-            let EventPlane::Sharded(plane) = &mut self.events else { unreachable!("checked") };
-            plane.detach_workers()
-        } else {
-            Vec::new()
-        };
-        std::thread::scope(|scope| {
-            // Guards drop at scope-closure exit — normal or unwinding —
-            // flagging shutdown and waking parked workers, so the scope
-            // always joins and a coordinator panic (e.g. the deadlock
-            // assert below) propagates instead of hanging the barrier.
-            let _guards: Vec<ShutdownGuard> =
-                workers.iter().map(|(feed, _)| ShutdownGuard::new(feed.clone())).collect();
-            let _crew_guards: Vec<CrewShutdownGuard> =
-                crew.iter().map(|(shared, _)| CrewShutdownGuard::new(shared.clone())).collect();
-            for (feed, sources) in workers.drain(..) {
-                scope.spawn(move || shard::run_feed_worker(&feed, sources));
-            }
-            for (shared, queue) in crew {
-                scope.spawn(move || shard::run_harvest_worker(&shared, queue));
-            }
-            self.event_loop();
-        });
-    }
-
     /// Post-drain checks and report construction.
     fn finish(mut self) -> SimReport {
         if let Some(p) = self.profile.take() {
             // Stderr only — stdout stays byte-identical with profiling on.
             let ms = |ns: u64| ns as f64 / 1e6;
-            let (windows, scans, pending) = match &self.events {
-                EventPlane::Sharded(pl) => (pl.stats.windows, pl.stats.scans, pl.stats.pending),
-                _ => (0, 0, 0),
-            };
             eprintln!(
-                "[lacc-sim-profile] workload={} events={} windows={} scans={scans} \
-                 pending={pending} pop_ms={:.3} \
+                "[lacc-sim-profile] workload={} events={} pop_ms={:.3} \
                  core_step: n={} ms={:.3} deliver: n={} ms={:.3} home_lookup: n={} ms={:.3}",
                 self.workload_name,
                 self.committed,
-                windows,
                 ms(p.pop_ns),
                 p.phase_events[0],
                 ms(p.phase_ns[0]),
@@ -597,28 +435,19 @@ impl Simulator {
         // a leaked handle, fewer is an unaccounted owner (a double release
         // panics inside the slab long before this). `live()` can be
         // smaller than the owner count (aliased slots), never larger.
-        //
-        // The count is the sum of the per-shard arena ledgers: handles
-        // transfer ownership between arenas through messages, so no
-        // single ledger balances on its own, but the sum must.
         let resident_lines: usize =
             self.tiles.iter().map(|t| t.l1i.len() + t.l1d.len() + t.l2.len()).sum();
         let expected = resident_lines + self.backing.len();
-        let ledgers: Vec<u64> =
-            (0..self.slab.num_arenas()).map(|s| self.slab.ledger(s).outstanding()).collect();
-        let outstanding: u64 = ledgers.iter().sum();
         assert_eq!(
-            outstanding as usize,
+            self.slab.total_refs(),
             expected,
-            "data-slab handle leak: {} outstanding handles (per-shard ledgers {:?}) but \
+            "data-slab handle leak: {} outstanding handles but \
              {} owners ({} resident L1/L2 lines + {} backing-store entries)",
-            outstanding,
-            ledgers,
+            self.slab.total_refs(),
             expected,
             resident_lines,
             self.backing.len()
         );
-        debug_assert_eq!(outstanding as usize, self.slab.total_refs(), "ledger/refcount split");
         assert!(
             self.slab.live() <= expected,
             "data-slab leak: {} live slots exceed {} handle owners",

@@ -14,8 +14,7 @@
 //!   front" — both O(1) amortized, no comparisons. An occupancy bitmap
 //!   (one bit per bucket) turns the advance into a next-set-bit jump, so
 //!   sparse stretches of simulated time cost a handful of word scans
-//!   instead of one iteration per empty cycle — which matters doubly for
-//!   the sharded plane, where every shard's cursor walks the timeline;
+//!   instead of one iteration per empty cycle;
 //! * a **far map** (`BTreeMap<cycle, Vec>`) holds the rare events beyond
 //!   the window (deep DRAM/contention backlogs); whole buckets migrate
 //!   into the wheel as the cursor approaches, and an empty wheel jumps the
@@ -59,11 +58,9 @@ pub struct CalendarQueue<T> {
     near_len: usize,
     /// Wheel occupancy bitmap: bit `s` of the concatenated words is set
     /// iff `near[s]` is non-empty. Advancing the cursor is a circular
-    /// next-set-bit scan (≤ 3 word reads) instead of stepping empty
-    /// buckets one cycle at a time — on sparse timelines the per-cycle
-    /// step is the dominant pop cost, and under the sharded plane it is
-    /// paid once per *shard* cursor, so the bitmap is what keeps the
-    /// multi-queue engines near the serial engine's pop rate.
+    /// next-set-bit scan (≤ `OCC_WORDS + 1` word reads) instead of
+    /// stepping empty buckets one cycle at a time — on sparse timelines
+    /// the per-cycle step is the dominant pop cost.
     occ: [u64; OCC_WORDS],
     far: BTreeMap<Cycle, Vec<T>>,
     far_len: usize,
@@ -161,15 +158,6 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The scan cursor: the cycle the queue is currently serving. No
-    /// queued event is earlier, and [`CalendarQueue::peek`] advances it
-    /// to the head event's cycle. The sharded event plane uses this to
-    /// decide whether a push can still enter this queue in order.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.cur
-    }
-
     /// Migrates far buckets that entered the near window. A wheel slot a
     /// far bucket lands in is necessarily empty: its previous occupant
     /// cycle is < cur (already drained) and no direct push can have
@@ -214,134 +202,10 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The earliest event as `(cycle, &item)` without removing it; the
-    /// cursor advances to its cycle (pure navigation — the pop order is
-    /// unaffected).
-    pub fn peek(&mut self) -> Option<(Cycle, &T)> {
-        let at = self.advance()?;
-        let item = self.near[at as usize % WINDOW].front().expect("advance found a head");
-        Some((at, item))
-    }
-
-    /// Like [`CalendarQueue::peek`], but bounded: returns the head only
-    /// if its cycle is `<= limit`, and never advances the cursor past
-    /// `limit + 1`. The sharded event plane races several queues toward
-    /// the global minimum with this — an unbounded peek would park a
-    /// queue's cursor at its own (possibly far-future) head, which then
-    /// rejects pushes behind it that the global order still permits.
-    pub fn peek_until(&mut self, limit: Cycle) -> Option<(Cycle, &T)> {
-        let at = self.advance_until(limit)?;
-        let item = self.near[at as usize % WINDOW].front().expect("advance found a head");
-        Some((at, item))
-    }
-
-    /// [`CalendarQueue::advance`] bounded by `limit`: if no event exists
-    /// at a cycle `<= limit`, the cursor parks at `limit + 1` and `None`
-    /// is returned.
-    fn advance_until(&mut self, limit: Cycle) -> Option<Cycle> {
-        loop {
-            self.migrate_far();
-            if self.near_len == 0 {
-                if self.far_min <= limit {
-                    // The earliest event is far but within the bound:
-                    // jump to it (migration happens next iteration).
-                    self.cur = self.far_min;
-                    continue;
-                }
-                if self.cur <= limit {
-                    // Park at limit + 1 — but re-enter the loop so the
-                    // migration sweep runs at the new cursor first. A
-                    // far bucket left below `cur + WINDOW` would let a
-                    // later near push at the same cycle slot in ahead
-                    // of it, inverting the within-cycle seq order.
-                    self.cur = limit + 1;
-                    continue;
-                }
-                return None;
-            }
-            if self.cur > limit {
-                return None;
-            }
-            let d = self.next_occupied_distance();
-            if d == 0 {
-                return Some(self.cur);
-            }
-            let next = self.cur + d as Cycle;
-            if next > limit {
-                // The nearest event is beyond the bound: park at
-                // limit + 1 and re-loop for the migration sweep (see
-                // the comment above), then report `None`.
-                self.cur = limit + 1;
-            } else {
-                self.cur = next;
-            }
-        }
-    }
-
     /// Removes and returns the earliest event as `(cycle, item)`; equal
     /// cycles pop in push order.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
         let at = self.advance()?;
-        let slot = at as usize % WINDOW;
-        let item = self.near[slot].pop_front().expect("advance found a head");
-        self.near_len -= 1;
-        if self.near[slot].is_empty() {
-            self.occ_clear(slot);
-        }
-        Some((at, item))
-    }
-
-    /// Pops the head only when `pred` accepts it: advances the cursor
-    /// to the earliest event, shows it to `pred` as `(cycle, &item)`,
-    /// and removes it on `true`. On `false` (or an empty queue) the
-    /// event stays queued with the cursor parked at its cycle, so a
-    /// follow-up [`CalendarQueue::peek`] costs no re-scan.
-    ///
-    /// This is the sharded plane's fast-path serve — peek, compare
-    /// against the run limit, pop — fused into one cursor walk and one
-    /// bucket access.
-    pub fn pop_if(&mut self, pred: impl FnOnce(Cycle, &T) -> bool) -> Option<(Cycle, T)> {
-        let at = self.advance()?;
-        let slot = at as usize % WINDOW;
-        let bucket = &mut self.near[slot];
-        if !pred(at, bucket.front().expect("advance found a head")) {
-            return None;
-        }
-        let item = bucket.pop_front().expect("checked front");
-        self.near_len -= 1;
-        if bucket.is_empty() {
-            self.occ_clear(slot);
-        }
-        Some((at, item))
-    }
-
-    /// Pops the event a preceding [`CalendarQueue::peek`] returned,
-    /// without re-running the cursor advance: the peek parked the
-    /// cursor on its (non-empty) bucket, so the head is one
-    /// `pop_front` away. Calling this without a peeked head (empty
-    /// cursor bucket) panics.
-    ///
-    /// This is the sharded plane's fast-path serve: peek-compare-pop
-    /// per event would otherwise pay the advance machinery — far-map
-    /// migration check and occupancy scan — twice.
-    pub fn pop_peeked(&mut self) -> (Cycle, T) {
-        let slot = self.cur as usize % WINDOW;
-        let item = self.near[slot].pop_front().expect("pop_peeked requires a peeked head");
-        self.near_len -= 1;
-        if self.near[slot].is_empty() {
-            self.occ_clear(slot);
-        }
-        (self.cur, item)
-    }
-
-    /// Like [`CalendarQueue::pop`], but bounded: removes the earliest
-    /// event only if its cycle is `<= limit`. Once no such event remains
-    /// the cursor parks at `limit + 1` and `None` is returned. The
-    /// sharded event plane harvests a whole commit window out of each
-    /// shard's queue with this — the parked cursor then guarantees every
-    /// later push into the queue lands at or after the window boundary.
-    pub fn pop_until(&mut self, limit: Cycle) -> Option<(Cycle, T)> {
-        let at = self.advance_until(limit)?;
         let slot = at as usize % WINDOW;
         let item = self.near[slot].pop_front().expect("advance found a head");
         self.near_len -= 1;
@@ -422,44 +286,6 @@ mod tests {
         assert_eq!(q.pop(), Some((edge, "edge")));
         assert_eq!(q.pop(), Some((edge + 1, "outside")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_is_pure_navigation() {
-        let mut q = CalendarQueue::new();
-        assert_eq!(q.peek(), None);
-        q.push(7, "a");
-        q.push(7, "b");
-        q.push(WINDOW as Cycle + 9, "far");
-        assert_eq!(q.peek(), Some((7, &"a")));
-        assert_eq!(q.now(), 7, "peek advances the cursor to the head");
-        assert_eq!(q.peek(), Some((7, &"a")), "peek does not consume");
-        assert_eq!(q.pop(), Some((7, "a")));
-        assert_eq!(q.pop(), Some((7, "b")));
-        assert_eq!(q.peek(), Some((WINDOW as Cycle + 9, &"far")));
-        assert_eq!(q.pop(), Some((WINDOW as Cycle + 9, "far")));
-        assert_eq!(q.len(), 0);
-    }
-
-    /// `pop_until` drains exactly the `<= limit` prefix and parks the
-    /// cursor at `limit + 1`, across both wheel and far-map storage.
-    #[test]
-    fn pop_until_drains_a_window_and_parks_the_cursor() {
-        let mut q = CalendarQueue::new();
-        q.push(3, "a");
-        q.push(9, "b");
-        q.push(WINDOW as Cycle + 50, "far");
-        assert_eq!(q.pop_until(9), Some((3, "a")));
-        assert_eq!(q.pop_until(9), Some((9, "b")));
-        assert_eq!(q.pop_until(9), None);
-        assert_eq!(q.now(), 10, "cursor parks just past the harvested window");
-        // Pushes at the boundary stay queued for the next window...
-        q.push(10, "edge");
-        assert_eq!(q.pop_until(9), None);
-        // ...and a wider limit reaches both the edge and the far event.
-        assert_eq!(q.pop_until(WINDOW as Cycle + 50), Some((10, "edge")));
-        assert_eq!(q.pop_until(WINDOW as Cycle + 50), Some((WINDOW as Cycle + 50, "far")));
-        assert!(q.is_empty());
     }
 
     /// The occupancy scan wraps the wheel: with the cursor parked

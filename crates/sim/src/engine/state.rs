@@ -19,22 +19,17 @@ use lacc_model::{CompletionBreakdown, CoreId, CoreSet, Cycle, LineAddr, LineMap,
 
 use crate::trace::{TraceOp, TraceSource};
 
-use super::shard::FeedHandle;
-
 // ---------------------------------------------------------------------------
 // Core side
 // ---------------------------------------------------------------------------
 
-/// How many ops the serial engine pulls from a core's source per refill.
-/// Matches the shard feed batch: decode amortizes identically whether the
-/// trace is consumed inline or through a prefetch worker.
+/// How many ops the engine pulls from a core's source per refill.
 const LOCAL_BATCH: usize = 64;
 
-/// A [`TraceSource`] wrapped with a small refill buffer, so the serial
-/// engine's per-op pull consumes batched decodes
-/// ([`TraceSource::next_ops`]) instead of paying a virtual call and a
-/// record decode per op. Pure pass-through semantically: the op sequence
-/// is exactly the source's.
+/// A [`TraceSource`] wrapped with a small refill buffer, so the engine's
+/// per-op pull consumes batched decodes ([`TraceSource::next_ops`])
+/// instead of paying a virtual call and a record decode per op. Pure
+/// pass-through semantically: the op sequence is exactly the source's.
 pub(crate) struct BatchedSource {
     src: Box<dyn TraceSource>,
     buf: Vec<TraceOp>,
@@ -60,50 +55,6 @@ impl TraceSource for BatchedSource {
         self.pos += 1;
         Some(op)
     }
-
-    fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        // Serve anything buffered first, then delegate the remainder as
-        // one batch — a shard feed worker adopting a `BatchedSource`
-        // never double-buffers.
-        let buffered = (self.buf.len() - self.pos).min(max);
-        out.extend_from_slice(&self.buf[self.pos..self.pos + buffered]);
-        self.pos += buffered;
-        if buffered == max {
-            return max;
-        }
-        buffered + self.src.next_ops(out, max - buffered)
-    }
-}
-
-/// Where a core's next trace op comes from.
-///
-/// Serial runs decode the core's [`TraceSource`] inline (`Local`, with a
-/// [`BatchedSource`] refill buffer amortizing the decode). Sharded runs
-/// hand the sources to per-shard prefetch workers and give each core a
-/// blocking [`FeedHandle`] into its shard's feed (`Ring`) — the op
-/// *sequence* is identical either way, which is part of the
-/// byte-exactness argument in DESIGN.md §7. The prefetch workers are
-/// independent of the commit mode: an inline window-commit run can still
-/// prefetch, and a concurrent-commit run adds harvest crews *beside*
-/// these feed workers in the same thread scope.
-pub(crate) enum TraceFeed {
-    /// Trace exhausted (or the core never had one).
-    Done,
-    /// Decode inline on the coordinator (serial engine).
-    Local(BatchedSource),
-    /// Pull from a shard prefetch worker's bounded feed.
-    Ring(FeedHandle),
-}
-
-impl TraceFeed {
-    /// The core's next op; `None` once the trace ends.
-    pub fn next_op(&mut self) -> Option<TraceOp> {
-        match self {
-            TraceFeed::Done => None,
-            TraceFeed::Local(src) => src.next_op(),
-            TraceFeed::Ring(handle) => handle.next_op(),
-        }
-    }
 }
 
 /// Why a core is not executing its trace.
@@ -127,7 +78,9 @@ pub(crate) struct Outstanding {
 }
 
 pub(crate) struct CoreState {
-    pub trace: TraceFeed,
+    /// The core's trace; `None` once exhausted (or if the core never had
+    /// one).
+    pub trace: Option<BatchedSource>,
     pub clock: Cycle,
     pub finished: bool,
     pub breakdown: CompletionBreakdown,
@@ -152,7 +105,7 @@ impl CoreState {
     pub fn new(trace: Option<Box<dyn TraceSource>>) -> Self {
         CoreState {
             finished: trace.is_none(),
-            trace: trace.map_or(TraceFeed::Done, |src| TraceFeed::Local(BatchedSource::new(src))),
+            trace: trace.map(BatchedSource::new),
             clock: 0,
             breakdown: CompletionBreakdown::default(),
             miss_class: MissClassifier::new(),

@@ -62,11 +62,9 @@ pub struct ViolationRecord {
     pub word: usize,
     /// The cycle at which the violation was observed.
     pub cycle: Cycle,
-    /// The global commit sequence number of the event that exposed the
-    /// violation. Within one cycle many events commit; `(cycle, seq)`
-    /// totally orders violations, so "first violation" is deterministic
-    /// even when the windowed shard plane commits a cycle's events in
-    /// batches.
+    /// The 1-based index of the dispatched event that exposed the
+    /// violation. Within one cycle many events dispatch; `(cycle, seq)`
+    /// names the exact event, so a reproduction can stop the run there.
     pub seq: u64,
     /// The value observed.
     pub got: u64,

@@ -90,8 +90,8 @@ impl SimReport {
     /// The `LACC_SIM_STATS=1` data-plane ledger as one intact line.
     ///
     /// `Simulator::run` used to print this to stderr itself, which tore
-    /// and interleaved lines under parallel sweeps (`--jobs N`) and
-    /// sharded runs; the ledger now travels only through
+    /// and interleaved lines under parallel sweeps (`--jobs N`); the
+    /// ledger now travels only through
     /// [`SimReport::slab`] and the sweep aggregator emits this line in
     /// submission order. `live`/`total_refs` are derived from the
     /// ledger's invariants (`live = allocs + cow_clones - frees`,

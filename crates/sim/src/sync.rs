@@ -10,11 +10,7 @@
 //! section").
 //!
 //! Releases can be *zero-cycle*: the last barrier arrival (or an unlock)
-//! wakes cross-tile waiters at the very cycle it commits. On the sharded
-//! event plane those wakeups land inside the open commit window, which
-//! routes them through the coordinator's pending merge — barrier-local,
-//! never deferred across a window (DESIGN.md §7); the `lacc_mc`
-//! shard-plane scenario drives exactly this corner.
+//! wakes cross-tile waiters at the very cycle it is dispatched.
 
 use std::collections::{HashMap, VecDeque};
 

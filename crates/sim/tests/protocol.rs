@@ -428,3 +428,27 @@ fn report_energy_matches_counts() {
     assert!((recomputed.total() - r.energy.total()).abs() < 1e-9);
     assert!(r.energy.total() > 0.0);
 }
+
+/// A lock/barrier deadlock: core 0 takes the lock and waits at a barrier
+/// core 1 can never reach (core 1 is queued on the lock). The event
+/// queue drains with both cores blocked, and the deadlock assert must
+/// name them.
+#[test]
+fn deadlock_assert_names_the_stuck_cores() {
+    let traces = vec![
+        vec![TraceOp::Acquire { id: 1 }, TraceOp::Barrier { id: 0 }],
+        vec![TraceOp::Acquire { id: 1 }],
+        vec![TraceOp::Compute(5)],
+        vec![TraceOp::Compute(5)],
+    ];
+    let payload =
+        std::panic::catch_unwind(|| run(SystemConfig::small_for_tests(4), traces, vec![]))
+            .expect_err("a deadlocked workload must panic");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .expect("panic payload is a message");
+    assert!(msg.contains("deadlock"), "diagnostic: {msg}");
+    assert!(msg.contains("[0, 1]"), "names the stuck cores: {msg}");
+}

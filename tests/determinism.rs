@@ -49,64 +49,29 @@ fn scale_changes_only_length_not_validity() {
 }
 
 #[test]
-fn sharded_runs_reproduce_the_serial_oracle_for_every_suite_workload() {
-    // The sharded engine's whole contract (DESIGN.md §7): any `--shards N`
-    // must reproduce the serial engine's report byte-for-byte — including
-    // the order-sensitive slab ledger, which the full Debug fingerprint
-    // covers. Every Table-2 workload, shards ∈ {2, 4}, in *both* commit
-    // modes (inline run-serving and concurrent harvest crews), vs the
-    // serial oracle at shards = 1.
-    let cores = 4;
-    let scale = 0.02;
-    for b in Benchmark::ALL {
-        let run = |shards: usize, concurrent_commit: bool| {
-            let w = b.build(cores, scale);
-            let opts = SimOptions { shards, concurrent_commit, ..SimOptions::default() };
-            Simulator::with_options(SystemConfig::small_for_tests(cores), w, opts).unwrap().run()
-        };
-        let oracle = format!("{:?}", run(1, false));
-        for shards in [2, 4] {
-            for concurrent in [false, true] {
-                assert_eq!(
-                    format!("{:?}", run(shards, concurrent)),
-                    oracle,
-                    "{} shards={shards} concurrent={concurrent}",
-                    b.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn ltf_replay_is_report_identical_for_every_suite_workload() {
     // Determinism must survive the trip through the on-disk trace format:
     // for each benchmark, simulating the generator's workload and
-    // simulating its .ltf dump — in *both* stream encodings, through both
-    // the serial and the sharded engine — must produce byte-identical
-    // reports.
+    // simulating its .ltf dump — in *both* stream encodings — must
+    // produce byte-identical reports.
     let cores = 4;
     let scale = 0.02;
     let dir = std::env::temp_dir();
     for b in Benchmark::ALL {
-        let run = |w: Workload, shards: usize| {
-            let opts = SimOptions { shards, ..SimOptions::default() };
-            Simulator::with_options(SystemConfig::small_for_tests(cores), w, opts).unwrap().run()
-        };
-        let direct = run(b.build(cores, scale), 1);
+        let run =
+            |w: Workload| Simulator::new(SystemConfig::small_for_tests(cores), w).unwrap().run();
+        let direct = run(b.build(cores, scale));
 
         let v1 = dir.join(format!("lacc_replay_eq_{}_v1.ltf", b.name()));
         let v2 = dir.join(format!("lacc_replay_eq_{}_v2.ltf", b.name()));
         b.build(cores, scale).dump_ltf(&v1).unwrap();
         b.build(cores, scale).dump_ltf_v2(&v2).unwrap();
         for (path, encoding) in [(&v1, "v1"), (&v2, "v2")] {
-            for shards in [1, 2] {
-                let replay = run(ltf::read_workload(path).unwrap(), shards);
-                let tag = format!("{} {encoding} shards={shards}", b.name());
-                assert_eq!(direct.workload, replay.workload, "{tag}");
-                assert_eq!(fingerprint(&direct), fingerprint(&replay), "{tag}");
-                assert_eq!(replay.monitor.violations, 0, "{tag}");
-            }
+            let replay = run(ltf::read_workload(path).unwrap());
+            let tag = format!("{} {encoding}", b.name());
+            assert_eq!(direct.workload, replay.workload, "{tag}");
+            assert_eq!(fingerprint(&direct), fingerprint(&replay), "{tag}");
+            assert_eq!(replay.monitor.violations, 0, "{tag}");
         }
         std::fs::remove_file(&v1).ok();
         std::fs::remove_file(&v2).ok();
