@@ -91,13 +91,6 @@ pub struct DataRef {
 }
 
 impl DataRef {
-    /// The slot index (diagnostics only — slots are recycled, so an
-    /// index does not identify a logical line).
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.index
-    }
-
     fn slot(self) -> usize {
         self.index as usize
     }
@@ -166,12 +159,6 @@ impl DataSlab {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty slab with room for `cap` lines before regrowing.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        DataSlab { meta: Vec::with_capacity(cap), data: Vec::with_capacity(cap), ..Self::default() }
     }
 
     fn fill_slot(&mut self, data: LineData) -> DataRef {
@@ -388,9 +375,9 @@ mod tests {
         s.release(b);
         // LIFO: b's slot comes back first.
         let c = s.alloc(line(3));
-        assert_eq!(c.index(), b.index());
+        assert_eq!(c.slot(), b.slot());
         let d = s.alloc(line(4));
-        assert_eq!(d.index(), a.index());
+        assert_eq!(d.slot(), a.slot());
         assert_eq!(s.len(), 2, "no new slots were created");
     }
 

@@ -64,12 +64,6 @@ impl MissClassifier {
     pub fn record_remote_access(&mut self, line: LineAddr) {
         self.history.insert(line, PastEvent::RemoteAccessed);
     }
-
-    /// Number of lines with recorded history (tests).
-    #[must_use]
-    pub fn tracked_lines(&self) -> usize {
-        self.history.len()
-    }
 }
 
 #[cfg(test)]

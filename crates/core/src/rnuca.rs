@@ -97,12 +97,6 @@ impl Rnuca {
         }
     }
 
-    /// Number of cores per instruction cluster.
-    #[must_use]
-    pub fn cluster_size(&self) -> usize {
-        self.cluster
-    }
-
     fn mix(x: u64) -> u64 {
         let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,9 +1,10 @@
 //! Table 1 (§4): the architectural parameters of the evaluated machine,
-//! printed from the live `SystemConfig` so the table can never drift from
-//! the code.
+//! printed from the live `SystemConfig` and the engine's message-size
+//! constants so the table can never drift from the code.
 
 use lacc_experiments::Cli;
 use lacc_model::config::{DirectoryKind, MechanismKind, TrackingKind};
+use lacc_sim::msg::{FLIT_BITS, LINE_MSG_FLITS};
 
 fn main() {
     let cli = Cli::parse();
@@ -53,10 +54,10 @@ fn main() {
         c.hop_link_cycles
     );
     println!("Contention Model                Only link contention (infinite input buffers)");
-    println!("Flit Width                      {} bits", c.flit_bits);
+    println!("Flit Width                      {FLIT_BITS} bits");
     println!("Header                          1 flit");
     println!("Word Length                     1 flit (64 bits)");
-    println!("Cache Line Length               {} flits", c.line_msg_flits() - 1);
+    println!("Cache Line Length               {} flits", LINE_MSG_FLITS - 1);
     println!();
     println!("Locality-Aware Coherence Protocol - Default Parameters");
     println!("Private Caching Threshold       PCT = {}", c.classifier.pct);

@@ -1,9 +1,9 @@
 //! Replay a `.ltf` trace file through the simulator and print the
 //! standard report.
 //!
-//! The trace is decoded lazily with bounded memory (one buffered handle
-//! per core); the run is bit-identical to simulating the workload the
-//! file was dumped from.
+//! The file is loaded once as a shared mmap (a heap read where mapping is
+//! unavailable) that every core's cursor decodes in place; the run is
+//! bit-identical to simulating the workload the file was dumped from.
 //!
 //! ```text
 //! trace_replay <file.ltf> [--cores N] [--pct N] [--small]
@@ -11,7 +11,8 @@
 //!
 //! `--cores` defaults to the trace's own core count; `--small` swaps the
 //! Table-1 machine for the reduced test configuration (what the repo's
-//! tests use at small scales).
+//! tests use at small scales). An unreadable or malformed trace, or a
+//! machine too small for it, exits 1 with an `error: …` line.
 
 use lacc_experiments::{config_for_cores, flag_value, or_exit, CliError};
 use lacc_model::SystemConfig;
@@ -48,31 +49,29 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
 
 fn main() {
     let args = or_exit(parse_args(std::env::args().skip(1)), USAGE);
-    let workload = ltf::read_workload(&args.path).unwrap_or_else(|e| {
+    let fail = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("error: cannot replay '{}': {e}", args.path);
         std::process::exit(1);
-    });
+    };
+    let workload = ltf::read_workload(&args.path).unwrap_or_else(|e| fail(&e));
 
     let cores = args.cores.unwrap_or_else(|| workload.active_cores().max(1));
-    assert!(
-        cores >= workload.active_cores(),
-        "trace has {} cores but the machine only {cores}",
-        workload.active_cores(),
-    );
     let mut cfg =
         if args.small { SystemConfig::small_for_tests(cores) } else { config_for_cores(cores) };
     if let Some(pct) = args.pct {
         cfg = cfg.with_pct(pct);
     }
 
-    println!(
+    let banner = format!(
         "replaying '{}' ({} cores, {} regions) on a {cores}-core machine (PCT {})",
         workload.name,
         workload.active_cores(),
         workload.regions.len(),
         cfg.classifier.pct,
     );
-    let report = Simulator::new(cfg, workload).expect("valid replay configuration").run();
+    let sim = Simulator::new(cfg, workload).unwrap_or_else(|e| fail(&e));
+    println!("{banner}");
+    let report = sim.run();
     println!("{}", report.summary());
     println!(
         "  network: {} flits   dram: {} accesses   promotions: {}   demotions: {}",

@@ -1,6 +1,8 @@
 //! A malformed command line makes every experiment binary exit with
 //! status 2 and an error naming the flag, before any simulation starts —
-//! never an index-out-of-bounds or `expect` panic.
+//! never an index-out-of-bounds or `expect` panic. Bad run-time input to
+//! the trace tools (an unwritable output path, a trace the machine cannot
+//! run) exits 1 with an `error: …` line, again without a panic.
 
 use std::process::Command;
 
@@ -37,4 +39,54 @@ fn bad_flags_exit_2_and_name_the_flag() {
         assert!(stderr.contains("usage: "), "{exe} {args:?}: usage line: {stderr:?}");
         assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr:?}");
     }
+}
+
+#[test]
+fn bad_trace_tool_input_exits_1_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("lacc_cli_exit_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("ws8.ltf");
+    let trace = trace.to_str().unwrap();
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_trace_dump"),
+        &["--bench", "water-sp", "--cores", "8", "--scale", "0.02", "--out", trace],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+
+    // A trace whose version byte says 1: the retired encoding.
+    let mut bytes = std::fs::read(trace).unwrap();
+    bytes[8] = 1;
+    let v1 = dir.join("v1.ltf");
+    std::fs::write(&v1, bytes).unwrap();
+    // A regular file where the output directory should be.
+    let blocked = dir.join("not_a_dir");
+    std::fs::write(&blocked, b"").unwrap();
+    let blocked = blocked.join("x.ltf");
+    let blocked = blocked.to_str().unwrap();
+
+    let cases: [(&str, Vec<&str>, &str); 3] = [
+        (
+            env!("CARGO_BIN_EXE_trace_replay"),
+            vec![trace, "--cores", "4"],
+            "workload has 8 traces but the machine has 4 cores",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_replay"),
+            vec![v1.to_str().unwrap()],
+            "unsupported LTF version 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_dump"),
+            vec!["--bench", "water-sp", "--cores", "2", "--scale", "0.02", "--out", blocked],
+            "error: cannot write",
+        ),
+    ];
+    for (exe, args, want) in cases {
+        let (code, stderr) = run(exe, &args);
+        assert_eq!(code, Some(1), "{exe} {args:?}: {stderr}");
+        assert!(stderr.contains("error: "), "{exe} {args:?}: {stderr:?}");
+        assert!(stderr.contains(want), "{exe} {args:?}: expected {want:?} in {stderr:?}");
+        assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

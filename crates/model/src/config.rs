@@ -205,7 +205,10 @@ pub struct SystemConfig {
     pub l1d: CacheConfig,
     /// Per-tile slice of the shared L2 (256 KB, 8-way, 7 cycles, inclusive).
     pub l2: CacheConfig,
-    /// Cache line size in bytes (64).
+    /// Cache line size in bytes. Must equal
+    /// [`LINE_BYTES`](crate::addr::LINE_BYTES) (64): addresses, line
+    /// payloads and message sizes are built for that line, so
+    /// [`SystemConfig::validate`] rejects any other value.
     pub line_bytes: usize,
     /// Directory sharer tracking (ACKwise_4 by default).
     pub directory: DirectoryKind,
@@ -221,8 +224,6 @@ pub struct SystemConfig {
     pub hop_router_cycles: Cycle,
     /// Link traversal latency per hop in cycles (Table 1: 1).
     pub hop_link_cycles: Cycle,
-    /// Flit width in bits (64).
-    pub flit_bits: usize,
     /// R-NUCA instruction-replication cluster size (4 cores).
     pub rnuca_cluster: usize,
 }
@@ -247,7 +248,6 @@ impl SystemConfig {
             dram_bytes_per_cycle: 5.0,
             hop_router_cycles: 1,
             hop_link_cycles: 1,
-            flit_bits: 64,
             rnuca_cluster: 4,
         }
     }
@@ -297,32 +297,6 @@ impl SystemConfig {
         self
     }
 
-    /// Number of 64-bit words per cache line.
-    #[must_use]
-    pub fn words_per_line(&self) -> usize {
-        self.line_bytes / 8
-    }
-
-    /// Flits needed for a bare protocol message: one header flit carrying
-    /// source, destination, address and message type (§3.6 shows the private
-    /// utilization counter also fits in this flit).
-    #[must_use]
-    pub fn header_flits(&self) -> usize {
-        1
-    }
-
-    /// Flits for a message carrying one 64-bit word (header + word).
-    #[must_use]
-    pub fn word_msg_flits(&self) -> usize {
-        1 + (64 / self.flit_bits).max(1)
-    }
-
-    /// Flits for a message carrying a whole cache line (header + 8 words).
-    #[must_use]
-    pub fn line_msg_flits(&self) -> usize {
-        1 + (self.line_bytes * 8).div_ceil(self.flit_bits)
-    }
-
     /// Mesh side length: the smallest `w` with `w * w >= num_cores`.
     #[must_use]
     pub fn mesh_width(&self) -> usize {
@@ -338,9 +312,10 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated constraint
-    /// (zero cores, non-power-of-two geometry, a PCT of zero, RAT settings
-    /// inconsistent with the PCT, an oversubscribed Limited_k classifier, or
-    /// more memory controllers than tiles).
+    /// (zero cores, a line size other than 64 bytes, non-power-of-two
+    /// geometry, a PCT of zero, RAT settings inconsistent with the PCT, an
+    /// oversubscribed Limited_k classifier, or more memory controllers than
+    /// tiles).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cores == 0 {
             return Err(ConfigError::new("num_cores must be at least 1"));
@@ -355,8 +330,11 @@ impl SystemConfig {
         if self.num_mem_ctrls == 0 || self.num_mem_ctrls > self.num_cores {
             return Err(ConfigError::new("num_mem_ctrls must be in 1..=num_cores"));
         }
-        if !self.line_bytes.is_power_of_two() || self.line_bytes < 8 {
-            return Err(ConfigError::new("line_bytes must be a power of two >= 8"));
+        if self.line_bytes as u64 != crate::addr::LINE_BYTES {
+            return Err(ConfigError::new(format!(
+                "line_bytes must be {} (the simulated line size)",
+                crate::addr::LINE_BYTES
+            )));
         }
         for (name, c) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             if c.size_bytes == 0 || c.associativity == 0 {
@@ -419,8 +397,6 @@ mod tests {
         assert_eq!(cfg.l1i.num_sets(cfg.line_bytes), 64);
         assert_eq!(cfg.l2.num_sets(cfg.line_bytes), 512);
         assert_eq!(cfg.mesh_width(), 8);
-        assert_eq!(cfg.word_msg_flits(), 2);
-        assert_eq!(cfg.line_msg_flits(), 9);
     }
 
     #[test]
@@ -451,6 +427,14 @@ mod tests {
         let mut c = base.clone();
         c.num_mem_ctrls = 100;
         assert!(c.validate().is_err());
+
+        // Lines are 64 bytes throughout the engine, whatever the config says.
+        for line_bytes in [32, 128] {
+            let mut c = base.clone();
+            c.line_bytes = line_bytes;
+            let e = c.validate().unwrap_err();
+            assert!(e.to_string().contains("line_bytes must be 64"), "{line_bytes}: {e}");
+        }
 
         let mut c = base;
         c.l1d = CacheConfig::new(1000, 3, 1);

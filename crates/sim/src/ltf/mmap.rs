@@ -13,13 +13,12 @@
 //! resident at once. The build environment has no access to the `libc`
 //! crate, so the two calls needed are declared directly against the
 //! platform C library (which `std` already links). Everywhere else — or
-//! when the mapping fails, or when `LACC_LTF_MMAP=0` opts out — the file
-//! is read into an ordinary heap allocation behind the same type.
+//! when the mapping fails, or for an empty file — the file is read into
+//! an ordinary heap allocation behind the same type.
 //!
 //! Mapped memory reflects the file: truncating or rewriting a trace
-//! *while a simulation replays it* is as undefined as it sounds (the v1
-//! reader had the same caveat with live file handles). The heap fallback
-//! snapshots instead.
+//! *while a simulation replays it* is as undefined as it sounds. The heap
+//! fallback snapshots instead.
 
 use std::ops::Deref;
 use std::path::Path;
@@ -43,8 +42,8 @@ impl SharedBuf {
     }
 
     /// Opens `path`, preferring an mmap on unix and falling back to a
-    /// buffered whole-file read (always used when `LACC_LTF_MMAP=0`, for
-    /// empty files, and on non-unix hosts).
+    /// buffered whole-file read (for empty files, failed mappings and
+    /// non-unix hosts).
     ///
     /// # Errors
     ///
@@ -53,10 +52,8 @@ impl SharedBuf {
     pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let file = std::fs::File::open(path.as_ref())?;
         #[cfg(unix)]
-        if std::env::var("LACC_LTF_MMAP").as_deref() != Ok("0") {
-            if let Some(region) = MmapRegion::map(&file) {
-                return Ok(SharedBuf(Arc::new(Backing::Mmap(region))));
-            }
+        if let Some(region) = MmapRegion::map(&file) {
+            return Ok(SharedBuf(Arc::new(Backing::Mmap(region))));
         }
         let mut bytes = Vec::new();
         std::io::Read::read_to_end(&mut std::io::BufReader::new(file), &mut bytes)?;

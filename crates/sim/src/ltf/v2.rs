@@ -1,15 +1,15 @@
-//! LTF version 2: delta-compressed per-core op streams.
+//! LTF op streams: the delta-compressed per-core encoding.
 //!
-//! Version 2 keeps the v1 container byte-for-byte (magic, header, region
-//! table, fixed-width core offset table) and changes only the per-core op
-//! encoding, trading a little encoder/decoder state for a much denser
-//! stream:
+//! The container (magic, header, region table, fixed-width core offset
+//! table) is specified in [`super`]; this module encodes what follows it,
+//! one stream per core, trading a little encoder/decoder state for a
+//! dense stream:
 //!
 //! - **Line-delta addresses.** Memory traffic is overwhelmingly local:
 //!   consecutive accesses land on the same or nearby cache lines even
 //!   though the absolute addresses sit gigabytes up the 48-bit space
-//!   (where every v1 address varint costs 4–6 bytes). v2 encodes each
-//!   load/store address as a single *packed* varint
+//!   (where an absolute address varint costs 4–6 bytes). Each
+//!   load/store address is a single *packed* varint
 //!   `zigzag(line − prev_line) · 64 + offset_in_line`: the signed-zigzag
 //!   line delta in the high bits, the byte offset within the 64-byte line
 //!   in the low six. A same-line access is one byte; a stride of a few
@@ -23,18 +23,19 @@
 //!   collapse into one `COMPUTE_RUN` record carrying a repeat count
 //!   (bounded by [`MAX_RUN`] so a corrupt count cannot amplify without
 //!   limit).
-//! - **Single-byte immediates.** The tag byte has 256 values and v1 used
-//!   seven, so v2 spends the rest on the hot cases: `Compute(1..=8)` is
-//!   one byte, and a word-aligned load or store whose line delta fits
-//!   ±7 lines packs its whole address *into the tag* (the sequential and
-//!   strided walks that dominate the suite become one byte per load).
+//! - **Single-byte immediates.** The tag byte has 256 values and the
+//!   general records use eight, so the rest go to the hot cases:
+//!   `Compute(1..=8)` is one byte, and a word-aligned load or store whose
+//!   line delta fits ±7 lines packs its whole address *into the tag*
+//!   (the sequential and strided walks that dominate the suite become one
+//!   byte per load).
 //! - **Fixed-width store values.** Store values are data, not structure —
 //!   the suite's are uniform random `u64`s, which a varint *expands* to
-//!   ten bytes. v2 stores them as eight raw little-endian bytes.
+//!   ten bytes. They are stored as eight raw little-endian bytes.
 //!
-//! Decoding is total, like v1: every arithmetic step wraps and every
-//! operand is bounds-checked, so corrupt or truncated input yields a
-//! typed [`TraceError`], never a panic — the every-prefix sweep in
+//! Decoding is total: every arithmetic step wraps and every operand is
+//! bounds-checked, so corrupt or truncated input yields a typed
+//! [`TraceError`], never a panic — the every-prefix sweep in
 //! `tests/ltf_robustness.rs` runs the whole format through a debug build.
 //!
 //! ```text
@@ -80,11 +81,11 @@ pub const OP2_COMPUTE_RUN: u8 = 0x02;
 pub const OP2_LOAD: u8 = 0x03;
 /// A store with a packed line-delta address and a fixed 8-byte LE value.
 pub const OP2_STORE: u8 = 0x04;
-/// A barrier (same operand as v1).
+/// A barrier (varint id).
 pub const OP2_BARRIER: u8 = 0x05;
-/// A lock acquire (same operand as v1).
+/// A lock acquire (varint id).
 pub const OP2_ACQUIRE: u8 = 0x06;
-/// A lock release (same operand as v1).
+/// A lock release (varint id).
 pub const OP2_RELEASE: u8 = 0x07;
 /// First of eight immediate-compute tags: tag `0x08 + k` is
 /// `Compute(k + 1)` in one byte.

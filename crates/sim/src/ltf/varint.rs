@@ -6,8 +6,6 @@
 //! `0x01`), and decoders reject anything longer or larger as
 //! [`TraceError::OverlongVarint`].
 
-use std::io::Read;
-
 use lacc_model::TraceError;
 
 /// Maximum encoded length of a `u64`.
@@ -34,37 +32,18 @@ pub fn encode(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// The number of bytes [`encode`] emits for `value`.
-#[must_use]
-pub fn encoded_len(value: u64) -> usize {
-    (64 - value.leading_zeros()).max(1).div_ceil(7) as usize
-}
-
-/// Decodes one varint from the front of `bytes`, returning the value and
-/// the number of bytes consumed.
-///
-/// # Errors
-///
-/// [`TraceError::Truncated`] when `bytes` ends mid-varint,
-/// [`TraceError::OverlongVarint`] when the encoding exceeds 10 bytes or
-/// overflows 64 bits. `what` names the field for the error message.
-pub fn decode(bytes: &[u8], what: &'static str) -> Result<(u64, usize), TraceError> {
-    let mut cursor = bytes;
-    let before = cursor.len();
-    let value = read_from(&mut cursor, what)?;
-    Ok((value, before - cursor.len()))
-}
-
 /// Decodes one varint from `bytes` at `*pos`, advancing `*pos` past the
-/// bytes consumed — the cursor-style primitive the zero-copy stream
-/// decoders are built on. Decoding straight off the slice (with a
-/// single-byte fast path, the overwhelmingly common case in both stream
-/// encodings) is what makes the v2 cursors fast; keep this free of the
-/// `io::Read` machinery.
+/// bytes consumed — the one decode primitive the header parser and the
+/// zero-copy stream cursors are built on. Decoding straight off the slice
+/// (with one- and two-byte fast paths, the overwhelmingly common case) is
+/// what makes the cursors fast.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`decode`].
+/// [`TraceError::Truncated`] when `bytes` ends mid-varint (or `*pos` is
+/// already past the end), [`TraceError::OverlongVarint`] when the
+/// encoding exceeds 10 bytes or overflows 64 bits. `what` names the field
+/// for the error message. `*pos` is left unchanged on error.
 #[inline]
 pub fn take(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, TraceError> {
     let start = *pos;
@@ -113,47 +92,25 @@ fn take_multibyte(
     Err(TraceError::OverlongVarint { what })
 }
 
-/// Reads one varint from `r`.
-///
-/// # Errors
-///
-/// Same failure modes as [`decode`], plus [`TraceError::Io`] for
-/// non-EOF I/O failures.
-pub fn read_from<R: Read + ?Sized>(r: &mut R, what: &'static str) -> Result<u64, TraceError> {
-    let mut value: u64 = 0;
-    for i in 0..MAX_LEN {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Truncated { what }
-            } else {
-                TraceError::from(e)
-            }
-        })?;
-        let b = byte[0];
-        if i == MAX_LEN - 1 && b > 0x01 {
-            // 9 groups cover 63 bits; the 10th byte may only hold bit 63.
-            return Err(TraceError::OverlongVarint { what });
-        }
-        value |= u64::from(b & 0x7f) << (7 * i);
-        if b & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(TraceError::OverlongVarint { what })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(v: u64) {
+    /// Decodes one varint from the front of `bytes`, returning the value
+    /// and the number of bytes consumed.
+    fn decode(bytes: &[u8], what: &'static str) -> Result<(u64, usize), TraceError> {
+        let mut pos = 0;
+        let value = take(bytes, &mut pos, what)?;
+        Ok((value, pos))
+    }
+
+    fn roundtrip(v: u64) -> usize {
         let mut buf = Vec::new();
         encode(v, &mut buf);
-        assert_eq!(buf.len(), encoded_len(v), "{v}");
         let (decoded, used) = decode(&buf, "test").unwrap();
         assert_eq!(decoded, v);
         assert_eq!(used, buf.len());
+        used
     }
 
     #[test]
@@ -175,8 +132,7 @@ mod tests {
             roundtrip(1u64 << shift);
             roundtrip((1u64 << shift) - 1);
         }
-        roundtrip(u64::MAX);
-        assert_eq!(encoded_len(u64::MAX), MAX_LEN);
+        assert_eq!(roundtrip(u64::MAX), MAX_LEN);
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! the traces are. It needs `Write + Seek` because the core offset table
 //! sits in the header but stream lengths are only known after draining:
 //! offsets are backpatched in place once the last stream is written.
-//!
-//! Both format versions share the container ([`write_workload`] emits v1,
-//! [`write_workload_v2`] the delta-compressed v2); only the per-core op
-//! encoding differs. See [`super::v2`] for the v2 stream encoding.
+//! See [`super::v2`] for the per-core stream encoding.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -16,13 +13,12 @@ use std::path::Path;
 use lacc_core::rnuca::RegionClass;
 use lacc_model::TraceError;
 
-use crate::trace::{TraceOp, TraceSource, Workload};
+use crate::trace::{TraceSource, Workload};
 
-use super::v2::V2Encoder;
+use super::v2::{V2Encoder, OP2_END};
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
-    MAX_REGIONS, OP_ACQUIRE, OP_BARRIER, OP_COMPUTE, OP_END, OP_LOAD, OP_RELEASE, OP_STORE,
-    VERSION, VERSION_V2,
+    MAX_REGIONS, VERSION,
 };
 
 /// What a dump wrote: per-core op counts and the encoded sizes.
@@ -64,63 +60,22 @@ impl<W: Write> CountingWriter<'_, W> {
     }
 }
 
-fn encode_op(op: TraceOp, buf: &mut Vec<u8>) {
-    match op {
-        TraceOp::Compute(n) => {
-            buf.push(OP_COMPUTE);
-            varint::encode(u64::from(n), buf);
-        }
-        TraceOp::Load { addr } => {
-            buf.push(OP_LOAD);
-            varint::encode(addr.raw(), buf);
-        }
-        TraceOp::Store { addr, value } => {
-            buf.push(OP_STORE);
-            varint::encode(addr.raw(), buf);
-            varint::encode(value, buf);
-        }
-        TraceOp::Barrier { id } => {
-            buf.push(OP_BARRIER);
-            varint::encode(u64::from(id), buf);
-        }
-        TraceOp::Acquire { id } => {
-            buf.push(OP_ACQUIRE);
-            varint::encode(u64::from(id), buf);
-        }
-        TraceOp::Release { id } => {
-            buf.push(OP_RELEASE);
-            varint::encode(u64::from(id), buf);
-        }
-    }
-}
-
-/// The per-stream op encoder for whichever format version is being
-/// written. v1 records are stateless; v2 carries the delta/run state.
-enum StreamEncoder {
-    V1,
-    V2(V2Encoder),
-}
-
-impl StreamEncoder {
-    fn push(&mut self, op: TraceOp, buf: &mut Vec<u8>) {
-        match self {
-            StreamEncoder::V1 => encode_op(op, buf),
-            StreamEncoder::V2(enc) => enc.push(op, buf),
-        }
-    }
-
-    fn finish(&mut self, buf: &mut Vec<u8>) {
-        match self {
-            StreamEncoder::V1 => {}
-            StreamEncoder::V2(enc) => enc.finish(buf),
-        }
-    }
-}
-
-fn write_workload_impl<W: Write + Seek>(
+/// Serializes `workload` to `out`, draining every trace source.
+///
+/// The stream is written front to back; the core offset table is
+/// backpatched at the end, after which the cursor is restored to
+/// end-of-stream.
+///
+/// # Errors
+///
+/// [`TraceError::Io`] on any write or seek failure;
+/// [`TraceError::Corrupt`] when the workload exceeds a decoder limit
+/// (name over [`MAX_NAME_LEN`] bytes, more than [`MAX_CORES`] traces or
+/// [`MAX_REGIONS`] regions) — the encoder refuses to produce a file the
+/// reader would reject.
+pub fn write_workload_v2<W: Write + Seek>(
     out: &mut W,
     workload: Workload,
-    version: u64,
 ) -> Result<LtfSummary, TraceError> {
     if workload.name.len() as u64 > MAX_NAME_LEN {
         return Err(TraceError::Corrupt { what: "name length exceeds limit" });
@@ -135,7 +90,7 @@ fn write_workload_impl<W: Write + Seek>(
     let mut w = CountingWriter { inner: out, written: 0 };
 
     w.put(&MAGIC)?;
-    w.put_varint(version)?;
+    w.put_varint(VERSION)?;
     w.put_varint(0)?; // flags, reserved
     w.put_varint(workload.name.len() as u64)?;
     w.put(workload.name.as_bytes())?;
@@ -169,10 +124,7 @@ fn write_workload_impl<W: Write + Seek>(
     for mut trace in workload.traces {
         offsets.push(start + w.written);
         let stream_start = w.written;
-        let mut enc = match version {
-            VERSION => StreamEncoder::V1,
-            _ => StreamEncoder::V2(V2Encoder::new(base_line)),
-        };
+        let mut enc = V2Encoder::new(base_line);
         let mut count = 0u64;
         while let Some(op) = trace.next_op() {
             buf.clear();
@@ -182,7 +134,7 @@ fn write_workload_impl<W: Write + Seek>(
         }
         buf.clear();
         enc.finish(&mut buf);
-        buf.push(OP_END);
+        buf.push(OP2_END);
         w.put(&buf)?;
         ops_per_core.push(count);
         bytes_per_core.push(w.written - stream_start);
@@ -199,53 +151,7 @@ fn write_workload_impl<W: Write + Seek>(
     Ok(LtfSummary { ops_per_core, bytes_per_core, bytes })
 }
 
-/// Serializes `workload` to `out` in format version 1, draining every
-/// trace source.
-///
-/// The stream is written front to back; the core offset table is
-/// backpatched at the end, after which the cursor is restored to
-/// end-of-stream so callers can append (nothing in version 1 does).
-///
-/// # Errors
-///
-/// [`TraceError::Io`] on any write or seek failure;
-/// [`TraceError::Corrupt`] when the workload exceeds a decoder limit
-/// (name over [`MAX_NAME_LEN`] bytes, more than [`MAX_CORES`] traces or
-/// [`MAX_REGIONS`] regions) — the encoder refuses to produce a file the
-/// reader would reject.
-pub fn write_workload<W: Write + Seek>(
-    out: &mut W,
-    workload: Workload,
-) -> Result<LtfSummary, TraceError> {
-    write_workload_impl(out, workload, VERSION)
-}
-
-/// Serializes `workload` to `out` in the delta-compressed format
-/// version 2 (see [`super::v2`]). Same container, same single pass, same
-/// summary — typically less than half the stream bytes.
-///
-/// # Errors
-///
-/// Same failure modes as [`write_workload`].
-pub fn write_workload_v2<W: Write + Seek>(
-    out: &mut W,
-    workload: Workload,
-) -> Result<LtfSummary, TraceError> {
-    write_workload_impl(out, workload, VERSION_V2)
-}
-
-/// Encodes `workload` into an in-memory version-1 LTF byte vector.
-///
-/// # Errors
-///
-/// [`TraceError::Io`] if encoding fails (it cannot for a `Vec` sink).
-pub fn workload_to_ltf_bytes(workload: Workload) -> Result<Vec<u8>, TraceError> {
-    let mut cursor = std::io::Cursor::new(Vec::new());
-    write_workload(&mut cursor, workload)?;
-    Ok(cursor.into_inner())
-}
-
-/// Encodes `workload` into an in-memory version-2 LTF byte vector.
+/// Encodes `workload` into an in-memory LTF byte vector.
 ///
 /// # Errors
 ///
@@ -257,8 +163,8 @@ pub fn workload_to_ltf_bytes_v2(workload: Workload) -> Result<Vec<u8>, TraceErro
 }
 
 impl Workload {
-    /// Serializes this workload to a version-1 `.ltf` file at `path`,
-    /// consuming it (the trace sources are drained).
+    /// Serializes this workload to a `.ltf` file at `path`, consuming it
+    /// (the trace sources are drained).
     ///
     /// # Errors
     ///
@@ -275,21 +181,9 @@ impl Workload {
     ///     instr_lines: 1,
     ///     instr_base: default_instr_base(),
     /// };
-    /// w.dump_ltf("empty.ltf")?;
+    /// w.dump_ltf_v2("empty.ltf")?;
     /// # Ok::<(), lacc_model::TraceError>(())
     /// ```
-    pub fn dump_ltf<P: AsRef<Path>>(self, path: P) -> Result<LtfSummary, TraceError> {
-        let file = std::fs::File::create(path)?;
-        let mut out = std::io::BufWriter::new(file);
-        write_workload(&mut out, self)
-    }
-
-    /// Serializes this workload to a delta-compressed version-2 `.ltf`
-    /// file at `path`, consuming it. Replays identically to the v1 dump.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Io`] on file-creation or write failure.
     pub fn dump_ltf_v2<P: AsRef<Path>>(self, path: P) -> Result<LtfSummary, TraceError> {
         let file = std::fs::File::create(path)?;
         let mut out = std::io::BufWriter::new(file);
@@ -300,7 +194,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{default_instr_base, VecTrace};
+    use crate::trace::{default_instr_base, TraceOp, VecTrace};
     use lacc_model::Addr;
 
     fn tiny_workload() -> Workload {
@@ -321,19 +215,16 @@ mod tests {
 
     #[test]
     fn bytes_start_with_magic_and_version() {
-        let bytes = workload_to_ltf_bytes(tiny_workload()).unwrap();
-        assert_eq!(&bytes[..8], &MAGIC);
-        assert_eq!(bytes[8], VERSION as u8);
         let bytes = workload_to_ltf_bytes_v2(tiny_workload()).unwrap();
         assert_eq!(&bytes[..8], &MAGIC);
-        assert_eq!(bytes[8], VERSION_V2 as u8);
+        assert_eq!(bytes[8], VERSION as u8);
     }
 
     #[test]
     fn summary_counts_ops_and_bytes() {
-        let bytes = workload_to_ltf_bytes(tiny_workload()).unwrap();
+        let bytes = workload_to_ltf_bytes_v2(tiny_workload()).unwrap();
         let mut cursor = std::io::Cursor::new(Vec::new());
-        let summary = write_workload(&mut cursor, tiny_workload()).unwrap();
+        let summary = write_workload_v2(&mut cursor, tiny_workload()).unwrap();
         assert_eq!(summary.ops_per_core, vec![2, 1]);
         assert_eq!(summary.total_ops(), 3);
         assert_eq!(summary.bytes, bytes.len() as u64);
@@ -341,14 +232,6 @@ mod tests {
         let header_bytes = summary.bytes - summary.bytes_per_core.iter().sum::<u64>();
         let (_, offsets) = crate::ltf::read_header_bytes(&bytes).unwrap();
         assert_eq!(header_bytes, offsets[0]);
-    }
-
-    #[test]
-    fn v2_counts_the_same_ops_in_fewer_bytes() {
-        let v1 = write_workload(&mut std::io::Cursor::new(Vec::new()), tiny_workload()).unwrap();
-        let v2 = write_workload_v2(&mut std::io::Cursor::new(Vec::new()), tiny_workload()).unwrap();
-        assert_eq!(v1.ops_per_core, v2.ops_per_core);
-        assert!(v2.bytes <= v1.bytes, "v2 {} vs v1 {}", v2.bytes, v1.bytes);
     }
 
     #[test]
@@ -361,7 +244,7 @@ mod tests {
             instr_base: default_instr_base(),
         };
         assert_eq!(
-            workload_to_ltf_bytes(oversized_name).unwrap_err(),
+            workload_to_ltf_bytes_v2(oversized_name).unwrap_err(),
             lacc_model::TraceError::Corrupt { what: "name length exceeds limit" },
         );
         // Every successful dump must decode: the exact name-length limit
@@ -373,7 +256,7 @@ mod tests {
             instr_lines: 0,
             instr_base: default_instr_base(),
         };
-        let bytes = workload_to_ltf_bytes(at_limit).unwrap();
+        let bytes = workload_to_ltf_bytes_v2(at_limit).unwrap();
         assert!(crate::ltf::read_workload_bytes(&bytes).is_ok());
     }
 
@@ -386,7 +269,7 @@ mod tests {
             instr_lines: 0,
             instr_base: default_instr_base(),
         };
-        let bytes = workload_to_ltf_bytes(w).unwrap();
+        let bytes = workload_to_ltf_bytes_v2(w).unwrap();
         assert_eq!(&bytes[..8], &MAGIC);
     }
 }

@@ -25,10 +25,18 @@
 use lacc_cache::DataRef;
 use lacc_core::classifier::RequestHints;
 use lacc_core::mesi::MesiState;
+use lacc_model::addr::LINE_BYTES;
 use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
 
 #[cfg(doc)]
 use lacc_cache::DataSlab;
+
+/// Flit width in bits (Table 1).
+pub const FLIT_BITS: usize = 64;
+/// Flits of a message carrying one 64-bit word: header + word.
+pub const WORD_MSG_FLITS: usize = 1 + 64 / FLIT_BITS;
+/// Flits of a message carrying a whole line: header + the line's words.
+pub const LINE_MSG_FLITS: usize = 1 + LINE_BYTES as usize * 8 / FLIT_BITS;
 
 /// Message payloads. `ann` fields carry the home's latency attribution
 /// back to the requester (§4.4 breakdown).
@@ -135,7 +143,8 @@ pub enum Payload {
 impl Payload {
     /// Message size in flits (Table 1 / §3.6), derived from the payload
     /// shape: header-only variants (and acks/notifies with `data: None`)
-    /// are 1 flit, word carriers are 2, line carriers are 9.
+    /// are 1 flit, word carriers are [`WORD_MSG_FLITS`] (2), line carriers
+    /// are [`LINE_MSG_FLITS`] (9).
     #[must_use]
     pub fn flits(&self) -> usize {
         match self {
@@ -148,17 +157,17 @@ impl Payload {
             | Payload::WbNack
             | Payload::DramFetch => 1,
             // Header + one word.
-            Payload::WriteReq { .. } | Payload::WordReadReply { .. } => 2,
+            Payload::WriteReq { .. } | Payload::WordReadReply { .. } => WORD_MSG_FLITS,
             // Header + full line.
             Payload::GrantLine { .. }
             | Payload::WbData { .. }
             | Payload::DramData { .. }
-            | Payload::DramWriteBack { .. } => 9,
+            | Payload::DramWriteBack { .. } => LINE_MSG_FLITS,
             // Header only when clean (no payload at all); header + line
             // when the copy was dirty.
             Payload::InvAck { data, .. } | Payload::EvictNotify { data, .. } => {
                 if data.is_some() {
-                    9
+                    LINE_MSG_FLITS
                 } else {
                     1
                 }

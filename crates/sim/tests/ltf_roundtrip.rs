@@ -69,11 +69,12 @@ proptest! {
         let mut buf = Vec::new();
         varint::encode(v, &mut buf);
         prop_assert!(buf.len() <= varint::MAX_LEN);
-        let (decoded, used) = varint::decode(&buf, "prop").map_err(|e| {
+        let mut pos = 0;
+        let decoded = varint::take(&buf, &mut pos, "prop").map_err(|e| {
             proptest::TestCaseError::fail(format!("{e}"))
         })?;
         prop_assert_eq!(decoded, v);
-        prop_assert_eq!(used, buf.len());
+        prop_assert_eq!(pos, buf.len());
     }
 
     #[test]
@@ -84,10 +85,12 @@ proptest! {
         instr_lines in 0u64..4096,
         name_reps in 0usize..8,
     ) {
-        // Names exercise multi-byte UTF-8 (and the empty string).
+        // Names exercise multi-byte UTF-8 (and the empty string); ops
+        // include unaligned addresses (which cannot use immediate tags)
+        // and 48-bit far jumps.
         let name = "wl·π".repeat(name_reps);
-        let w = workload_from(name.clone(), &cores, regions.clone(), instr_lines);
-        let bytes = ltf::workload_to_ltf_bytes(w).map_err(|e| {
+        let mk = || workload_from(name.clone(), &cores, regions.clone(), instr_lines);
+        let bytes = ltf::workload_to_ltf_bytes_v2(mk()).map_err(|e| {
             proptest::TestCaseError::fail(format!("encode: {e}"))
         })?;
         let (header, decoded) = ltf::read_workload_bytes(&bytes).map_err(|e| {
@@ -99,6 +102,46 @@ proptest! {
         prop_assert_eq!(header.instr_base, default_instr_base());
         prop_assert_eq!(&header.regions, &regions);
         prop_assert_eq!(&decoded, &cores);
+        // Deterministic: same workload, same bytes.
+        prop_assert_eq!(&ltf::workload_to_ltf_bytes_v2(mk()).unwrap(), &bytes);
+    }
+
+    #[test]
+    fn v2_workloads_round_trip(
+        steps in proptest::collection::vec(
+            ((0u8..4), (0u64..17), (0u64..64), (1u32..12), (1usize..5)), 0..120),
+    ) {
+        // Arbitrary ops rarely sit near each other; real traces do. Walks
+        // a few lines either side of the region base, with repeated
+        // compute ops, so the short forms (immediate tags, one-byte packed
+        // deltas, compute runs) are exercised as often as the long ones.
+        let base = 0x4000_0000u64;
+        let mut line = base;
+        let mut ops = Vec::new();
+        for &(kind, delta, offset, n, repeat) in &steps {
+            line = (line + delta).saturating_sub(8);
+            let addr = Addr::new(line * 64 + offset);
+            match kind {
+                0 => ops.extend(std::iter::repeat(TraceOp::Compute(n)).take(repeat)),
+                1 => ops.push(TraceOp::Load { addr }),
+                2 => ops.push(TraceOp::Store { addr, value: u64::from(n) << 40 }),
+                _ => ops.push(TraceOp::Barrier { id: n }),
+            }
+        }
+        let regions = vec![RegionDecl {
+            first_line: LineAddr::new(base),
+            lines: 64,
+            class: RegionClass::Shared,
+        }];
+        let cores = [ops];
+        let bytes = ltf::workload_to_ltf_bytes_v2(
+            workload_from("local".into(), &cores, regions.clone(), 0),
+        ).map_err(|e| proptest::TestCaseError::fail(format!("encode: {e}")))?;
+        let (header, decoded) = ltf::read_workload_bytes(&bytes).map_err(|e| {
+            proptest::TestCaseError::fail(format!("decode: {e}"))
+        })?;
+        prop_assert_eq!(&header.regions, &regions);
+        prop_assert_eq!(&decoded, &cores);
     }
 
     #[test]
@@ -108,71 +151,44 @@ proptest! {
     ) {
         // Encoding is deterministic: same workload, same bytes.
         let mk = || workload_from("stable".into(), &[vec![], vec![]], regions.clone(), instr_lines);
-        let a = ltf::workload_to_ltf_bytes(mk()).unwrap();
-        let b = ltf::workload_to_ltf_bytes(mk()).unwrap();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn v2_workloads_round_trip(
-        cores in proptest::collection::vec(
-            proptest::collection::vec(arb_op(), 0..80), 0..5),
-        regions in proptest::collection::vec(arb_region(), 0..10),
-        instr_lines in 0u64..4096,
-    ) {
-        // The delta-compressed encoding is as lossless as v1 over the
-        // same arbitrary inputs — including unaligned addresses (which
-        // cannot use immediate tags) and 48-bit far jumps.
-        let mk = || workload_from("wl2·π".into(), &cores, regions.clone(), instr_lines);
-        let bytes = ltf::workload_to_ltf_bytes_v2(mk()).map_err(|e| {
-            proptest::TestCaseError::fail(format!("encode: {e}"))
-        })?;
-        let (header, decoded) = ltf::read_workload_bytes(&bytes).map_err(|e| {
-            proptest::TestCaseError::fail(format!("decode: {e}"))
-        })?;
-        prop_assert_eq!(header.version, ltf::VERSION_V2);
-        prop_assert_eq!(header.num_cores, cores.len());
+        let a = ltf::workload_to_ltf_bytes_v2(mk()).unwrap();
+        let b = ltf::workload_to_ltf_bytes_v2(mk()).unwrap();
+        let (header, _) = ltf::read_header_bytes(&a).unwrap();
         prop_assert_eq!(&header.regions, &regions);
-        prop_assert_eq!(&decoded, &cores);
-        // Deterministic, like v1: same workload, same bytes.
-        prop_assert_eq!(&ltf::workload_to_ltf_bytes_v2(mk()).unwrap(), &bytes);
+        prop_assert_eq!(a, b);
     }
 }
 
 #[test]
 fn extreme_operands_stream_back_from_disk() {
     // Deterministic companion to the properties: max-width varint operands
-    // (and, for v2, worst-case line deltas across the whole 48-bit space)
-    // written to a real file and decoded through the streaming reader.
+    // and worst-case line deltas across the whole 48-bit space, written to
+    // a real file and decoded through the zero-copy reader.
     let ops = vec![
         TraceOp::Store { addr: Addr::new((1 << 48) - 8), value: u64::MAX },
         TraceOp::Compute(u32::MAX),
         TraceOp::Load { addr: Addr::new(0) },
         TraceOp::Barrier { id: u32::MAX },
     ];
-    let w = || workload_from("extreme".into(), std::slice::from_ref(&ops), vec![], u64::MAX);
-    type Dump = fn(Workload, &std::path::PathBuf) -> Result<ltf::LtfSummary, TraceError>;
-    let dumps: [(Dump, &str); 2] = [(|w, p| w.dump_ltf(p), "v1"), (|w, p| w.dump_ltf_v2(p), "v2")];
-    for (dump, tag) in dumps {
-        let path = std::env::temp_dir().join(format!("lacc_ltf_extreme_{tag}.ltf"));
-        dump(w(), &path).unwrap();
+    let w = workload_from("extreme".into(), std::slice::from_ref(&ops), vec![], u64::MAX);
+    let path = std::env::temp_dir().join("lacc_ltf_extreme.ltf");
+    w.dump_ltf_v2(&path).unwrap();
 
-        let replayed = lacc_sim::ltf::read_workload(&path).unwrap();
-        assert_eq!(replayed.instr_lines, u64::MAX, "{tag}");
-        let mut trace = replayed.traces.into_iter().next().unwrap();
-        for expected in &ops {
-            assert_eq!(trace.next_op(), Some(*expected), "{tag}");
-        }
-        assert_eq!(trace.next_op(), None, "{tag}");
-        std::fs::remove_file(&path).ok();
+    let replayed = lacc_sim::ltf::read_workload(&path).unwrap();
+    assert_eq!(replayed.instr_lines, u64::MAX);
+    let mut trace = replayed.traces.into_iter().next().unwrap();
+    for expected in &ops {
+        assert_eq!(trace.next_op(), Some(*expected));
     }
+    assert_eq!(trace.next_op(), None);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn empty_workload_round_trips_through_disk() {
     let w = workload_from(String::new(), &[], vec![], 0);
     let path = std::env::temp_dir().join("lacc_ltf_empty.ltf");
-    w.dump_ltf(&path).unwrap();
+    w.dump_ltf_v2(&path).unwrap();
     let replayed = lacc_sim::ltf::read_workload(&path).unwrap();
     assert_eq!(replayed.name, "");
     assert_eq!(replayed.active_cores(), 0);

@@ -442,44 +442,6 @@ impl Benchmark {
         }
         p.finish(self.name(), decls, instr_lines)
     }
-
-    /// Builds the workload for `cores` cores at `scale` and serializes it
-    /// to `path` as an LTF trace file (see `lacc_sim::ltf`).
-    ///
-    /// # Errors
-    ///
-    /// [`lacc_model::TraceError`] on any file-creation or write failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero (same contract as [`Benchmark::build`]).
-    pub fn dump_ltf<P: AsRef<std::path::Path>>(
-        self,
-        cores: usize,
-        scale: f64,
-        path: P,
-    ) -> Result<lacc_sim::ltf::LtfSummary, lacc_model::TraceError> {
-        self.build(cores, scale).dump_ltf(path)
-    }
-
-    /// Like [`Benchmark::dump_ltf`] but writes the delta-compressed v2
-    /// encoding (same container, version 2 streams).
-    ///
-    /// # Errors
-    ///
-    /// [`lacc_model::TraceError`] on any file-creation or write failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero (same contract as [`Benchmark::build`]).
-    pub fn dump_ltf_v2<P: AsRef<std::path::Path>>(
-        self,
-        cores: usize,
-        scale: f64,
-        path: P,
-    ) -> Result<lacc_sim::ltf::LtfSummary, lacc_model::TraceError> {
-        self.build(cores, scale).dump_ltf_v2(path)
-    }
 }
 
 #[cfg(test)]
@@ -556,7 +518,7 @@ mod tests {
     #[test]
     fn dump_ltf_writes_a_replayable_file() {
         let path = std::env::temp_dir().join("lacc_suite_dump_ltf.ltf");
-        let summary = Benchmark::WaterSp.dump_ltf(2, 0.02, &path).unwrap();
+        let summary = Benchmark::WaterSp.build(2, 0.02).dump_ltf_v2(&path).unwrap();
         assert_eq!(summary.ops_per_core.len(), 2);
         assert!(summary.total_ops() > 0);
         let replayed = lacc_sim::ltf::read_workload(&path).unwrap();

@@ -52,8 +52,7 @@ fn scale_changes_only_length_not_validity() {
 fn ltf_replay_is_report_identical_for_every_suite_workload() {
     // Determinism must survive the trip through the on-disk trace format:
     // for each benchmark, simulating the generator's workload and
-    // simulating its .ltf dump — in *both* stream encodings — must
-    // produce byte-identical reports.
+    // simulating its .ltf dump must produce byte-identical reports.
     let cores = 4;
     let scale = 0.02;
     let dir = std::env::temp_dir();
@@ -62,18 +61,13 @@ fn ltf_replay_is_report_identical_for_every_suite_workload() {
             |w: Workload| Simulator::new(SystemConfig::small_for_tests(cores), w).unwrap().run();
         let direct = run(b.build(cores, scale));
 
-        let v1 = dir.join(format!("lacc_replay_eq_{}_v1.ltf", b.name()));
-        let v2 = dir.join(format!("lacc_replay_eq_{}_v2.ltf", b.name()));
-        b.build(cores, scale).dump_ltf(&v1).unwrap();
-        b.build(cores, scale).dump_ltf_v2(&v2).unwrap();
-        for (path, encoding) in [(&v1, "v1"), (&v2, "v2")] {
-            let replay = run(ltf::read_workload(path).unwrap());
-            let tag = format!("{} {encoding}", b.name());
-            assert_eq!(direct.workload, replay.workload, "{tag}");
-            assert_eq!(fingerprint(&direct), fingerprint(&replay), "{tag}");
-            assert_eq!(replay.monitor.violations, 0, "{tag}");
-        }
-        std::fs::remove_file(&v1).ok();
-        std::fs::remove_file(&v2).ok();
+        let path = dir.join(format!("lacc_replay_eq_{}.ltf", b.name()));
+        b.build(cores, scale).dump_ltf_v2(&path).unwrap();
+        let replay = run(ltf::read_workload(&path).unwrap());
+        let tag = b.name();
+        assert_eq!(direct.workload, replay.workload, "{tag}");
+        assert_eq!(fingerprint(&direct), fingerprint(&replay), "{tag}");
+        assert_eq!(replay.monitor.violations, 0, "{tag}");
+        std::fs::remove_file(&path).ok();
     }
 }

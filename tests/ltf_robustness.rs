@@ -11,26 +11,28 @@ use lacc::prelude::*;
 /// A small but non-trivial valid image: two cores, ops of every kind,
 /// region declarations of every class.
 fn valid_bytes() -> Vec<u8> {
-    ltf::workload_to_ltf_bytes(victim_workload()).unwrap()
+    ltf::workload_to_ltf_bytes_v2(victim_workload()).unwrap()
 }
 
-/// The same workload in the delta-compressed v2 encoding.
-fn valid_bytes_v2() -> Vec<u8> {
-    ltf::workload_to_ltf_bytes_v2(victim_workload()).unwrap()
+fn victim_ops() -> Vec<Vec<TraceOp>> {
+    vec![
+        vec![
+            TraceOp::Compute(3),
+            TraceOp::Store { addr: Addr::new(0x1040), value: 99 },
+            TraceOp::Load { addr: Addr::new(0x1040) },
+            TraceOp::Barrier { id: 0 },
+        ],
+        vec![TraceOp::Acquire { id: 7 }, TraceOp::Release { id: 7 }],
+    ]
 }
 
 fn victim_workload() -> Workload {
     Workload {
         name: "victim".into(),
-        traces: vec![
-            Box::new(VecTrace::new(vec![
-                TraceOp::Compute(3),
-                TraceOp::Store { addr: Addr::new(0x1040), value: 99 },
-                TraceOp::Load { addr: Addr::new(0x1040) },
-                TraceOp::Barrier { id: 0 },
-            ])),
-            Box::new(VecTrace::new(vec![TraceOp::Acquire { id: 7 }, TraceOp::Release { id: 7 }])),
-        ],
+        traces: victim_ops()
+            .into_iter()
+            .map(|ops| Box::new(VecTrace::new(ops)) as Box<dyn TraceSource>)
+            .collect(),
         regions: vec![
             RegionDecl { first_line: LineAddr::new(0x41), lines: 8, class: RegionClass::Shared },
             RegionDecl {
@@ -65,10 +67,33 @@ fn valid_image_decodes_everywhere() {
     let bytes = valid_bytes();
     let (header, ops) = ltf::read_workload_bytes(&bytes).unwrap();
     assert_eq!(header.name, "victim");
-    assert_eq!(ops[0].len(), 4);
-    assert_eq!(ops[1].len(), 2);
+    assert_eq!(header.regions, victim_workload().regions);
+    assert_eq!(ops, victim_ops());
     let w = open_as_file(&bytes, "valid").unwrap();
     assert_eq!(w.active_cores(), 2);
+}
+
+#[test]
+fn v2_image_decodes_everywhere_and_matches_v1() {
+    // The retired absolute-address encoding used to be the reference here;
+    // now the reference is the source workload itself. The file-backed
+    // streaming path, read in small batches that straddle op boundaries,
+    // must yield exactly the ops the byte-slice decoder returns.
+    let bytes = valid_bytes();
+    let (header, ops) = ltf::read_workload_bytes(&bytes).unwrap();
+    assert_eq!(ops, victim_ops());
+    let w = open_as_file(&bytes, "valid_stream").unwrap();
+    assert_eq!(w.name, header.name);
+    assert_eq!(w.regions, header.regions);
+    assert_eq!(w.instr_lines, 16);
+    assert_eq!(w.instr_base, default_instr_base());
+    assert_eq!(w.traces.len(), ops.len());
+    for (mut trace, expected) in w.traces.into_iter().zip(&ops) {
+        let mut streamed = Vec::new();
+        while trace.next_ops(&mut streamed, 3) == 3 {}
+        assert_eq!(&streamed, expected);
+        assert_eq!(trace.next_op(), None);
+    }
 }
 
 #[test]
@@ -105,13 +130,23 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn unsupported_version_is_typed() {
-    // Versions 1 and 2 are the format; anything else is rejected.
+    // Version 2 is the format; anything else is rejected.
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&ltf::MAGIC);
-    bytes.extend_from_slice(&v(ltf::VERSION_V2 + 97));
+    bytes.extend_from_slice(&v(ltf::VERSION + 97));
     let e = ltf::read_workload_bytes(&bytes).unwrap_err();
     assert_eq!(e, TraceError::UnsupportedVersion { found: 99 });
     assert_eq!(open_as_file(&bytes, "version").unwrap_err(), e);
+
+    // The retired absolute-address encoding shares the container, so a
+    // version-1 file differs from a valid image in its version byte; it
+    // is refused before any stream is read.
+    let mut bytes = valid_bytes();
+    assert_eq!(bytes[8], ltf::VERSION as u8);
+    bytes[8] = 1;
+    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    assert_eq!(e, TraceError::UnsupportedVersion { found: 1 });
+    assert_eq!(open_as_file(&bytes, "version1").unwrap_err(), e);
 }
 
 #[test]
@@ -126,18 +161,19 @@ fn reserved_flags_are_rejected() {
 #[test]
 fn mid_op_eof_is_typed() {
     // One core, so shrinking the file cannot invalidate later offsets
-    // before the decoder even reaches the streams.
+    // before the decoder even reaches the streams. The store address is
+    // unaligned, so it is carried as an operand rather than in the tag.
     let w = Workload {
         name: "cut".into(),
         traces: vec![Box::new(VecTrace::new(vec![
-            TraceOp::Store { addr: Addr::new(0x40), value: u64::MAX },
+            TraceOp::Store { addr: Addr::new(0x43), value: u64::MAX },
             TraceOp::Compute(1),
         ]))],
         regions: vec![],
         instr_lines: 0,
         instr_base: default_instr_base(),
     };
-    let bytes = ltf::workload_to_ltf_bytes(w).unwrap();
+    let bytes = ltf::workload_to_ltf_bytes_v2(w).unwrap();
 
     // Dropping the final end-of-stream marker truncates the stream.
     let e = ltf::read_workload_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
@@ -147,6 +183,7 @@ fn mid_op_eof_is_typed() {
     // Cutting right after the first opcode byte leaves its operand dangling.
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     let first_op = offsets[0] as usize;
+    assert_eq!(bytes[first_op], ltf::v2::OP2_STORE);
     let e = ltf::read_workload_bytes(&bytes[..first_op + 1]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "store address" });
     assert_eq!(open_as_file(&bytes[..first_op + 1], "midop").unwrap_err(), e);
@@ -162,7 +199,8 @@ fn overlong_varint_is_typed() {
     assert_eq!(e, TraceError::OverlongVarint { what: "version" });
     assert_eq!(open_as_file(&bytes, "overlong").unwrap_err(), e);
 
-    // Same failure inside an op operand: store value of 11 continuations.
+    // Same failure inside an op operand: a compute count of 11
+    // continuation bytes.
     let w = Workload {
         name: String::new(),
         traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(1)]))],
@@ -170,25 +208,15 @@ fn overlong_varint_is_typed() {
         instr_lines: 0,
         instr_base: default_instr_base(),
     };
-    let valid = ltf::workload_to_ltf_bytes(w).unwrap();
+    let valid = ltf::workload_to_ltf_bytes_v2(w).unwrap();
     let (_, offsets) = ltf::read_header_bytes(&valid).unwrap();
     let mut bytes = valid[..offsets[0] as usize].to_vec();
-    bytes.push(ltf::OP_COMPUTE);
+    bytes.push(ltf::v2::OP2_COMPUTE);
     bytes.extend_from_slice(&[0x80; 11]);
-    bytes.push(ltf::OP_END);
+    bytes.push(ltf::v2::OP2_END);
     let e = ltf::read_workload_bytes(&bytes).unwrap_err();
     assert_eq!(e, TraceError::OverlongVarint { what: "compute count" });
-}
-
-#[test]
-fn unknown_opcode_is_typed() {
-    let bytes = valid_bytes();
-    let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
-    let mut bytes = bytes;
-    bytes[offsets[0] as usize] = 0x7e;
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
-    assert_eq!(e, TraceError::BadOpCode { code: 0x7e });
-    assert_eq!(open_as_file(&bytes, "opcode").unwrap_err(), e);
+    assert_eq!(open_as_file(&bytes, "overlong_operand").unwrap_err(), e);
 }
 
 #[test]
@@ -248,13 +276,52 @@ fn invalid_name_utf8_is_typed() {
     bytes.extend_from_slice(&[0xff, 0xfe]); // ...that are not UTF-8
     let e = ltf::read_workload_bytes(&bytes).unwrap_err();
     assert_eq!(e, TraceError::BadUtf8 { what: "name" });
+    assert_eq!(open_as_file(&bytes, "utf8").unwrap_err(), e);
 }
 
 #[test]
 fn every_prefix_of_a_valid_file_errors_not_panics() {
     // The decoder is total: any truncation point yields Err, never a panic
-    // and never a silently shortened success.
+    // and never a silently shortened success — and the file entry point
+    // (mmap, or the heap fallback for the empty prefix) fails identically.
     let bytes = valid_bytes();
+    for len in 0..bytes.len() {
+        let e = ltf::read_workload_bytes(&bytes[..len])
+            .expect_err(&format!("prefix of {len} bytes decoded successfully"));
+        assert_eq!(open_as_file(&bytes[..len], "prefix").unwrap_err(), e, "prefix of {len}");
+    }
+    assert!(ltf::read_workload_bytes(&bytes).is_ok());
+}
+
+#[test]
+fn every_prefix_of_a_valid_v2_file_errors_not_panics() {
+    // The same sweep over an image that uses every record shape the
+    // victim lacks: compute runs, immediate and packed loads and stores,
+    // and a far jump across the address space.
+    let w = Workload {
+        name: "dense".into(),
+        traces: vec![Box::new(VecTrace::new(vec![
+            TraceOp::Compute(40),
+            TraceOp::Compute(40),
+            TraceOp::Compute(40),
+            TraceOp::Compute(2),
+            TraceOp::Load { addr: Addr::new(0x1048) },
+            TraceOp::Store { addr: Addr::new(0x10c0), value: 7 },
+            TraceOp::Load { addr: Addr::new(0x1043) },
+            TraceOp::Store { addr: Addr::new((1 << 48) - 8), value: u64::MAX },
+            TraceOp::Load { addr: Addr::new(0) },
+        ]))],
+        regions: vec![RegionDecl {
+            first_line: LineAddr::new(0x41),
+            lines: 8,
+            class: RegionClass::Shared,
+        }],
+        instr_lines: 0,
+        instr_base: default_instr_base(),
+    };
+    let bytes = ltf::workload_to_ltf_bytes_v2(w).unwrap();
+    let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
+    assert_eq!(bytes[offsets[0] as usize], ltf::v2::OP2_COMPUTE_RUN);
     for len in 0..bytes.len() {
         assert!(
             ltf::read_workload_bytes(&bytes[..len]).is_err(),
@@ -264,43 +331,26 @@ fn every_prefix_of_a_valid_file_errors_not_panics() {
     assert!(ltf::read_workload_bytes(&bytes).is_ok());
 }
 
-// ---------------------------------------------------------------------
-// Version 2: the delta-compressed stream encoding must be exactly as
-// total as v1 — same sweep, same typed errors, byte layouts of its own.
-// ---------------------------------------------------------------------
-
 #[test]
-fn v2_image_decodes_everywhere_and_matches_v1() {
-    let bytes = valid_bytes_v2();
-    let (header, ops) = ltf::read_workload_bytes(&bytes).unwrap();
-    assert_eq!(header.version, ltf::VERSION_V2);
-    assert_eq!(header.name, "victim");
-    let w = open_as_file(&bytes, "valid_v2").unwrap();
-    assert_eq!(w.active_cores(), 2);
-
-    // Both encodings of the same workload decode to the same ops under
-    // the same header (bar the version tag).
-    let (header_v1, ops_v1) = ltf::read_workload_bytes(&valid_bytes()).unwrap();
-    assert_eq!(ops, ops_v1);
-    assert_eq!(header.regions, header_v1.regions);
-}
-
-#[test]
-fn every_prefix_of_a_valid_v2_file_errors_not_panics() {
-    let bytes = valid_bytes_v2();
-    for len in 0..bytes.len() {
-        assert!(
-            ltf::read_workload_bytes(&bytes[..len]).is_err(),
-            "v2 prefix of {len} bytes decoded successfully"
-        );
+fn unknown_opcode_is_typed() {
+    // Every undefined tag is refused, wherever it appears: here at the
+    // head of the second core's stream.
+    let valid = valid_bytes();
+    let (_, offsets) = ltf::read_header_bytes(&valid).unwrap();
+    let at = offsets[1] as usize;
+    for code in 0xf0..=0xffu8 {
+        let mut bytes = valid.clone();
+        bytes[at] = code;
+        let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+        assert_eq!(e, TraceError::BadOpCode { code });
+        assert_eq!(open_as_file(&bytes, "opcode").unwrap_err(), e);
     }
-    assert!(ltf::read_workload_bytes(&bytes).is_ok());
 }
 
 #[test]
 fn v2_undefined_tag_is_typed() {
-    // Tags 0xF0..=0xFF are unassigned in v2.
-    let bytes = valid_bytes_v2();
+    // Tags 0xF0..=0xFF are unassigned.
+    let bytes = valid_bytes();
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     let mut bytes = bytes;
     bytes[offsets[0] as usize] = 0xf7;
