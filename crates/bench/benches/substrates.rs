@@ -1,9 +1,6 @@
 //! Micro-benchmarks of the substrate crates: the structures every
 //! simulated memory access touches.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lacc_cache::{DataSlab, LineData, SetAssocCache};
 use lacc_core::classifier::{LocalityClassifier, RemovalReason, RequestHints};
@@ -155,21 +152,11 @@ fn bench_classifier(c: &mut Criterion) {
 
 fn bench_line_maps(c: &mut Criterion) {
     // The per-tile transaction/waiter/backing tables: LineAddr keys, a
-    // lookup per simulated memory access. fx vs the std SipHash default.
+    // lookup per simulated memory access (std's SipHash default was
+    // ~4.8x slower; DESIGN.md §6).
     let mut g = c.benchmark_group("line_map");
     g.bench_function("fx_get_hit_1k", |b| {
         let mut m: LineMap<u64> = LineMap::default();
-        for i in 0..1024u64 {
-            m.insert(LineAddr::new(i * 3), i);
-        }
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 7) % 1024;
-            black_box(m.get(&LineAddr::new(i * 3)))
-        });
-    });
-    g.bench_function("siphash_get_hit_1k", |b| {
-        let mut m: HashMap<LineAddr, u64> = HashMap::new();
         for i in 0..1024u64 {
             m.insert(LineAddr::new(i * 3), i);
         }
@@ -193,7 +180,8 @@ fn bench_line_maps(c: &mut Criterion) {
 
 fn bench_core_sets(c: &mut Criterion) {
     // The sharer-list representation: insert 8 sharers, plan an
-    // invalidation round (iterate), tear down — CoreSet vs Vec<CoreId>.
+    // invalidation round (iterate), tear down (a `Vec<CoreId>` was ~3.5x
+    // slower; DESIGN.md §6).
     let mut g = c.benchmark_group("core_set");
     g.bench_function("bitset_fill_iter_drain_8", |b| {
         b.iter(|| {
@@ -211,35 +199,14 @@ fn bench_core_sets(c: &mut Criterion) {
             black_box((acc, s.is_empty()))
         });
     });
-    g.bench_function("vec_fill_iter_drain_8", |b| {
-        b.iter(|| {
-            let mut v: Vec<CoreId> = Vec::new();
-            for i in 0..8 {
-                let core = CoreId::new(i * 7);
-                if !v.contains(&core) {
-                    v.push(core);
-                }
-            }
-            let mut acc = 0usize;
-            for core in &v {
-                acc += core.index();
-            }
-            for i in 0..8 {
-                let core = CoreId::new(i * 7);
-                if let Some(p) = v.iter().position(|&c| c == core) {
-                    v.remove(p);
-                }
-            }
-            black_box((acc, v.is_empty()))
-        });
-    });
     g.finish();
 }
 
 fn bench_event_queues(c: &mut Criterion) {
     // The simulator's event-loop backbone under a protocol-like schedule:
     // a rolling window of short delays (hops, L2, DRAM) at 64 in-flight
-    // events — calendar queue vs the BinaryHeap it replaced.
+    // events (the `BinaryHeap` the calendar queue replaced was ~3.7x
+    // slower; DESIGN.md §6).
     const DELAYS: [u64; 8] = [2, 2, 4, 7, 9, 14, 32, 100];
     let mut g = c.benchmark_group("event_queue");
     g.bench_function("calendar_push_pop_64live", |b| {
@@ -252,22 +219,6 @@ fn bench_event_queues(c: &mut Criterion) {
             let (now, id) = q.pop().expect("queue stays at 64 events");
             k = (k + 1) % DELAYS.len();
             q.push(now + DELAYS[k], id);
-            black_box(now)
-        });
-    });
-    g.bench_function("binary_heap_push_pop_64live", |b| {
-        let mut q: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for i in 0..64u32 {
-            q.push(Reverse((u64::from(i), seq, i)));
-            seq += 1;
-        }
-        let mut k = 0usize;
-        b.iter(|| {
-            let Reverse((now, _, id)) = q.pop().expect("queue stays at 64 events");
-            k = (k + 1) % DELAYS.len();
-            seq += 1;
-            q.push(Reverse((now + DELAYS[k], seq, id)));
             black_box(now)
         });
     });

@@ -1,7 +1,7 @@
 //! Set-associative cache substrate for the `lacc` workspace.
 //!
 //! This crate provides the *mechanical* cache structures — a generic
-//! set-associative tag/metadata array with pluggable replacement, and a
+//! set-associative tag/metadata array with exact LRU replacement, and a
 //! cache-line data container — on top of which `lacc-core` builds the
 //! paper's protocol-specific L1 and L2 organizations (utilization counters,
 //! last-access timestamps, MESI state, integrated directory).
@@ -27,11 +27,9 @@
 //! ```
 
 pub mod data;
-pub mod replacement;
 pub mod set_assoc;
 pub mod slab;
 
 pub use data::LineData;
-pub use replacement::ReplacementKind;
 pub use set_assoc::{InsertOutcome, SetAssocCache};
 pub use slab::{DataRef, DataSlab, SlabStats};

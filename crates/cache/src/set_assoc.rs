@@ -1,7 +1,7 @@
 //! A generic set-associative tag/metadata array.
 //!
 //! [`SetAssocCache<M>`] maps [`LineAddr`]s to per-line metadata `M` under a
-//! fixed geometry (sets × ways) and replacement policy. It is the substrate
+//! fixed geometry (sets × ways) with exact LRU replacement. It is the substrate
 //! for both the private L1 caches and the shared L2 slices of the simulated
 //! machine; the protocol crates choose `M` (MESI state, utilization
 //! counters, timestamps, line data, ...).
@@ -9,8 +9,6 @@
 use std::fmt;
 
 use lacc_model::LineAddr;
-
-use crate::replacement::ReplacementKind;
 
 #[derive(Clone, Debug)]
 struct Way<M> {
@@ -32,7 +30,9 @@ pub struct InsertOutcome<M> {
 /// Recency is tracked with a monotonically increasing use stamp per way:
 /// [`SetAssocCache::touch`], [`SetAssocCache::get_mut`] and
 /// [`SetAssocCache::insert`] refresh it, so LRU victims are exact (not
-/// pseudo-LRU), matching the paper's simulation model.
+/// pseudo-LRU), matching the paper's simulation model: the §3.2
+/// Timestamp check reasons about the L1's LRU policy, and LRU is the only
+/// policy either cache level uses.
 ///
 /// # Examples
 ///
@@ -49,41 +49,26 @@ pub struct InsertOutcome<M> {
 #[derive(Clone)]
 pub struct SetAssocCache<M> {
     sets: Vec<Vec<Option<Way<M>>>>,
-    cursors: Vec<usize>,
     num_sets: usize,
     assoc: usize,
     next_stamp: u64,
-    policy: ReplacementKind,
 }
 
 impl<M> SetAssocCache<M> {
-    /// Creates an empty cache with `num_sets` sets of `assoc` ways using LRU
-    /// replacement.
+    /// Creates an empty cache with `num_sets` sets of `assoc` ways.
     ///
     /// # Panics
     ///
     /// Panics if `num_sets` is not a power of two or `assoc` is zero.
     #[must_use]
     pub fn new(num_sets: usize, assoc: usize) -> Self {
-        Self::with_policy(num_sets, assoc, ReplacementKind::Lru)
-    }
-
-    /// Creates an empty cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_sets` is not a power of two or `assoc` is zero.
-    #[must_use]
-    pub fn with_policy(num_sets: usize, assoc: usize, policy: ReplacementKind) -> Self {
         assert!(num_sets.is_power_of_two(), "num_sets must be a power of two");
         assert!(assoc > 0, "associativity must be positive");
         SetAssocCache {
             sets: (0..num_sets).map(|_| (0..assoc).map(|_| None).collect()).collect(),
-            cursors: vec![0; num_sets],
             num_sets,
             assoc,
             next_stamp: 1,
-            policy,
         }
     }
 
@@ -173,36 +158,21 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// Inserts a line, evicting the policy's victim if the set is full.
+    /// Inserts a line, evicting the least recently used way if the set is
+    /// full.
     ///
     /// If the line is already valid its metadata is *replaced* and recency
     /// refreshed; no eviction occurs.
     pub fn insert(&mut self, line: LineAddr, meta: M) -> InsertOutcome<M> {
-        self.insert_filtered(line, meta, |_, _| true)
+        let Ok(evicted) = self.try_insert_filtered(line, meta, |_, _| true) else {
+            unreachable!("every way is evictable")
+        };
+        InsertOutcome { evicted }
     }
 
-    /// Inserts a line, considering only ways for which `evictable` returns
-    /// `true` as victims (the simulator uses this to protect lines with
-    /// in-flight transactions at the L2).
-    ///
-    /// If the set is full and nothing is evictable the insert is refused and
-    /// the metadata is handed back in `InsertOutcome::evicted` under the
-    /// *inserted* line address — callers distinguish refusal by comparing
-    /// the returned address. Prefer [`SetAssocCache::try_insert_filtered`]
-    /// for an explicit signature.
-    pub fn insert_filtered(
-        &mut self,
-        line: LineAddr,
-        meta: M,
-        evictable: impl Fn(LineAddr, &M) -> bool,
-    ) -> InsertOutcome<M> {
-        match self.try_insert_filtered(line, meta, evictable) {
-            Ok(evicted) => InsertOutcome { evicted },
-            Err(meta) => InsertOutcome { evicted: Some((line, meta)) },
-        }
-    }
-
-    /// Like [`SetAssocCache::insert_filtered`], but refusal is explicit.
+    /// Inserts a line, evicting the least recently used way among those
+    /// for which `evictable` returns `true` (the simulator uses this to
+    /// protect lines with in-flight transactions at the L2).
     ///
     /// # Errors
     ///
@@ -231,31 +201,17 @@ impl<M> SetAssocCache<M> {
             return Ok(None);
         }
 
-        // Pick a victim among evictable ways only.
-        let candidate_stamps: Vec<u64> = self.sets[set]
+        // The least recently used evictable way (stamps are unique).
+        let victim = self.sets[set]
             .iter()
-            .map(|w| {
-                let w = w.as_ref().unwrap();
-                if evictable(w.line, &w.meta) {
-                    w.stamp
-                } else {
-                    u64::MAX // never chosen by LRU unless all are MAX
-                }
+            .enumerate()
+            .filter_map(|(i, w)| {
+                w.as_ref().filter(|w| evictable(w.line, &w.meta)).map(|w| (w.stamp, i))
             })
-            .collect();
-        if candidate_stamps.iter().all(|&s| s == u64::MAX) {
+            .min();
+        let Some((_, victim)) = victim else {
             return Err(meta);
-        }
-        let mut victim = self.policy.pick_victim(&candidate_stamps, self.cursors[set]);
-        if candidate_stamps[victim] == u64::MAX {
-            // Round-robin may land on a protected way; advance to the next
-            // evictable one deterministically.
-            victim = (0..self.assoc)
-                .map(|i| (victim + i) % self.assoc)
-                .find(|&i| candidate_stamps[i] != u64::MAX)
-                .expect("checked above that one way is evictable");
-        }
-        self.cursors[set] = (victim + 1) % self.assoc;
+        };
         let old = self.sets[set][victim].replace(Way { line, meta, stamp }).unwrap();
         Ok(Some((old.line, old.meta)))
     }
@@ -374,8 +330,8 @@ mod tests {
         c.insert(line(0), 0);
         c.insert(line(1), 1);
         // Way holding line 0 is LRU but protected; line 1 must go instead.
-        let out = c.insert_filtered(line(2), 2, |l, _| l != line(0));
-        assert_eq!(out.evicted.unwrap().0, line(1));
+        let out = c.try_insert_filtered(line(2), 2, |l, _| l != line(0));
+        assert_eq!(out.unwrap().unwrap().0, line(1));
     }
 
     #[test]
@@ -404,17 +360,6 @@ mod tests {
         assert_eq!(c.set_index(line(0)), 0);
         assert_eq!(c.set_index(line(9)), 1);
         assert_eq!(c.set_index(line(16)), 0);
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut c: SetAssocCache<u32> =
-            SetAssocCache::with_policy(1, 2, ReplacementKind::RoundRobin);
-        c.insert(line(0), 0);
-        c.insert(line(1), 1);
-        assert_eq!(c.insert(line(2), 2).evicted.unwrap().0, line(0));
-        assert_eq!(c.insert(line(3), 3).evicted.unwrap().0, line(1));
-        assert_eq!(c.insert(line(4), 4).evicted.unwrap().0, line(2));
     }
 
     #[test]
@@ -488,6 +433,65 @@ mod proptests {
                 prop_assert!(c.contains(LineAddr::new(*l)), "missing recent line {l}");
             }
             prop_assert_eq!(c.len(), recent.len());
+        }
+
+        /// `try_insert_filtered` agrees with a naive per-set LRU model under
+        /// random protection: the victim is the least recently used
+        /// unprotected line of its set, a full set of protected lines
+        /// refuses the insert and hands the metadata back, and occupancy
+        /// matches the model after every operation.
+        #[test]
+        fn filtered_insert_matches_lru_model(
+            ops in proptest::collection::vec((0u64..32, 0u8..4, 0u32..u32::MAX), 1..300)
+        ) {
+            const SETS: usize = 4;
+            const WAYS: usize = 3;
+            let mut c: SetAssocCache<u64> = SetAssocCache::new(SETS, WAYS);
+            // Per set: `(line, meta)` from least to most recently used.
+            let mut model: Vec<Vec<(u64, u64)>> = vec![Vec::new(); SETS];
+            for (i, (l, op, mask)) in ops.into_iter().enumerate() {
+                let line = LineAddr::new(l);
+                let ways = &mut model[l as usize % SETS];
+                let pos = ways.iter().position(|&(m, _)| m == l);
+                match op {
+                    0 => prop_assert_eq!(c.remove(line), pos.map(|p| ways.remove(p).1)),
+                    1 => {
+                        prop_assert_eq!(c.touch(line), pos.is_some());
+                        if let Some(p) = pos {
+                            let w = ways.remove(p);
+                            ways.push(w);
+                        }
+                    }
+                    _ => {
+                        let meta = i as u64;
+                        let protected = |m: u64| mask & (1 << (m % 32)) != 0;
+                        let got = c.try_insert_filtered(line, meta, |v, _| !protected(v.raw()));
+                        if let Some(p) = pos {
+                            ways.remove(p);
+                            prop_assert_eq!(got, Ok(None));
+                            ways.push((l, meta));
+                        } else if ways.len() < WAYS {
+                            prop_assert_eq!(got, Ok(None));
+                            ways.push((l, meta));
+                        } else if let Some(v) = ways.iter().position(|&(m, _)| !protected(m)) {
+                            let (victim, old) = ways.remove(v);
+                            prop_assert_eq!(got, Ok(Some((LineAddr::new(victim), old))));
+                            ways.push((l, meta));
+                        } else {
+                            prop_assert_eq!(got, Err(meta));
+                            prop_assert!(!c.contains(line));
+                        }
+                    }
+                }
+                prop_assert_eq!(c.len(), model.iter().map(Vec::len).sum::<usize>());
+                for (set, ways) in model.iter().enumerate() {
+                    let mut held: Vec<(u64, u64, u64)> =
+                        c.iter_set(set).map(|(l, stamp, &m)| (stamp, l.raw(), m)).collect();
+                    held.sort_unstable();
+                    let held: Vec<(u64, u64)> = held.into_iter().map(|(_, l, m)| (l, m)).collect();
+                    prop_assert_eq!(&held, ways);
+                }
+            }
         }
 
         /// get/insert/remove agree with a naive map-based model.

@@ -221,8 +221,8 @@ impl LocalityClassifier {
 
     /// The mode this entry would use for `core` right now, without updating
     /// any state (untracked cores report the majority vote).
-    #[must_use]
-    pub fn mode_of(&self, core: CoreId) -> SharerMode {
+    #[cfg(test)]
+    fn mode_of(&self, core: CoreId) -> SharerMode {
         match &self.storage {
             Storage::Complete(v) => v[core.index()].mode(),
             Storage::Limited(v) => v
@@ -232,9 +232,9 @@ impl LocalityClassifier {
         }
     }
 
-    /// Number of cores currently tracked (for tests and storage reports).
-    #[must_use]
-    pub fn tracked_count(&self) -> usize {
+    /// Number of cores currently tracked.
+    #[cfg(test)]
+    fn tracked_count(&self) -> usize {
         match &self.storage {
             Storage::Complete(v) => v.len(),
             Storage::Limited(v) => v.len(),

@@ -73,12 +73,6 @@ pub enum Grant {
 }
 
 impl Grant {
-    /// `true` when the reply carries a full cache line (9 flits).
-    #[must_use]
-    pub fn carries_line(self) -> bool {
-        matches!(self, Grant::LineShared | Grant::LineExclusive | Grant::LineModified)
-    }
-
     /// `true` when the requester becomes a private sharer.
     #[must_use]
     pub fn is_private(self) -> bool {
@@ -483,7 +477,7 @@ mod tests {
         e.classifier.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
         let req = HomeRequest { instruction: true, ..read(0) };
         let d = e.begin_request(&req, 0);
-        assert!(d.grant.carries_line());
+        assert!(matches!(d.grant, Grant::LineShared | Grant::LineExclusive));
     }
 
     #[test]
@@ -509,9 +503,6 @@ mod tests {
 
     #[test]
     fn grant_helpers() {
-        assert!(Grant::LineModified.carries_line());
-        assert!(!Grant::Upgrade.carries_line());
-        assert!(!Grant::WordRead.carries_line());
         assert!(Grant::Upgrade.is_private());
         assert!(!Grant::WordWrite.is_private());
     }

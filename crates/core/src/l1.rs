@@ -240,18 +240,6 @@ impl L1Cache {
         Some((was_dirty, data))
     }
 
-    /// State of a line, for tests and invariant checks.
-    #[must_use]
-    pub fn state_of(&self, line: LineAddr) -> Option<MesiState> {
-        self.tags.get(line).map(|l| l.mesi)
-    }
-
-    /// Utilization counter of a line, for tests.
-    #[must_use]
-    pub fn utilization_of(&self, line: LineAddr) -> Option<u32> {
-        self.tags.get(line).map(|l| l.utilization)
-    }
-
     /// Iterates over valid lines (invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &L1Line)> {
         self.tags.iter()
@@ -302,10 +290,10 @@ mod tests {
         assert_eq!(c.load(line(0), 0, 1, &slab), None);
         let d = zeroed(&mut slab);
         c.install(line(0), MesiState::Exclusive, d, 2);
-        assert_eq!(c.utilization_of(line(0)), Some(1), "install counts as first use");
+        assert_eq!(c.tags.get(line(0)).unwrap().utilization, 1, "install counts as first use");
         assert_eq!(c.load(line(0), 0, 3, &slab), Some(0));
         assert_eq!(c.load(line(0), 1, 4, &slab), Some(0));
-        assert_eq!(c.utilization_of(line(0)), Some(3));
+        assert_eq!(c.tags.get(line(0)).unwrap().utilization, 3);
     }
 
     #[test]
@@ -315,7 +303,7 @@ mod tests {
         let d = zeroed(&mut slab);
         c.install(line(0), MesiState::Exclusive, d, 0);
         assert_eq!(c.store(line(0), 2, 99, 1, &mut slab), StoreOutcome::Done);
-        assert_eq!(c.state_of(line(0)), Some(MesiState::Modified));
+        assert_eq!(c.tags.get(line(0)).unwrap().mesi, MesiState::Modified);
         assert_eq!(c.load(line(0), 2, 2, &slab), Some(99));
     }
 
@@ -326,10 +314,10 @@ mod tests {
         let d = zeroed(&mut slab);
         c.install(line(0), MesiState::Shared, d, 0);
         assert_eq!(c.store(line(0), 0, 1, 1, &mut slab), StoreOutcome::NeedsUpgrade);
-        assert_eq!(c.utilization_of(line(0)), Some(1), "pending store not yet counted");
+        assert_eq!(c.tags.get(line(0)).unwrap().utilization, 1, "pending store not yet counted");
         c.apply_upgrade(line(0), 0, 1, 2, &mut slab);
-        assert_eq!(c.state_of(line(0)), Some(MesiState::Modified));
-        assert_eq!(c.utilization_of(line(0)), Some(2));
+        assert_eq!(c.tags.get(line(0)).unwrap().mesi, MesiState::Modified);
+        assert_eq!(c.tags.get(line(0)).unwrap().utilization, 2);
         assert_eq!(c.load(line(0), 0, 3, &slab), Some(1));
     }
 
@@ -413,7 +401,7 @@ mod tests {
         let (dirty, data) = c.process_downgrade(line(0)).unwrap();
         assert!(dirty);
         assert_eq!(slab.get(data).word(0), 5);
-        assert_eq!(c.state_of(line(0)), Some(MesiState::Shared));
+        assert_eq!(c.tags.get(line(0)).unwrap().mesi, MesiState::Shared);
         assert_eq!(slab.refs(data), 1, "handle still owned by the cache, not the caller");
         // A second downgrade reports clean.
         let (dirty, _) = c.process_downgrade(line(0)).unwrap();

@@ -53,7 +53,7 @@ impl Rnuca {
     }
 
     /// Declares a page's class up front (the oracle seeding).
-    pub fn declare(&mut self, page: PageAddr, class: RegionClass) {
+    fn declare(&mut self, page: PageAddr, class: RegionClass) {
         self.pages.insert(page, class);
     }
 
@@ -73,12 +73,6 @@ impl Rnuca {
     /// The class of `page`, classifying by first touch if undeclared.
     pub fn classify(&mut self, page: PageAddr, toucher: CoreId) -> RegionClass {
         *self.pages.entry(page).or_insert(RegionClass::PrivateTo(toucher))
-    }
-
-    /// The class of `page` if already known.
-    #[must_use]
-    pub fn class_of(&self, page: PageAddr) -> Option<RegionClass> {
-        self.pages.get(&page).copied()
     }
 
     /// The home tile for `line` when accessed by `requester`, classifying
@@ -170,8 +164,8 @@ mod tests {
         let mut r = Rnuca::new(4, 4);
         // 100 lines starting at line 10: pages 0 and 1 (64 lines/page).
         r.declare_lines(LineAddr::new(10), 100, RegionClass::Shared);
-        assert_eq!(r.class_of(LineAddr::new(10).page()), Some(RegionClass::Shared));
-        assert_eq!(r.class_of(LineAddr::new(109).page()), Some(RegionClass::Shared));
+        assert_eq!(r.pages[&LineAddr::new(10).page()], RegionClass::Shared);
+        assert_eq!(r.pages[&LineAddr::new(109).page()], RegionClass::Shared);
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl DramSystem {
         DramSystem { ctrls, latency, bytes_per_cycle, stats: DramStats::default() }
     }
 
-    /// Number of controllers.
-    #[must_use]
-    pub fn num_ctrls(&self) -> usize {
-        self.ctrls.len()
-    }
-
     /// The controller that owns a cache line (mixing-hash interleaving so
     /// strided workloads still balance across controllers).
     #[must_use]

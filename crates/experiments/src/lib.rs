@@ -145,7 +145,7 @@ pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
 ///
 /// let cli = Cli::default();
 /// assert_eq!((cli.scale, cli.cores, cli.jobs), (1.0, 64, 0)); // 0 = auto
-/// assert!(cli.sim_options().monitor);
+/// assert!(!cli.no_monitor);
 /// assert_eq!(cli.benchmarks().len(), 21); // the full Table-2 suite
 /// ```
 #[derive(Clone, Debug)]
@@ -234,12 +234,6 @@ impl Cli {
         config_for_cores(self.cores)
     }
 
-    /// The run-time simulator options these flags select.
-    #[must_use]
-    pub fn sim_options(&self) -> SimOptions {
-        SimOptions { monitor: !self.no_monitor, ..SimOptions::default() }
-    }
-
     /// Runs a sweep with this invocation's scale, verbosity, simulator
     /// options and `--jobs` worker count — the one-liner every figure
     /// binary uses. Grid points are dispatched largest-first using
@@ -249,7 +243,8 @@ impl Cli {
     /// [`run_jobs_hinted`].
     pub fn run_jobs(&self, jobs: Vec<(String, Benchmark, SystemConfig)>) -> SweepResults {
         let costs: Vec<u64> = jobs.iter().map(|(_, b, _)| b.cost_hint()).collect();
-        run_jobs_hinted(jobs, self.scale, self.quiet, self.sim_options(), self.jobs, Some(&costs))
+        let opts = SimOptions { monitor: !self.no_monitor, ..SimOptions::default() };
+        run_jobs_hinted(jobs, self.scale, self.quiet, opts, self.jobs, Some(&costs))
     }
 }
 
@@ -284,54 +279,6 @@ pub fn config_for_cores(cores: usize) -> SystemConfig {
         }
         cfg
     }
-}
-
-/// Runs one benchmark under one configuration with default
-/// [`SimOptions`].
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the run violates coherence.
-#[must_use]
-pub fn run_one(bench: Benchmark, cfg: &SystemConfig, scale: f64) -> SimReport {
-    run_one_opts(bench, cfg, scale, SimOptions::default())
-}
-
-/// Runs one benchmark under one configuration with explicit run-time
-/// [`SimOptions`] (e.g. monitor disabled for calibration sweeps).
-///
-/// # Examples
-///
-/// ```
-/// use lacc_experiments::run_one_opts;
-/// use lacc_model::SystemConfig;
-/// use lacc_sim::SimOptions;
-/// use lacc_workloads::Benchmark;
-///
-/// let cfg = SystemConfig::small_for_tests(4);
-/// let opts = SimOptions { monitor: false, ..SimOptions::default() };
-/// let report = run_one_opts(Benchmark::WaterSp, &cfg, 0.02, opts);
-/// assert!(report.completion_time > 0);
-/// assert_eq!(report.monitor.reads_checked, 0); // monitor was off
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the run violates coherence
-/// (vacuous when the monitor is disabled).
-#[must_use]
-pub fn run_one_opts(
-    bench: Benchmark,
-    cfg: &SystemConfig,
-    scale: f64,
-    opts: SimOptions,
-) -> SimReport {
-    let w = bench.build(cfg.num_cores, scale);
-    let sim =
-        Simulator::with_options(cfg.clone(), w, opts).expect("valid experiment configuration");
-    let report = sim.run();
-    assert_eq!(report.monitor.violations, 0, "{}: coherence violated", bench.name());
-    report
 }
 
 /// Results of one sweep, keyed by `(label, benchmark name)` and ordered
@@ -462,53 +409,6 @@ pub fn run_jobs_hinted(
     workers: usize,
     cost_hint: Option<&[u64]>,
 ) -> SweepResults {
-    // `LACC_SIM_STATS=1` asks for the data-plane ledger of every run.
-    // The simulator no longer prints it itself (worker threads racing on
-    // stderr tore lines mid-write); the aggregator emits one intact line
-    // per job, in submission order, from `SimReport::slab`.
-    let stats_enabled = std::env::var("LACC_SIM_STATS").as_deref() == Ok("1");
-    let mut stderr_sink = |line: &str| eprintln!("{line}");
-    run_jobs_core(
-        jobs,
-        scale,
-        quiet,
-        opts,
-        workers,
-        cost_hint,
-        if stats_enabled { Some(&mut stderr_sink) } else { None },
-    )
-}
-
-/// [`run_jobs_hinted`] without hints and with an explicit sink receiving
-/// each job's `[lacc-sim-stats]` ledger line (one intact line per job,
-/// in submission order, regardless of `--jobs`). The `LACC_SIM_STATS`
-/// environment variable is ignored on this path — the sink *is* the
-/// opt-in — which keeps tests hermetic.
-///
-/// # Panics
-///
-/// As [`run_jobs_hinted`].
-#[must_use]
-pub fn run_jobs_with_stats_sink(
-    jobs: Vec<(String, Benchmark, SystemConfig)>,
-    scale: f64,
-    quiet: bool,
-    opts: SimOptions,
-    workers: usize,
-    sink: &mut dyn FnMut(&str),
-) -> SweepResults {
-    run_jobs_core(jobs, scale, quiet, opts, workers, None, Some(sink))
-}
-
-fn run_jobs_core(
-    jobs: Vec<(String, Benchmark, SystemConfig)>,
-    scale: f64,
-    quiet: bool,
-    opts: SimOptions,
-    workers: usize,
-    cost_hint: Option<&[u64]>,
-    mut stats_sink: Option<&mut dyn FnMut(&str)>,
-) -> SweepResults {
     let n = jobs.len();
     if let Some(costs) = cost_hint {
         assert_eq!(costs.len(), n, "one cost hint per job");
@@ -544,7 +444,7 @@ fn run_jobs_core(
         // sum either way — so jobs run in submission order.
         for (slot, (label, bench, cfg)) in slots.iter_mut().zip(&jobs) {
             let res = run_caught(*bench, cfg, scale, opts);
-            progress(quiet, label, &res, &mut stats_sink);
+            progress(quiet, label, &res);
             *slot = Some(res);
         }
     } else {
@@ -579,7 +479,7 @@ fn run_jobs_core(
                 slots[i] = Some(res);
                 while reported < n {
                     match &slots[reported] {
-                        Some(res) => progress(quiet, &jobs[reported].0, res, &mut stats_sink),
+                        Some(res) => progress(quiet, &jobs[reported].0, res),
                         None => break,
                     }
                     reported += 1;
@@ -610,15 +510,24 @@ fn run_jobs_core(
     SweepResults { order, map }
 }
 
-/// Runs one job, converting a panic into an `Err` carrying its message so
-/// the pool can finish the sweep and report the failure by label.
+/// Runs one job, converting a panic — an invalid configuration or a
+/// coherence violation — into an `Err` carrying its message so the pool
+/// can finish the sweep and report the failure by label.
 fn run_caught(
     bench: Benchmark,
     cfg: &SystemConfig,
     scale: f64,
     opts: SimOptions,
 ) -> Result<SimReport, String> {
-    catch_unwind(AssertUnwindSafe(|| run_one_opts(bench, cfg, scale, opts))).map_err(|payload| {
+    let run = || {
+        let w = bench.build(cfg.num_cores, scale);
+        let sim =
+            Simulator::with_options(cfg.clone(), w, opts).expect("valid experiment configuration");
+        let report = sim.run();
+        assert_eq!(report.monitor.violations, 0, "{}: coherence violated", bench.name());
+        report
+    };
+    catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {
         payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
@@ -627,24 +536,15 @@ fn run_caught(
     })
 }
 
-/// Emits the progress line and (when a stats sink is installed) the
-/// `[lacc-sim-stats]` ledger line for one completed job. Only ever called
-/// from the aggregating thread, for the contiguous completed prefix of
-/// the submission order — that single-threaded choke point is what makes
-/// both streams tear-free and deterministic under any worker count.
-fn progress(
-    quiet: bool,
-    label: &str,
-    res: &Result<SimReport, String>,
-    stats_sink: &mut Option<&mut dyn FnMut(&str)>,
-) {
+/// Emits the progress line for one completed job. Only ever called from
+/// the aggregating thread, for the contiguous completed prefix of the
+/// submission order — that single-threaded choke point is what makes
+/// the stream tear-free and deterministic under any worker count.
+fn progress(quiet: bool, label: &str, res: &Result<SimReport, String>) {
     if !quiet {
         if let Ok(report) = res {
             eprintln!("  [{label:>12}] {}", report.summary());
         }
-    }
-    if let (Some(sink), Ok(report)) = (stats_sink.as_mut(), res) {
-        sink(&report.sim_stats_line());
     }
 }
 
@@ -666,20 +566,35 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Ensures `./results` exists and opens `results/<name>` for writing.
-///
-/// # Panics
-///
-/// Panics on I/O errors (experiments are developer tools).
-#[must_use]
-pub fn open_results_file(name: &str) -> std::fs::File {
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::File::create(format!("results/{name}")).expect("create results file")
+/// A figure's CSV file under `./results/`, opened by [`open_results_file`].
+pub struct ResultsFile {
+    path: String,
+    file: std::fs::File,
 }
 
-/// Writes one CSV row.
-pub fn csv_row(f: &mut std::fs::File, cells: &[String]) {
-    writeln!(f, "{}", cells.join(",")).expect("write csv");
+/// Prints `error: cannot write <path>: <err>` and exits with status 1.
+fn exit_unwritable(path: &str, err: &std::io::Error) -> ! {
+    eprintln!("error: cannot write {path}: {err}");
+    std::process::exit(1);
+}
+
+/// Ensures `./results` exists and opens `results/<name>` for writing;
+/// on an I/O error, prints it naming the file and exits with status 1.
+#[must_use]
+pub fn open_results_file(name: &str) -> ResultsFile {
+    let path = format!("results/{name}");
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::File::create(&path)) {
+        Ok(file) => ResultsFile { path, file },
+        Err(e) => exit_unwritable(&path, &e),
+    }
+}
+
+/// Writes one CSV row; on an I/O error, prints it naming the file and
+/// exits with status 1.
+pub fn csv_row(f: &mut ResultsFile, cells: &[String]) {
+    if let Err(e) = writeln!(f.file, "{}", cells.join(",")) {
+        exit_unwritable(&f.path, &e);
+    }
 }
 
 /// A fixed-width table printer for paper-style output.
@@ -974,9 +889,9 @@ mod tests {
     #[test]
     fn no_monitor_runs_check_nothing() {
         let cli = Cli { scale: 0.02, cores: 4, quiet: true, no_monitor: true, ..Cli::default() };
-        assert!(!cli.sim_options().monitor);
         let cfg = SystemConfig::small_for_tests(4);
-        let r = run_one_opts(Benchmark::WaterSp, &cfg, 0.02, cli.sim_options());
+        let results = cli.run_jobs(vec![("off".to_string(), Benchmark::WaterSp, cfg)]);
+        let r = &results[&("off".to_string(), "water-sp")];
         assert_eq!(r.monitor.reads_checked, 0, "monitor must be off");
         assert!(r.completion_time > 0);
     }

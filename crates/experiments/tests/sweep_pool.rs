@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use lacc_experiments::{run_jobs_hinted, run_jobs_with_stats_sink, SweepResults};
+use lacc_experiments::{run_jobs_hinted, SweepResults};
 use lacc_model::SystemConfig;
 use lacc_sim::SimOptions;
 use lacc_workloads::Benchmark;
@@ -118,44 +118,6 @@ fn panicking_job_is_contained_and_named() {
     assert!(msg.contains("1 sweep job(s) panicked"), "got: {msg}");
     assert!(msg.contains("[broken] streamclus."), "failure must name the job, got: {msg}");
     assert!(!msg.contains("ok-1") && !msg.contains("ok-2"), "healthy jobs not blamed: {msg}");
-}
-
-/// The `LACC_SIM_STATS` regression (the old in-`run` `eprintln!` tore
-/// under parallel sweeps): through the sink path, every job emits exactly
-/// one intact, well-formed ledger line, in submission order, for any
-/// worker count — and the lines match the serial baseline byte-for-byte.
-#[test]
-fn stats_sink_gets_one_intact_line_per_job_in_submission_order() {
-    let mk = || jobs_from_seed(11, 5);
-    let collect = |workers: usize| -> Vec<String> {
-        let mut lines = Vec::new();
-        let _ = run_jobs_with_stats_sink(
-            mk(),
-            SCALE,
-            true,
-            SimOptions::default(),
-            workers,
-            &mut |line| {
-                lines.push(line.to_string());
-            },
-        );
-        lines
-    };
-
-    let serial = collect(1);
-    assert_eq!(serial.len(), 5, "one line per job");
-    let expected_workloads: Vec<String> =
-        mk().iter().map(|(_, b, _)| format!("workload={}", b.name())).collect();
-    for (line, want) in serial.iter().zip(&expected_workloads) {
-        assert!(line.starts_with("[lacc-sim-stats] "), "intact prefix: {line}");
-        assert!(line.contains(want), "submission order: expected {want} in {line}");
-        assert!(line.contains(" slab: allocs=") && line.contains(" total_refs="), "{line}");
-        assert!(!line.contains('\n'), "one line, no tearing: {line:?}");
-    }
-    // Any worker count must reproduce the serial stream byte-for-byte.
-    for workers in [2, 8] {
-        assert_eq!(collect(workers), serial, "workers={workers}");
-    }
 }
 
 #[test]

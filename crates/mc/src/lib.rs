@@ -337,7 +337,7 @@ fn describe_path(
 /// Builds the core permutations the fingerprint minimizes over: the
 /// identity composed with every permutation within each symmetry group.
 #[must_use]
-pub fn symmetry_perms(cores: usize, groups: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn symmetry_perms(cores: usize, groups: &[Vec<usize>]) -> Vec<Vec<usize>> {
     fn arrangements(items: &[usize]) -> Vec<Vec<usize>> {
         if items.len() <= 1 {
             return vec![items.to_vec()];
@@ -461,7 +461,7 @@ pub const MUTANTS: [FaultInjection; 6] = [
 
 /// The minimal scenario that exposes each mutant (see DESIGN.md §8.4).
 #[must_use]
-pub fn mutant_scenario(fault: FaultInjection) -> Scenario {
+fn mutant_scenario(fault: FaultInjection) -> Scenario {
     match fault {
         // These need an invalidation round: a reader holds a private
         // copy when the other core's store arrives at the home.

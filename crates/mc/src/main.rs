@@ -1,10 +1,12 @@
 //! CLI for the model checker: enumerate scenario × configuration
 //! matrices, print reachable-state counts, and run the mutation kill
-//! matrix. Exits nonzero on any violation (or surviving mutant), so CI
-//! can gate on it. See docs/EXPERIMENTS.md ("Model checking").
+//! matrix. Exits 1 on any violation (or surviving mutant), so CI can
+//! gate on it, and 2 on a malformed command line. See docs/EXPERIMENTS.md
+//! ("Model checking").
 
 use std::process::ExitCode;
 
+use lacc_experiments::{flag_value, or_exit, CliError};
 use lacc_mc::{config_matrix, explore, run_mutation, scenarios, CheckConfig, MUTANTS};
 
 const USAGE: &str = "\
@@ -19,37 +21,41 @@ usage: lacc_mc [--cores N] [--lines N] [--depth N | --depth-full]
   --mutations    run the mutation kill matrix instead of the clean sweep
 ";
 
-fn parse_num(args: &mut std::env::Args, flag: &str) -> usize {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{flag} needs a numeric argument\n{USAGE}"))
+/// The parsed command line.
+struct Opts {
+    cores: usize,
+    lines: u64,
+    ck: CheckConfig,
+    mutations: bool,
+    help: bool,
+}
+
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, CliError> {
+    let mut o =
+        Opts { cores: 2, lines: 1, ck: CheckConfig::default(), mutations: false, help: false };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--cores" => o.cores = flag_value(&mut args, "--cores", "an integer")?,
+            "--lines" => o.lines = flag_value(&mut args, "--lines", "an integer")?,
+            "--depth" => o.ck.depth = Some(flag_value(&mut args, "--depth", "an integer")?),
+            "--depth-full" => o.ck.depth = None,
+            "--max-states" => {
+                o.ck.max_states = flag_value(&mut args, "--max-states", "an integer")?;
+            }
+            "--mutations" => o.mutations = true,
+            "--help" | "-h" => o.help = true,
+            _ => return Err(CliError::UnknownFlag(arg)),
+        }
+    }
+    Ok(o)
 }
 
 fn main() -> ExitCode {
-    let mut cores = 2usize;
-    let mut lines = 1u64;
-    let mut ck = CheckConfig::default();
-    let mut mutations = false;
-
-    let mut args = std::env::args();
-    let _ = args.next();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cores" => cores = parse_num(&mut args, "--cores"),
-            "--lines" => lines = parse_num(&mut args, "--lines") as u64,
-            "--depth" => ck.depth = Some(parse_num(&mut args, "--depth")),
-            "--depth-full" => ck.depth = None,
-            "--max-states" => ck.max_states = parse_num(&mut args, "--max-states"),
-            "--mutations" => mutations = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument: {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let Opts { cores, lines, ck, mutations, help } =
+        or_exit(parse(std::env::args().skip(1)), USAGE);
+    if help {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
 
     // Handler panics are kills the checker catches and reports; keep

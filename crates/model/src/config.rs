@@ -297,16 +297,6 @@ impl SystemConfig {
         self
     }
 
-    /// Mesh side length: the smallest `w` with `w * w >= num_cores`.
-    #[must_use]
-    pub fn mesh_width(&self) -> usize {
-        let mut w = 1usize;
-        while w * w < self.num_cores {
-            w += 1;
-        }
-        w
-    }
-
     /// Checks internal consistency of the whole parameter set.
     ///
     /// # Errors
@@ -396,7 +386,6 @@ mod tests {
         assert_eq!(cfg.l1d.num_sets(cfg.line_bytes), 128);
         assert_eq!(cfg.l1i.num_sets(cfg.line_bytes), 64);
         assert_eq!(cfg.l2.num_sets(cfg.line_bytes), 512);
-        assert_eq!(cfg.mesh_width(), 8);
     }
 
     #[test]
@@ -453,16 +442,6 @@ mod tests {
         assert_eq!(m.rat_ladder(4), vec![4]);
         // Timestamp mechanism has no ladder beyond PCT.
         assert_eq!(MechanismKind::Timestamp.rat_ladder(4), vec![4]);
-    }
-
-    #[test]
-    fn mesh_width_rounds_up() {
-        let mut c = SystemConfig::small_for_tests(5);
-        assert_eq!(c.mesh_width(), 3);
-        c.num_cores = 9;
-        assert_eq!(c.mesh_width(), 3);
-        c.num_cores = 10;
-        assert_eq!(c.mesh_width(), 4);
     }
 
     #[test]

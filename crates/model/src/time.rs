@@ -1,53 +1,12 @@
 //! Simulated time.
 //!
-//! Cores run at 1 GHz (Table 1), so one cycle equals one nanosecond; all
-//! latency parameters in the paper convert directly. A plain `u64` alias is
-//! used rather than a newtype because cycles participate in arithmetic on
-//! every simulated event and the protocol/simulator code stays markedly more
-//! readable with native integer syntax.
+//! Cores run at 1 GHz (Table 1), so one cycle equals one nanosecond: the
+//! paper's nanosecond latencies are cycle counts as written (DRAM's 100 ns
+//! is 100 cycles), and its 5 GBps per memory controller is 5 bytes per
+//! cycle. A plain `u64` alias is used rather than a newtype because cycles
+//! participate in arithmetic on every simulated event and the
+//! protocol/simulator code stays markedly more readable with native integer
+//! syntax.
 
 /// A point in simulated time, or a duration, in core clock cycles @ 1 GHz.
 pub type Cycle = u64;
-
-/// Converts nanoseconds to cycles at the 1 GHz Table-1 clock.
-///
-/// # Examples
-///
-/// ```
-/// use lacc_model::time::ns_to_cycles;
-/// assert_eq!(ns_to_cycles(100), 100); // DRAM latency: 100 ns -> 100 cycles
-/// ```
-#[must_use]
-pub fn ns_to_cycles(ns: u64) -> Cycle {
-    ns
-}
-
-/// Converts a per-second rate (e.g. bytes/s) into a per-cycle rate.
-///
-/// # Examples
-///
-/// ```
-/// use lacc_model::time::per_second_to_per_cycle;
-/// // 5 GBps per memory controller -> 5 bytes per cycle.
-/// assert!((per_second_to_per_cycle(5.0e9) - 5.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn per_second_to_per_cycle(rate_per_s: f64) -> f64 {
-    rate_per_s / 1.0e9
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ns_is_identity_at_1ghz() {
-        assert_eq!(ns_to_cycles(0), 0);
-        assert_eq!(ns_to_cycles(12345), 12345);
-    }
-
-    #[test]
-    fn dram_bandwidth_conversion() {
-        assert!((per_second_to_per_cycle(5.0e9) - 5.0).abs() < 1e-9);
-    }
-}

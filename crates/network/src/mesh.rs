@@ -32,7 +32,6 @@ pub struct MeshNetwork {
     topo: Topology,
     hop_cycles: Cycle,
     link_next_free: Vec<Cycle>,
-    link_busy_cycles: Vec<u64>,
     fifo_last: HashMap<(u16, u16), Cycle>,
     stats: NetStats,
 }
@@ -52,7 +51,6 @@ impl MeshNetwork {
             topo,
             hop_cycles: hop_router_cycles + hop_link_cycles,
             link_next_free: vec![0; slots],
-            link_busy_cycles: vec![0; slots],
             fifo_last: HashMap::new(),
             stats: NetStats::default(),
         }
@@ -77,9 +75,9 @@ impl MeshNetwork {
     }
 
     /// Zero-load latency of a unicast: `hops * hop_cycles + (flits - 1)`.
-    /// Useful for analytical checks; does not reserve links.
-    #[must_use]
-    pub fn zero_load_latency(&self, src: CoreId, dst: CoreId, flits: usize) -> Cycle {
+    /// The tests' analytical reference; does not reserve links.
+    #[cfg(test)]
+    fn zero_load_latency(&self, src: CoreId, dst: CoreId, flits: usize) -> Cycle {
         if src == dst {
             return 0;
         }
@@ -109,7 +107,6 @@ impl MeshNetwork {
             let depart = head.max(self.link_next_free[li]);
             self.stats.contention_cycles += depart - head;
             self.link_next_free[li] = depart + flits as Cycle;
-            self.link_busy_cycles[li] += flits as u64;
             head = depart + self.hop_cycles;
         }
         // Head flit arrives at `head`; the tail arrives flits-1 later.
@@ -143,7 +140,6 @@ impl MeshNetwork {
             let depart = ready.max(self.link_next_free[li]);
             self.stats.contention_cycles += depart - ready;
             self.link_next_free[li] = depart + flits as Cycle;
-            self.link_busy_cycles[li] += flits as u64;
             head_at[child.index()] = depart + self.hop_cycles;
         }
         self.stats.router_flits += (flits * n) as u64;
@@ -156,12 +152,6 @@ impl MeshNetwork {
             }
         }
         arrivals
-    }
-
-    /// Per-directed-link busy cycles (for utilization reports).
-    #[must_use]
-    pub fn link_busy_cycles(&self) -> &[u64] {
-        &self.link_busy_cycles
     }
 
     fn clamp_fifo(&mut self, src: CoreId, dst: CoreId, arrival: Cycle) -> Cycle {

@@ -56,18 +56,6 @@ impl Topology {
         Topology { width, height, num_tiles }
     }
 
-    /// Mesh width (tiles per row).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Mesh height (rows).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Number of populated tiles.
     #[must_use]
     pub fn num_tiles(&self) -> usize {
@@ -80,7 +68,7 @@ impl Topology {
     ///
     /// Panics if the tile index is out of range.
     #[must_use]
-    pub fn coord(&self, tile: CoreId) -> (usize, usize) {
+    fn coord(&self, tile: CoreId) -> (usize, usize) {
         let i = tile.index();
         assert!(i < self.num_tiles, "tile {i} out of range");
         (i % self.width, i / self.width)
@@ -88,7 +76,7 @@ impl Topology {
 
     /// Tile at an `(x, y)` coordinate, if populated.
     #[must_use]
-    pub fn tile_at(&self, x: usize, y: usize) -> Option<CoreId> {
+    fn tile_at(&self, x: usize, y: usize) -> Option<CoreId> {
         if x >= self.width || y >= self.height {
             return None;
         }
@@ -198,7 +186,7 @@ mod tests {
     #[test]
     fn square_topology_for_64() {
         let topo = Topology::for_tiles(64);
-        assert_eq!((topo.width(), topo.height()), (8, 8));
+        assert_eq!((topo.width, topo.height), (8, 8));
         assert_eq!(topo.coord(t(0)), (0, 0));
         assert_eq!(topo.coord(t(63)), (7, 7));
         assert_eq!(topo.hops(t(0), t(63)), 14);
@@ -207,10 +195,10 @@ mod tests {
     #[test]
     fn non_square_counts_form_exact_rectangles() {
         let topo = Topology::for_tiles(12); // 4x3
-        assert_eq!((topo.width(), topo.height()), (4, 3));
+        assert_eq!((topo.width, topo.height), (4, 3));
         assert_eq!(topo.tile_at(3, 2), Some(t(11)));
         let topo = Topology::for_tiles(5); // prime: 5x1 line
-        assert_eq!((topo.width(), topo.height()), (5, 1));
+        assert_eq!((topo.width, topo.height), (5, 1));
         assert_eq!(topo.tile_at(4, 0), Some(t(4)));
         assert_eq!(topo.tile_at(0, 1), None);
     }

@@ -21,7 +21,6 @@
 //! [`CoherenceMonitor::record_swmr_breach`] lets an external invariant
 //! checker report multiple-writer states through the same reporting path.
 
-use lacc_cache::{DataRef, DataSlab, LineData};
 use lacc_model::{CoreId, Cycle, LineAddr, LineMap};
 
 /// Words per cache line in the shadow (64-byte lines of 8-byte words).
@@ -98,16 +97,14 @@ pub struct MonitorReport {
 
 /// Shadow-memory coherence checker.
 ///
-/// The shadow is line-granular: one [`DataSlab`] slot per touched line,
-/// reached through a single `LineMap` lookup per checked access (rather
-/// than hashing a per-word key). Slots are allocated zero-filled on a
-/// line's first write — untouched memory reads as zero — and released
-/// never: a shadow line stays resident for the run, so the monitor's
-/// slab trivially satisfies `live() == shadow.len()`.
+/// The shadow is line-granular: the words of each written line sit inline
+/// in one `LineMap` bucket, so a checked access costs a single lookup
+/// (rather than hashing a per-word key). A line enters the map
+/// zero-filled on its first write — untouched memory reads as zero — and
+/// stays for the run.
 #[derive(Clone, Debug)]
 pub struct CoherenceMonitor {
-    shadow: LineMap<DataRef>,
-    slab: DataSlab,
+    shadow: LineMap<[u64; WORDS_PER_LINE]>,
     enabled: bool,
     panic_on_violation: bool,
     word_skew: usize,
@@ -123,7 +120,6 @@ impl CoherenceMonitor {
     pub fn new(enabled: bool, panic_on_violation: bool) -> Self {
         CoherenceMonitor {
             shadow: LineMap::default(),
-            slab: DataSlab::new(),
             enabled,
             panic_on_violation,
             word_skew: 0,
@@ -170,16 +166,8 @@ impl CoherenceMonitor {
             return;
         }
         self.report.writes_recorded += 1;
-        let r = match self.shadow.get(&line) {
-            Some(&r) => r,
-            None => {
-                let r = self.slab.alloc(LineData::zeroed());
-                self.shadow.insert(line, r);
-                r
-            }
-        };
         let word = (word + self.word_skew) % WORDS_PER_LINE;
-        self.slab.get_mut(r).set_word(word, value);
+        self.shadow.entry(line).or_default()[word] = value;
     }
 
     /// Checks a read of `word` of `line` that returned `value` at `now`.
@@ -192,7 +180,7 @@ impl CoherenceMonitor {
             return;
         }
         self.report.reads_checked += 1;
-        let expected = self.shadow.get(&line).map_or(0, |&r| self.slab.get(r).word(word));
+        let expected = self.shadow.get(&line).map_or(0, |words| words[word]);
         if value != expected {
             self.record(ViolationRecord {
                 kind: ViolationKind::StaleRead,
@@ -224,7 +212,7 @@ impl CoherenceMonitor {
         if !self.enabled {
             return;
         }
-        let expected = self.shadow.get(&line).map_or(0, |&r| self.slab.get(r).word(word));
+        let expected = self.shadow.get(&line).map_or(0, |words| words[word]);
         if value != expected {
             self.record(ViolationRecord {
                 kind: ViolationKind::ShadowMismatch,
@@ -266,13 +254,12 @@ impl CoherenceMonitor {
     /// sorted by address, eight words each) — the model checker
     /// fingerprints the oracle state alongside the machine state.
     pub(crate) fn encode_shadow(&self, out: &mut Vec<u64>) {
-        let mut lines: Vec<(LineAddr, DataRef)> =
-            self.shadow.iter().map(|(l, r)| (*l, *r)).collect();
+        let mut lines: Vec<(&LineAddr, &[u64; WORDS_PER_LINE])> = self.shadow.iter().collect();
         lines.sort_unstable_by_key(|&(l, _)| l.raw());
         out.push(lines.len() as u64);
-        for (line, r) in lines {
+        for (line, words) in lines {
             out.push(line.raw());
-            out.extend_from_slice(self.slab.get(r).words());
+            out.extend_from_slice(words);
         }
     }
 

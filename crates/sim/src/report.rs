@@ -69,8 +69,7 @@ pub struct SimReport {
     /// Coherence-monitor outcome.
     pub monitor: MonitorReport,
     /// Data-slab copy accounting: how often line bytes were actually
-    /// copied vs aliased on the simulator's data plane (also printed by
-    /// the `LACC_SIM_STATS=1` dump).
+    /// copied vs aliased on the simulator's data plane.
     pub slab: SlabStats,
 }
 
@@ -85,35 +84,6 @@ impl SimReport {
     #[must_use]
     pub fn total_energy(&self) -> f64 {
         self.energy.total()
-    }
-
-    /// The `LACC_SIM_STATS=1` data-plane ledger as one intact line.
-    ///
-    /// `Simulator::run` used to print this to stderr itself, which tore
-    /// and interleaved lines under parallel sweeps (`--jobs N`); the
-    /// ledger now travels only through
-    /// [`SimReport::slab`] and the sweep aggregator emits this line in
-    /// submission order. `live`/`total_refs` are derived from the
-    /// ledger's invariants (`live = allocs + cow_clones - frees`,
-    /// `total_refs = allocs + cow_clones + retains - releases`), which
-    /// the slab's proptests pin.
-    #[must_use]
-    pub fn sim_stats_line(&self) -> String {
-        let s = &self.slab;
-        format!(
-            "[lacc-sim-stats] workload={} slab: allocs={} retains={} releases={} frees={} \
-             cow_clones={} bytes_copied={} bytes_aliased={} live={} total_refs={}",
-            self.workload,
-            s.allocs,
-            s.retains,
-            s.releases,
-            s.frees,
-            s.cow_clones,
-            s.bytes_copied,
-            s.bytes_aliased,
-            s.allocs + s.cow_clones - s.frees,
-            s.allocs + s.cow_clones + s.retains - s.releases,
-        )
     }
 
     /// A compact one-line summary for harness output.

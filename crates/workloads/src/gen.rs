@@ -56,16 +56,6 @@ impl Phases {
         }
     }
 
-    /// Emits `n` compute instructions on every core.
-    pub fn compute_all(&mut self, n: u32) {
-        if n == 0 {
-            return;
-        }
-        for t in &mut self.ops {
-            t.push(TraceOp::Compute(n));
-        }
-    }
-
     fn pad(&mut self, core: usize) {
         if self.compute_per_access > 0 {
             self.ops[core].push(TraceOp::Compute(self.compute_per_access));
@@ -361,7 +351,6 @@ mod tests {
     fn barriers_are_symmetric() {
         let mut p = Phases::new(4, 1);
         p.barrier();
-        p.compute_all(5);
         p.barrier();
         let w = p.finish("t", vec![], 0);
         assert_eq!(w.active_cores(), 4);
