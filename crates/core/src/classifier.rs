@@ -289,7 +289,7 @@ impl LocalityClassifier {
         let util_cap = self.util_cap;
         let ladder = self.ladder;
         let ladder_len = self.ladder_len;
-        let default_mode = self.majority_or_initial(core);
+        let default_mode = self.majority_or_initial();
         let (info, tracked) = match self.lookup_or_allocate(core, default_mode) {
             Some(info) => (info, true),
             None => {
@@ -368,8 +368,8 @@ impl LocalityClassifier {
     ) -> SharerMode {
         let one_way = self.one_way;
         let pct = self.pct;
-        let max_level = (self.ladder.len() - 1) as u8;
-        let default_mode = self.majority_or_initial(core);
+        let max_level = (self.ladder_len - 1) as u8;
+        let default_mode = self.majority_or_initial();
         let Some(info) = self.lookup_or_allocate(core, default_mode) else {
             // Untracked and unallocatable: the classification cannot be
             // stored. Compute it against a zero remote counter anyway so
@@ -425,7 +425,7 @@ impl LocalityClassifier {
     /// Initial mode for a core that is about to be (re)allocated: majority
     /// vote when inferring from existing sharers (§3.4), or the §3.2
     /// Private default when the list is empty / tracking is complete.
-    fn majority_or_initial(&self, _core: CoreId) -> SharerMode {
+    fn majority_or_initial(&self) -> SharerMode {
         match &self.storage {
             Storage::Complete(_) => SharerMode::Private, // always tracked
             Storage::Limited(v) if v.is_empty() => SharerMode::Private,
@@ -559,6 +559,24 @@ mod tests {
         let out = cl.classify_request(c(0), PRESSURE, 0);
         assert_eq!(out.mode, SharerMode::Private);
         assert!(out.promoted);
+    }
+
+    #[test]
+    fn eviction_demotions_stop_at_the_top_rat_level() {
+        // L-2,T-16 has two RAT levels, so §3.6 budgets one bit for the
+        // stored level: further demotions must not store a level the
+        // hardware cannot hold, nor tell apart states it cannot.
+        let demoted = |evictions: usize| {
+            let mut cl = LocalityClassifier::new(&cfg(4), 8);
+            for _ in 0..evictions {
+                cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
+            }
+            let mut state = Vec::new();
+            cl.encode_state(&mut state, &mut |i| i);
+            state
+        };
+        assert_ne!(demoted(0), demoted(1));
+        assert_eq!(demoted(1), demoted(3));
     }
 
     #[test]

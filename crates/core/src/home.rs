@@ -117,7 +117,7 @@ impl DirectoryEntry {
     pub fn new(dir: DirectoryKind, classifier: &ClassifierConfig, num_cores: usize) -> Self {
         DirectoryEntry {
             state: DirState::Uncached,
-            sharers: SharerTracker::new(dir, num_cores),
+            sharers: SharerTracker::new(dir),
             classifier: LocalityClassifier::new(classifier, num_cores),
             last_access: 0,
         }
@@ -203,11 +203,7 @@ impl DirectoryEntry {
         if !removed {
             return None;
         }
-        let mode = if self.is_instruction_entry() {
-            SharerMode::Private
-        } else {
-            self.classifier.on_sharer_removed(core, private_util, reason)
-        };
+        let mode = self.classifier.on_sharer_removed(core, private_util, reason);
         if self.state.owner() == Some(core) || self.sharers.is_empty() {
             self.state =
                 if self.sharers.is_empty() { DirState::Uncached } else { DirState::Shared };
@@ -268,13 +264,6 @@ impl DirectoryEntry {
     #[must_use]
     pub fn back_invalidation_plan(&self) -> Option<InvalidationPlan> {
         self.sharers.invalidation_plan(None)
-    }
-
-    fn is_instruction_entry(&self) -> bool {
-        // Instruction entries never consult the classifier; the simulator
-        // routes them by region class, so the entry itself does not need to
-        // distinguish — data entries always classify. Kept as a hook.
-        false
     }
 }
 

@@ -71,7 +71,7 @@ pub enum SharerTracker {
 impl SharerTracker {
     /// Creates an empty tracker of the configured kind.
     #[must_use]
-    pub fn new(kind: DirectoryKind, _num_cores: usize) -> Self {
+    pub fn new(kind: DirectoryKind) -> Self {
         match kind {
             DirectoryKind::FullMap => SharerTracker::FullMap { set: CoreSet::new() },
             DirectoryKind::AckWise { pointers } => {
@@ -162,14 +162,6 @@ impl SharerTracker {
         }
     }
 
-    /// Clears all sharers (after an invalidation round completes).
-    pub fn clear(&mut self) {
-        match self {
-            SharerTracker::FullMap { set } => set.clear(),
-            SharerTracker::AckWise { state, .. } => *state = AckWiseState::Exact(CoreSet::new()),
-        }
-    }
-
     /// Sharer identities, when known exactly.
     #[must_use]
     pub fn known_sharers(&self) -> Option<CoreSet> {
@@ -198,12 +190,11 @@ impl SharerTracker {
                 }
             }
             None => {
-                // Overflowed ACKwise: broadcast. If the requester itself is
-                // a sharer (upgrade), it must not be awaited — but under
-                // overflow the directory cannot know, so the paper's
-                // protocol invalidates the requester's copy too and the
-                // requester simply re-obtains the line with the grant; the
-                // caller adjusts `expected_acks` via `skip_is_sharer`.
+                // Overflowed ACKwise: broadcast to all `count()` sharers.
+                // The directory cannot tell whether a writer is among them,
+                // so no `skip` applies: `begin_request` plans with `None`,
+                // the writer's own copy is invalidated and acked with the
+                // rest, and the writer gets a full M line.
                 let n = self.count();
                 (n > 0).then_some(InvalidationPlan::Broadcast { expected_acks: n })
             }
@@ -225,7 +216,7 @@ mod tests {
 
     #[test]
     fn full_map_add_remove() {
-        let mut t = SharerTracker::new(DirectoryKind::FullMap, 128);
+        let mut t = SharerTracker::new(DirectoryKind::FullMap);
         t.add(c(0));
         t.add(c(127));
         t.add(c(127)); // idempotent
@@ -240,7 +231,7 @@ mod tests {
 
     #[test]
     fn ackwise_exact_until_overflow() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 2 }, 64);
+        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 2 });
         t.add(c(1));
         t.add(c(2));
         assert_eq!(t.known_sharers(), Some(set(&[1, 2])));
@@ -252,7 +243,7 @@ mod tests {
 
     #[test]
     fn ackwise_overflow_recovers_at_zero() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 1 }, 64);
+        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 1 });
         t.add(c(1));
         t.add(c(2));
         assert_eq!(t.known_sharers(), None);
@@ -266,7 +257,7 @@ mod tests {
 
     #[test]
     fn invalidation_plans() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 4 }, 64);
+        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 4 });
         assert_eq!(t.invalidation_plan(None), None);
         t.add(c(1));
         t.add(c(2));
@@ -281,18 +272,6 @@ mod tests {
             t.invalidation_plan(None),
             Some(InvalidationPlan::Broadcast { expected_acks: 5 })
         );
-    }
-
-    #[test]
-    fn clear_empties_both_kinds() {
-        for kind in [DirectoryKind::FullMap, DirectoryKind::AckWise { pointers: 1 }] {
-            let mut t = SharerTracker::new(kind, 64);
-            t.add(c(1));
-            t.add(c(2));
-            t.clear();
-            assert!(t.is_empty());
-            assert_eq!(t.known_sharers(), Some(CoreSet::new()));
-        }
     }
 }
 
@@ -310,7 +289,7 @@ mod proptests {
             ops in proptest::collection::vec((0usize..16, proptest::bool::ANY), 1..100),
             p in 1usize..6,
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: p }, 16);
+            let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: p });
             let mut model = std::collections::BTreeSet::new();
             for (core, add) in ops {
                 if add {
@@ -330,7 +309,7 @@ mod proptests {
         fn full_map_matches_set(
             ops in proptest::collection::vec((0usize..80, proptest::bool::ANY), 1..100)
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::FullMap, 80);
+            let mut t = SharerTracker::new(DirectoryKind::FullMap);
             let mut model = std::collections::BTreeSet::new();
             for (core, add) in ops {
                 if add {

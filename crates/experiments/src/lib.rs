@@ -24,7 +24,7 @@
 //! ## Parallel sweeps are deterministic
 //!
 //! Every simulation runs on one thread. Every grid point of a figure is
-//! an independent simulation, so [`run_jobs_hinted`] dispatches them
+//! an independent simulation, so [`Cli::run_jobs`] dispatches them
 //! across a scoped worker pool — but it aggregates results, prints
 //! progress and reports failures **in submission order**. Figure CSVs and
 //! stdout tables are byte-identical for any worker count (see DESIGN.md
@@ -156,7 +156,7 @@ pub struct Cli {
     pub cores: usize,
     /// Benchmark filter (empty = all 21).
     pub benches: Vec<Benchmark>,
-    /// Worker threads for [`run_jobs_hinted`]: `0` = one per available
+    /// Worker threads for [`Cli::run_jobs`]: `0` = one per available
     /// hardware thread, `1` = serial on the calling thread.
     pub jobs: usize,
     /// Suppress progress output.
@@ -234,17 +234,154 @@ impl Cli {
         config_for_cores(self.cores)
     }
 
-    /// Runs a sweep with this invocation's scale, verbosity, simulator
-    /// options and `--jobs` worker count — the one-liner every figure
-    /// binary uses. Grid points are dispatched largest-first using
-    /// [`Benchmark::cost_hint`] so the biggest simulations never straggle
-    /// at the tail of a parallel sweep; aggregation (and therefore every
-    /// CSV and stdout table) stays submission-ordered. See
-    /// [`run_jobs_hinted`].
+    /// Runs a set of `(label, benchmark, config)` jobs with this
+    /// invocation's scale, verbosity, monitor setting and `--jobs` worker
+    /// count, and aggregates the reports **in submission order** — the
+    /// one sweep call every figure binary uses.
+    ///
+    /// Each job builds, owns and runs its own [`Simulator`] — nothing is
+    /// shared between workers except the read-only job list, which the
+    /// compiler enforces via the `Send` assertions in `lacc-sim`. Progress
+    /// lines (unless `quiet`) are printed by the aggregator as the completed
+    /// prefix of the submission order grows, so stderr is as deterministic as
+    /// the results themselves.
+    ///
+    /// With more than one worker, jobs are dispatched largest-first by
+    /// [`Benchmark::cost_hint`], which packs the long simulations into the
+    /// front of the sweep instead of letting one late-dispatched giant
+    /// straggle after every other worker has drained (the classic LPT
+    /// schedule). Dispatch order affects wall-clock only: aggregation,
+    /// progress printing and the returned [`SweepResults`] remain strictly
+    /// submission-ordered, so output bytes are the same for any worker
+    /// count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lacc_experiments::Cli;
+    /// use lacc_model::SystemConfig;
+    /// use lacc_workloads::Benchmark;
+    ///
+    /// let cli = Cli { jobs: 2, scale: 0.02, quiet: true, ..Cli::default() };
+    /// let cfg = SystemConfig::small_for_tests(2);
+    /// let jobs = vec![
+    ///     ("pct1".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
+    ///     ("pct4".to_string(), Benchmark::WaterSp, cfg.with_pct(4)),
+    /// ];
+    /// let results = cli.run_jobs(jobs);
+    /// assert_eq!(results.len(), 2);
+    /// // Iteration follows submission order, not completion order.
+    /// let labels: Vec<&str> = results.iter().map(|((l, _), _)| l.as_str()).collect();
+    /// assert_eq!(labels, ["pct1", "pct4"]);
+    /// assert!(results[&("pct1".to_string(), "water-sp")].completion_time > 0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if two jobs share a `(label, benchmark)` key, or — after
+    /// every remaining job has finished — if any job panicked, with a
+    /// message naming each failed job. A panicking job never deadlocks the
+    /// pool or poisons the other jobs' results.
+    #[must_use]
     pub fn run_jobs(&self, jobs: Vec<(String, Benchmark, SystemConfig)>) -> SweepResults {
-        let costs: Vec<u64> = jobs.iter().map(|(_, b, _)| b.cost_hint()).collect();
+        let (scale, quiet) = (self.scale, self.quiet);
         let opts = SimOptions { monitor: !self.no_monitor, ..SimOptions::default() };
-        run_jobs_hinted(jobs, self.scale, self.quiet, opts, self.jobs, Some(&costs))
+        let n = jobs.len();
+        // Reject key collisions before dispatch: a duplicate would silently
+        // shadow a result, and a full-scale sweep is far too expensive to run
+        // just to find out at aggregation time.
+        let mut seen = std::collections::HashSet::with_capacity(n);
+        for (label, bench, _) in &jobs {
+            assert!(
+                seen.insert((label.as_str(), bench.name())),
+                "duplicate sweep job ({label:?}, {:?}): labels must disambiguate grid points",
+                bench.name()
+            );
+        }
+        drop(seen);
+
+        let workers = if self.jobs == 0 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            self.jobs
+        }
+        .min(n);
+
+        // One slot per job, filled exactly once; submission order is the slot
+        // order, whatever order the workers finish in.
+        let mut slots: Vec<Option<Result<SimReport, String>>> = Vec::new();
+        slots.resize_with(n, || None);
+
+        if workers <= 1 {
+            // Serial path (`--jobs 1`): run on the calling thread, no pool.
+            // Dispatch order is moot with a single worker — the makespan is
+            // the sum either way — so jobs run in submission order.
+            for (slot, (label, bench, cfg)) in slots.iter_mut().zip(&jobs) {
+                let res = run_caught(*bench, cfg, scale, opts);
+                progress(quiet, label, &res);
+                *slot = Some(res);
+            }
+        } else {
+            let dispatch = dispatch_order(&jobs);
+            let next = AtomicUsize::new(0);
+            let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, String>)>();
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    let tx = tx.clone();
+                    let next = &next;
+                    let jobs = &jobs;
+                    let dispatch = &dispatch;
+                    s.spawn(move || loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= n {
+                            break;
+                        }
+                        let i = dispatch[k];
+                        let (_, bench, cfg) = &jobs[i];
+                        let res = run_caught(*bench, cfg, scale, opts);
+                        if tx.send((i, res)).is_err() {
+                            break;
+                        }
+                    });
+                }
+                drop(tx);
+                // Aggregate on this thread: buffer out-of-order arrivals and
+                // emit progress for the contiguous completed prefix.
+                let mut reported = 0;
+                for _ in 0..n {
+                    let (i, res) = rx.recv().expect("a worker died without reporting its job");
+                    slots[i] = Some(res);
+                    while reported < n {
+                        match &slots[reported] {
+                            Some(res) => progress(quiet, &jobs[reported].0, res),
+                            None => break,
+                        }
+                        reported += 1;
+                    }
+                }
+            });
+        }
+
+        let mut order = Vec::with_capacity(n);
+        let mut map = HashMap::with_capacity(n);
+        let mut failures = Vec::new();
+        for (slot, (label, bench, _)) in slots.into_iter().zip(jobs) {
+            let key = (label, bench.name());
+            match slot.expect("every job has a result once the pool drains") {
+                Ok(report) => {
+                    map.insert(key.clone(), report); // keys pre-checked unique
+                    order.push(key);
+                }
+                Err(msg) => failures.push(format!("[{}] {}: {msg}", key.0, key.1)),
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} sweep job(s) panicked:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        );
+        SweepResults { order, map }
     }
 }
 
@@ -284,7 +421,7 @@ pub fn config_for_cores(cores: usize) -> SystemConfig {
 /// Results of one sweep, keyed by `(label, benchmark name)` and ordered
 /// by submission.
 ///
-/// Produced by [`run_jobs_hinted`]. Lookups are O(1) via [`SweepResults::get`]
+/// Produced by [`Cli::run_jobs`]. Lookups are O(1) via [`SweepResults::get`]
 /// or indexing; [`SweepResults::iter`] walks the reports in the exact
 /// order the jobs were submitted, never the order worker threads finished
 /// in — which is what keeps every figure CSV and stdout table
@@ -339,175 +476,15 @@ impl std::ops::Index<&(String, &'static str)> for SweepResults {
     }
 }
 
-/// The order workers pull jobs in: indices sorted by descending cost
-/// hint, submission order breaking ties (and standing in entirely when
-/// no hints are given). Dispatch order affects wall-clock only — results
-/// are aggregated by submission index regardless.
-fn dispatch_order(n: usize, cost_hint: Option<&[u64]>) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    if let Some(costs) = cost_hint {
-        order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-        // sort_by_key is stable: equal costs keep submission order.
-    }
+/// The order workers pull jobs in: indices sorted by descending
+/// [`Benchmark::cost_hint`], submission order breaking ties. Dispatch
+/// order affects wall-clock only — results are aggregated by submission
+/// index regardless.
+fn dispatch_order(jobs: &[(String, Benchmark, SystemConfig)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    // sort_by_key is stable: equal costs keep submission order.
+    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].1.cost_hint()));
     order
-}
-
-/// Runs a set of `(label, benchmark, config)` jobs across `workers`
-/// threads (`0` = one per available hardware thread, `1` = serial on the
-/// calling thread) and aggregates the reports **in submission order**.
-///
-/// Each job builds, owns and runs its own [`Simulator`] — nothing is
-/// shared between workers except the read-only job list, which the
-/// compiler enforces via the `Send` assertions in `lacc-sim`. Progress
-/// lines (unless `quiet`) are printed by the aggregator as the completed
-/// prefix of the submission order grows, so stderr is as deterministic as
-/// the results themselves.
-///
-/// `cost_hint` (one value per job) controls *dispatch* order only: with
-/// hints, workers pick up jobs largest-first, which packs the long
-/// simulations into the front of the sweep instead of letting one
-/// late-dispatched giant straggle after every other worker has drained
-/// (the classic LPT schedule); without, they follow submission order.
-/// Aggregation, progress printing and the returned [`SweepResults`]
-/// remain strictly submission-ordered, so output bytes are unaffected by
-/// the hints (and by the worker count).
-///
-/// # Examples
-///
-/// ```
-/// use lacc_experiments::run_jobs_hinted;
-/// use lacc_model::SystemConfig;
-/// use lacc_sim::SimOptions;
-/// use lacc_workloads::Benchmark;
-///
-/// let cfg = SystemConfig::small_for_tests(2);
-/// let jobs = vec![
-///     ("pct1".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
-///     ("pct4".to_string(), Benchmark::WaterSp, cfg.with_pct(4)),
-/// ];
-/// let results = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 2, None);
-/// assert_eq!(results.len(), 2);
-/// // Iteration follows submission order, not completion order.
-/// let labels: Vec<&str> = results.iter().map(|((l, _), _)| l.as_str()).collect();
-/// assert_eq!(labels, ["pct1", "pct4"]);
-/// assert!(results[&("pct1".to_string(), "water-sp")].completion_time > 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if two jobs share a `(label, benchmark)` key, if `cost_hint`
-/// is `Some` with a length other than `jobs.len()`, or — after every
-/// remaining job has finished — if any job panicked, with a message
-/// naming each failed job. A panicking job never deadlocks the pool or
-/// poisons the other jobs' results.
-#[must_use]
-pub fn run_jobs_hinted(
-    jobs: Vec<(String, Benchmark, SystemConfig)>,
-    scale: f64,
-    quiet: bool,
-    opts: SimOptions,
-    workers: usize,
-    cost_hint: Option<&[u64]>,
-) -> SweepResults {
-    let n = jobs.len();
-    if let Some(costs) = cost_hint {
-        assert_eq!(costs.len(), n, "one cost hint per job");
-    }
-    // Reject key collisions before dispatch: a duplicate would silently
-    // shadow a result, and a full-scale sweep is far too expensive to run
-    // just to find out at aggregation time.
-    let mut seen = std::collections::HashSet::with_capacity(n);
-    for (label, bench, _) in &jobs {
-        assert!(
-            seen.insert((label.as_str(), bench.name())),
-            "duplicate sweep job ({label:?}, {:?}): labels must disambiguate grid points",
-            bench.name()
-        );
-    }
-    drop(seen);
-
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        workers
-    }
-    .min(n);
-
-    // One slot per job, filled exactly once; submission order is the slot
-    // order, whatever order the workers finish in.
-    let mut slots: Vec<Option<Result<SimReport, String>>> = Vec::new();
-    slots.resize_with(n, || None);
-
-    if workers <= 1 {
-        // Serial path (`--jobs 1`): run on the calling thread, no pool.
-        // Cost hints are moot with a single worker — the makespan is the
-        // sum either way — so jobs run in submission order.
-        for (slot, (label, bench, cfg)) in slots.iter_mut().zip(&jobs) {
-            let res = run_caught(*bench, cfg, scale, opts);
-            progress(quiet, label, &res);
-            *slot = Some(res);
-        }
-    } else {
-        let dispatch = dispatch_order(n, cost_hint);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, String>)>();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let jobs = &jobs;
-                let dispatch = &dispatch;
-                s.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    let i = dispatch[k];
-                    let (_, bench, cfg) = &jobs[i];
-                    let res = run_caught(*bench, cfg, scale, opts);
-                    if tx.send((i, res)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Aggregate on this thread: buffer out-of-order arrivals and
-            // emit progress for the contiguous completed prefix.
-            let mut reported = 0;
-            for _ in 0..n {
-                let (i, res) = rx.recv().expect("a worker died without reporting its job");
-                slots[i] = Some(res);
-                while reported < n {
-                    match &slots[reported] {
-                        Some(res) => progress(quiet, &jobs[reported].0, res),
-                        None => break,
-                    }
-                    reported += 1;
-                }
-            }
-        });
-    }
-
-    let mut order = Vec::with_capacity(n);
-    let mut map = HashMap::with_capacity(n);
-    let mut failures = Vec::new();
-    for (slot, (label, bench, _)) in slots.into_iter().zip(jobs) {
-        let key = (label, bench.name());
-        match slot.expect("every job has a result once the pool drains") {
-            Ok(report) => {
-                map.insert(key.clone(), report); // keys pre-checked unique
-                order.push(key);
-            }
-            Err(msg) => failures.push(format!("[{}] {}: {msg}", key.0, key.1)),
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} sweep job(s) panicked:\n  {}",
-        failures.len(),
-        failures.join("\n  ")
-    );
-    SweepResults { order, map }
 }
 
 /// Runs one job, converting a panic — an invalid configuration or a
@@ -772,46 +749,27 @@ mod tests {
         }
     }
 
+    /// A quiet command line with `workers` sweep workers at scale 0.02.
+    fn sweep_cli(workers: usize) -> Cli {
+        Cli { jobs: workers, scale: 0.02, quiet: true, ..Cli::default() }
+    }
+
     #[test]
     fn dispatch_order_is_largest_first_stable() {
-        assert_eq!(dispatch_order(4, None), vec![0, 1, 2, 3], "no hints: submission order");
-        assert_eq!(dispatch_order(0, None), Vec::<usize>::new());
-        // Largest first; the two 10s keep their submission order.
-        assert_eq!(dispatch_order(5, Some(&[10, 99, 10, 50, 7])), vec![1, 3, 0, 2, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cost hint per job")]
-    fn mismatched_cost_hints_are_rejected() {
+        assert_eq!(dispatch_order(&[]), Vec::<usize>::new());
         let cfg = SystemConfig::small_for_tests(4);
-        let jobs = vec![("a".to_string(), Benchmark::WaterSp, cfg)];
-        let _ = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 2, Some(&[1, 2]));
-    }
-
-    #[test]
-    fn hinted_dispatch_matches_unhinted_results() {
-        let cfg = SystemConfig::small_for_tests(4);
-        let jobs = || {
-            vec![
-                ("small".to_string(), Benchmark::WaterSp, cfg.clone()),
-                ("big".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
-                ("mid".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(4)),
-            ]
-        };
-        let plain = run_jobs_hinted(jobs(), 0.02, true, SimOptions::default(), 2, None);
-        // Hints reorder dispatch only: completion times and iteration
-        // order must be exactly the submission order either way.
-        let hinted =
-            run_jobs_hinted(jobs(), 0.02, true, SimOptions::default(), 2, Some(&[1, 100, 50]));
-        let key = |r: &SweepResults| -> Vec<(String, u64)> {
-            r.iter().map(|((l, _), rep)| (l.clone(), rep.completion_time)).collect()
-        };
-        assert_eq!(key(&plain), key(&hinted));
-        assert_eq!(
-            hinted.iter().map(|((l, _), _)| l.as_str()).collect::<Vec<_>>(),
-            ["small", "big", "mid"],
-            "iteration stays submission-ordered under hints"
-        );
+        let benches = [
+            Benchmark::WaterSp,
+            Benchmark::Radix,
+            Benchmark::WaterSp,
+            Benchmark::Susan,
+            Benchmark::Concomp,
+        ];
+        let jobs: Vec<_> =
+            benches.iter().enumerate().map(|(i, &b)| (i.to_string(), b, cfg.clone())).collect();
+        // Cost hints: susan > water-sp > radix > concomp; the two water-sp
+        // jobs keep their submission order.
+        assert_eq!(dispatch_order(&jobs), vec![3, 0, 2, 1, 4]);
     }
 
     #[test]
@@ -821,7 +779,7 @@ mod tests {
             ("a".to_string(), Benchmark::WaterSp, cfg.clone()),
             ("b".to_string(), Benchmark::WaterSp, cfg.with_pct(1)),
         ];
-        let out = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 2, None);
+        let out = sweep_cli(2).run_jobs(jobs);
         assert_eq!(out.len(), 2);
         assert!(out.contains_key(&("a".to_string(), "water-sp")));
         let order: Vec<&str> = out.iter().map(|((l, _), _)| l.as_str()).collect();
@@ -836,7 +794,7 @@ mod tests {
             ("a".to_string(), Benchmark::WaterSp, cfg.clone()),
             ("a".to_string(), Benchmark::WaterSp, cfg),
         ];
-        let _ = run_jobs_hinted(jobs, 0.02, true, SimOptions::default(), 1, None);
+        let _ = sweep_cli(1).run_jobs(jobs);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The scoped sweep pool (`run_jobs_hinted`): worker count must never change the
-//! ordered output, a panicking job must be contained and named, and the
+//! The scoped sweep pool (`Cli::run_jobs`): worker count must never change the
+//! ordered output — serial runs follow submission order, the pool dispatches
+//! largest-first — a panicking job must be contained and named, and the
 //! empty sweep must be a no-op at any worker count.
 //!
 //! Sampling is deterministic (the vendored proptest shim seeds from the
@@ -9,9 +10,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use lacc_experiments::{run_jobs_hinted, SweepResults};
+use lacc_experiments::{Cli, SweepResults};
 use lacc_model::SystemConfig;
-use lacc_sim::SimOptions;
 use lacc_workloads::Benchmark;
 
 const SCALE: f64 = 0.02;
@@ -27,6 +27,16 @@ fn fingerprint(results: &SweepResults) -> String {
         .iter()
         .map(|((label, bench), report)| format!("{label}/{bench}: {report:?}\n"))
         .collect()
+}
+
+/// Runs `jobs` through the pool with `workers` workers (`0` = one per
+/// hardware thread), printing progress unless `quiet`.
+fn sweep(
+    jobs: Vec<(String, Benchmark, SystemConfig)>,
+    workers: usize,
+    quiet: bool,
+) -> SweepResults {
+    Cli { jobs: workers, scale: SCALE, quiet, ..Cli::default() }.run_jobs(jobs)
 }
 
 /// A small but non-trivial job grid derived deterministically from `seed`:
@@ -47,51 +57,19 @@ proptest! {
 
     // The acceptance property of the pool: for the same submitted jobs,
     // workers ∈ {1, 2, 8} yield identical ordered output — the serial
-    // baseline (`--jobs 1`) fingerprint is the reference.
+    // baseline (`--jobs 1`, submission order) fingerprint is the reference
+    // for the pool's largest-first dispatch of the mixed-benchmark grid.
     #[test]
     fn workers_never_change_the_ordered_output(
         seed in 0u64..(1u64 << 16),
         njobs in 2usize..7,
     ) {
-        let serial =
-            fingerprint(&run_jobs_hinted(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1, None));
+        let serial = fingerprint(&sweep(jobs_from_seed(seed, njobs), 1, true));
         prop_assert!(!serial.is_empty());
         for workers in [2usize, 8] {
-            let parallel = fingerprint(&run_jobs_hinted(
-                jobs_from_seed(seed, njobs),
-                SCALE,
-                true,
-                SimOptions::default(),
-                workers,
-                None,
-            ));
+            let parallel = fingerprint(&sweep(jobs_from_seed(seed, njobs), workers, true));
             prop_assert_eq!(&serial, &parallel, "workers={} diverged from serial", workers);
         }
-    }
-
-    // Largest-first dispatch (cost hints) is a wall-clock optimization
-    // only: for any hint vector — including adversarially inverted ones —
-    // the ordered output matches the unhinted serial baseline exactly.
-    #[test]
-    fn cost_hints_never_change_the_ordered_output(
-        seed in 0u64..(1u64 << 16),
-        njobs in 2usize..6,
-        invert in proptest::bool::ANY,
-    ) {
-        let serial =
-            fingerprint(&run_jobs_hinted(jobs_from_seed(seed, njobs), SCALE, true, SimOptions::default(), 1, None));
-        let costs: Vec<u64> = (0..njobs as u64)
-            .map(|i| if invert { i } else { njobs as u64 - i })
-            .collect();
-        let hinted = fingerprint(&run_jobs_hinted(
-            jobs_from_seed(seed, njobs),
-            SCALE,
-            true,
-            SimOptions::default(),
-            3,
-            Some(&costs),
-        ));
-        prop_assert_eq!(&serial, &hinted, "cost hints changed the ordered output");
     }
 }
 
@@ -106,10 +84,8 @@ fn panicking_job_is_contained_and_named() {
         ("broken".to_string(), Benchmark::Streamcluster, bad),
         ("ok-2".to_string(), Benchmark::WaterSp, good.with_pct(2)),
     ];
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        run_jobs_hinted(jobs, SCALE, true, SimOptions::default(), 2, None)
-    }))
-    .expect_err("a panicking job must fail the sweep");
+    let payload = catch_unwind(AssertUnwindSafe(|| sweep(jobs, 2, true)))
+        .expect_err("a panicking job must fail the sweep");
     let msg = payload
         .downcast_ref::<String>()
         .cloned()
@@ -123,7 +99,7 @@ fn panicking_job_is_contained_and_named() {
 #[test]
 fn empty_job_list_is_a_noop_at_any_worker_count() {
     for workers in [0usize, 1, 8] {
-        let out = run_jobs_hinted(Vec::new(), SCALE, false, SimOptions::default(), workers, None);
+        let out = sweep(Vec::new(), workers, false);
         assert!(out.is_empty());
         assert_eq!(out.len(), 0);
         assert_eq!(out.iter().count(), 0);
@@ -134,11 +110,10 @@ fn empty_job_list_is_a_noop_at_any_worker_count() {
 #[test]
 fn auto_and_oversubscribed_worker_counts_match_serial() {
     let mk = || jobs_from_seed(7, 3);
-    let serial = fingerprint(&run_jobs_hinted(mk(), SCALE, true, SimOptions::default(), 1, None));
+    let serial = fingerprint(&sweep(mk(), 1, true));
     // workers = 0 resolves to available parallelism; 16 > njobs clamps.
     for workers in [0usize, 16] {
-        let out =
-            fingerprint(&run_jobs_hinted(mk(), SCALE, true, SimOptions::default(), workers, None));
+        let out = fingerprint(&sweep(mk(), workers, true));
         assert_eq!(serial, out, "workers={workers}");
     }
 }
