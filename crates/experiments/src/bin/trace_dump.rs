@@ -15,7 +15,7 @@
 //! Default output path: `results/<benchmark>.ltf`. Exits 1 with an
 //! `error: …` line when the file cannot be written.
 
-use lacc_experiments::{flag_benchmark, flag_value, or_exit, CliError};
+use lacc_experiments::{flag_benchmark, flag_cores, flag_scale, flag_value, or_exit, CliError};
 use lacc_model::TraceError;
 use lacc_sim::ltf::{self, LtfSummary};
 use lacc_sim::Workload;
@@ -42,8 +42,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--bench" => bench = Some(flag_benchmark(&mut args, "--bench")?),
-            "--cores" => cores = flag_value(&mut args, "--cores", "an integer")?,
-            "--scale" => scale = flag_value(&mut args, "--scale", "a number")?,
+            "--cores" => cores = flag_cores(&mut args, "--cores")?,
+            "--scale" => scale = flag_scale(&mut args, "--scale")?,
             "--out" => out = Some(flag_value(&mut args, "--out", "a path")?),
             "--stats" => stats = true,
             _ => return Err(CliError::UnknownFlag(arg)),

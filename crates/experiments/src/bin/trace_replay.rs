@@ -1,9 +1,9 @@
 //! Replay a `.ltf` trace file through the simulator and print the
 //! standard report.
 //!
-//! The file is loaded once as a shared mmap (a heap read where mapping is
-//! unavailable) that every core's cursor decodes in place; the run is
-//! bit-identical to simulating the workload the file was dumped from.
+//! The file is read once into memory and validated; every core's cursor
+//! decodes in place from that one buffer, and the run is bit-identical to
+//! simulating the workload the file was dumped from.
 //!
 //! ```text
 //! trace_replay <file.ltf> [--cores N] [--pct N] [--small]

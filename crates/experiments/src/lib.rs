@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
-use lacc_model::SystemConfig;
+use lacc_model::{SystemConfig, MAX_CORES};
 use lacc_sim::{SimOptions, SimReport, Simulator};
 use lacc_workloads::Benchmark;
 
@@ -127,6 +127,46 @@ pub fn flag_benchmark(
     })
 }
 
+/// As [`flag_value`], then [`CliError::BadValue`] quoting `valid` when
+/// the parsed value fails `ok`.
+fn flag_checked<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &'static str,
+    valid: &'static str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    let value: String = flag_value(args, flag, expected)?;
+    match value.parse() {
+        Ok(parsed) if ok(&parsed) => Ok(parsed),
+        Ok(_) => Err(CliError::BadValue { flag: flag.into(), value, expected: valid }),
+        Err(_) => Err(CliError::BadValue { flag: flag.into(), value, expected }),
+    }
+}
+
+/// Takes the core count following `flag` from `args`.
+///
+/// # Errors
+///
+/// As [`flag_value`], plus [`CliError::BadValue`] for a count outside
+/// `1..=`[`MAX_CORES`].
+pub fn flag_cores(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, CliError> {
+    // MAX_CORES spelled out, since the message is a static string.
+    let valid = "an integer from 1 to 1024";
+    flag_checked(args, flag, "an integer", valid, |n| (1..=MAX_CORES).contains(n))
+}
+
+/// Takes the workload scale factor following `flag` from `args`.
+///
+/// # Errors
+///
+/// As [`flag_value`], plus [`CliError::BadValue`] for a value that is not
+/// finite and greater than 0.
+pub fn flag_scale(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<f64, CliError> {
+    let valid = "a finite number greater than 0";
+    flag_checked(args, flag, "a number", valid, |s: &f64| s.is_finite() && *s > 0.0)
+}
+
 /// Unwraps a parsed command line, or prints the error and `usage` to
 /// stderr and exits with status 2.
 pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
@@ -206,8 +246,8 @@ impl Cli {
         let mut args = args.into_iter().map(Into::into);
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--scale" => cli.scale = flag_value(&mut args, "--scale", "a number")?,
-                "--cores" => cli.cores = flag_value(&mut args, "--cores", "an integer")?,
+                "--scale" => cli.scale = flag_scale(&mut args, "--scale")?,
+                "--cores" => cli.cores = flag_cores(&mut args, "--cores")?,
                 "--bench" => cli.benches.push(flag_benchmark(&mut args, "--bench")?),
                 "--jobs" => cli.jobs = flag_value(&mut args, "--jobs", "an integer (0 = auto)")?,
                 "--quiet" => cli.quiet = true,
@@ -820,6 +860,28 @@ mod tests {
             Cli::parse_from(["--bench", "nope"]),
             Err(CliError::BadValue { ref value, .. }) if value == "nope"
         ));
+        let too_many = (MAX_CORES + 1).to_string();
+        for (flag, value) in [
+            ("--cores", "0"),
+            ("--cores", too_many.as_str()),
+            ("--scale", "-1"),
+            ("--scale", "0"),
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+        ] {
+            let e = Cli::parse_from([flag, value]).unwrap_err();
+            assert!(
+                matches!(&e, CliError::BadValue { flag: f, value: v, .. } if f == flag && v == value),
+                "{flag} {value}: {e:?}"
+            );
+        }
+        assert_eq!(
+            Cli::parse_from(["--cores", &too_many]).unwrap_err().to_string(),
+            format!("--cores takes an integer from 1 to {MAX_CORES}, got '{too_many}'")
+        );
+        let edge = Cli::parse_from(["--cores", "1", "--scale", "1e-9"]).unwrap();
+        assert_eq!((edge.cores, edge.scale), (1, 1e-9));
+        assert_eq!(Cli::parse_from(["--cores", &MAX_CORES.to_string()]).unwrap().cores, MAX_CORES);
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flags_exit_2_and_name_the_flag() {
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 11] = [
         (env!("CARGO_BIN_EXE_fig11_pct_sweep"), &["--jobs"], "--jobs needs a value"),
         (
             env!("CARGO_BIN_EXE_all_figures"),
@@ -31,6 +31,36 @@ fn bad_flags_exit_2_and_name_the_flag() {
             env!("CARGO_BIN_EXE_trace_replay"),
             &["x.ltf", "--pct", "high"],
             "--pct takes an integer, got 'high'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig14_oneway"),
+            &["--cores", "0"],
+            "--cores takes an integer from 1 to 1024, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig14_oneway"),
+            &["--cores", "2000"],
+            "--cores takes an integer from 1 to 1024, got '2000'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_dump"),
+            &["--bench", "water-sp", "--cores", "0"],
+            "--cores takes an integer from 1 to 1024, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig14_oneway"),
+            &["--scale", "-1"],
+            "--scale takes a finite number greater than 0, got '-1'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_all_figures"),
+            &["--scale", "0"],
+            "--scale takes a finite number greater than 0, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_dump"),
+            &["--bench", "water-sp", "--scale", "nan"],
+            "--scale takes a finite number greater than 0, got 'nan'",
         ),
     ];
     for (exe, args, want) in cases {

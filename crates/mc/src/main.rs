@@ -1,7 +1,8 @@
 //! CLI for the model checker: enumerate scenario × configuration
 //! matrices, print reachable-state counts, and run the mutation kill
 //! matrix. Exits 1 on any violation (or surviving mutant), so CI can
-//! gate on it, and 2 on a malformed command line. See docs/EXPERIMENTS.md
+//! gate on it, and 2 on a malformed command line or a `--cores`/`--lines`
+//! filter that selects no scenario. See docs/EXPERIMENTS.md
 //! ("Model checking").
 
 use std::process::ExitCode;
@@ -66,11 +67,16 @@ fn main() -> ExitCode {
         return run_mutations(ck);
     }
 
+    let selected: Vec<_> =
+        scenarios().into_iter().filter(|s| s.cores == cores && s.lines <= lines).collect();
+    if selected.is_empty() {
+        // A filter that checks nothing must not pass as a clean run.
+        eprintln!("error: no scenario matches --cores {cores} --lines {lines}\n{USAGE}");
+        return ExitCode::from(2);
+    }
+
     let mut failed = false;
-    for scenario in scenarios() {
-        if scenario.cores != cores || scenario.lines > lines {
-            continue;
-        }
+    for scenario in selected {
         for (cfg_name, cfg) in config_matrix(scenario.cores) {
             let r = explore(&cfg, &scenario, None, ck);
             let depth = ck.depth.map_or_else(|| "full".into(), |d| format!("≤{d}"));

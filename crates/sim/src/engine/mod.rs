@@ -220,7 +220,7 @@ struct ProfileCounters {
     phase_events: [u64; 3],
 }
 
-// The experiment harness (`lacc_experiments::run_jobs`) dispatches whole
+// The experiment harness (`lacc_experiments::Cli::run_jobs`) dispatches whole
 // simulations across worker threads: one thread builds, owns and runs one
 // `Simulator`, then sends the `SimReport` back for ordered aggregation.
 // These assertions make that isolation story a compile-time guarantee —

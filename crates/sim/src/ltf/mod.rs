@@ -4,16 +4,16 @@
 //! synthetic generators. LTF makes the same per-core instruction/memory
 //! streams durable: any [`Workload`](crate::Workload) can be serialized to
 //! a `.ltf` file and later replayed through a streaming
-//! [`TraceSource`](crate::TraceSource) that decodes lazily with bounded
-//! memory — the reproducible input artifact that trace-driven evaluation
+//! [`TraceSource`](crate::TraceSource) that decodes lazily — the
+//! reproducible input artifact that trace-driven evaluation
 //! (the paper's Graphite methodology) and protocol-verification workflows
 //! both rely on. The full specification also lives in `docs/LTF.md`.
 //!
 //! Op streams are delta-compressed (module [`v2`]): signed-zigzag line
 //! deltas, region-relative bases, run-length compute and single-byte
 //! immediate tags, at about 2.5 bytes per op on the synthetic suite.
-//! Readers are zero-copy: every per-core cursor decodes in place from one
-//! shared immutable buffer (module [`mmap`]; an mmap on unix).
+//! The reader loads each file once into an owned buffer, and every
+//! per-core cursor decodes in place from it (module [`reader`]).
 //!
 //! # Format specification (container)
 //!
@@ -66,23 +66,20 @@
 //!     instr_base: default_instr_base(),
 //! };
 //! let bytes = ltf::workload_to_ltf_bytes_v2(w)?;
-//! let (header, ops) = ltf::read_workload_bytes(&bytes)?;
-//! assert_eq!(header.name, "doc");
-//! assert_eq!(ops[0].len(), 2);
+//! let mut replayed = ltf::workload_from_bytes(bytes)?;
+//! assert_eq!(replayed.name, "doc");
+//! let mut ops = Vec::new();
+//! assert_eq!(replayed.traces[0].next_ops(&mut ops, 100), 2);
+//! assert_eq!(ops[1], TraceOp::Compute(3));
 //! # Ok::<(), lacc_model::TraceError>(())
 //! ```
 
-pub mod mmap;
 pub mod reader;
 pub mod v2;
 pub mod varint;
 pub mod writer;
 
-pub use mmap::SharedBuf;
-pub use reader::{
-    read_header_bytes, read_workload, read_workload_bytes, workload_from_shared, LtfHeader,
-    LtfTrace,
-};
+pub use reader::{read_header_bytes, read_workload, workload_from_bytes, LtfHeader, LtfTrace};
 pub use writer::{workload_to_ltf_bytes_v2, write_workload_v2, LtfSummary};
 
 /// The 8-byte file magic ("LACCLTF" + format generation).

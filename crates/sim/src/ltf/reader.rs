@@ -1,27 +1,28 @@
-//! Zero-copy LTF decoding.
+//! LTF decoding.
 //!
-//! [`read_workload`] is the replay entry point: it loads the file once
-//! into a [`SharedBuf`] (an mmap on unix, a heap read elsewhere), decodes
-//! and validates header, region table and every op of every stream in a
-//! single pass over that buffer, then hands back a [`Workload`] whose
-//! per-core traces are [`LtfTrace`]s — cheap cursors that all share the
-//! one buffer and decode in place, one op (or one batch, via
-//! [`next_ops`](crate::TraceSource::next_ops)) per call. Nothing is ever
-//! copied out of the buffer and no per-core file handles exist; with an
-//! mmap backing, untouched parts of a large trace are never even paged
-//! in.
+//! [`read_workload`] is the replay entry point: it reads the file once
+//! into an owned buffer and hands it to [`workload_from_bytes`], which
+//! decodes and validates header, region table and every op of every
+//! stream in a single pass over that buffer, then hands back a
+//! [`Workload`] whose per-core traces are [`LtfTrace`]s — cheap cursors
+//! that all share the one buffer and decode in place, one op (or one
+//! batch, via [`next_ops`](crate::TraceSource::next_ops)) per call.
+//! Nothing is copied out of the buffer and no per-core file handles
+//! exist. Because the buffer is owned and immutable, replay decodes
+//! exactly the bytes that were validated, whatever happens to the file
+//! afterwards.
 //!
 //! Header, offset table and streams are all parsed straight off the byte
 //! slice with [`varint::take`].
 
 use std::path::Path;
+use std::sync::Arc;
 
 use lacc_core::rnuca::RegionClass;
 use lacc_model::{CoreId, LineAddr, TraceError};
 
 use crate::trace::{RegionDecl, TraceOp, TraceSource, Workload};
 
-use super::mmap::SharedBuf;
 use super::v2::V2Decoder;
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
@@ -123,92 +124,55 @@ fn check_offsets(offsets: &[u64], streams_start: u64, len: u64) -> Result<(), Tr
     Ok(())
 }
 
-/// A lazily decoded per-core trace, produced by [`read_workload`] (or
-/// [`LtfTrace::open`] for a single stream).
+/// A lazily decoded per-core trace, produced by [`read_workload`] or
+/// [`workload_from_bytes`].
 ///
-/// Implements [`TraceSource`] by decoding in place from a [`SharedBuf`]
-/// all cursors of a workload share; [`next_ops`](TraceSource::next_ops)
-/// amortizes the decode across a whole batch. The backing stream was
-/// fully validated when the cursor was opened, so decoding cannot fail
-/// for any input that existed at open time — malformed files are rejected
-/// with a typed error at open, never here.
-#[derive(Debug)]
+/// Implements [`TraceSource`] by decoding in place from the one owned
+/// buffer all cursors of a workload share;
+/// [`next_ops`](TraceSource::next_ops) amortizes the decode across a
+/// whole batch. The stream was fully validated when the cursor was
+/// opened and the buffer is immutable, so decoding cannot fail during
+/// replay: malformed input is rejected with a typed error at open.
 pub struct LtfTrace {
-    buf: SharedBuf,
-    start: usize,
-    base_line: u64,
+    buf: Arc<Vec<u8>>,
     pos: usize,
     dec: V2Decoder,
     finished: bool,
 }
 
+/// Why replay cannot fail: the bytes were validated at open and nothing
+/// can change them since.
+const VALIDATED: &str = "LTF stream decodes: its owned bytes were validated at open";
+
 impl LtfTrace {
     /// Opens one validated cursor over the stream starting at byte
     /// `start` of `buf`, described by `header`: the stream is decoded to
     /// its end marker once (catching every malformation), then the
-    /// cursor rewinds to the start.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TraceError`] the stream's records can produce.
-    pub fn open(buf: SharedBuf, start: usize, header: &LtfHeader) -> Result<LtfTrace, TraceError> {
+    /// cursor starts over with a fresh decoder.
+    fn open(buf: Arc<Vec<u8>>, start: usize, header: &LtfHeader) -> Result<LtfTrace, TraceError> {
         let base_line = super::v2::base_line(&header.regions);
-        let mut trace = LtfTrace {
-            buf,
-            start,
-            base_line,
-            pos: start,
-            dec: V2Decoder::new(base_line),
-            finished: false,
-        };
-        while trace.try_next()?.is_some() {}
-        trace.reset();
-        Ok(trace)
-    }
-
-    /// Rewinds the cursor to the start of its stream (decoder state
-    /// included), so the same validated stream can be replayed again.
-    pub fn reset(&mut self) {
-        self.pos = self.start;
-        self.finished = false;
-        self.dec = V2Decoder::new(self.base_line);
-    }
-
-    #[inline]
-    fn try_next(&mut self) -> Result<Option<TraceOp>, TraceError> {
-        if self.finished {
-            return Ok(None);
-        }
-        match self.dec.next(&self.buf, &mut self.pos)? {
-            Some(op) => Ok(Some(op)),
-            None => {
-                self.finished = true;
-                Ok(None)
-            }
-        }
+        let mut dec = V2Decoder::new(base_line);
+        let mut pos = start;
+        while dec.next(&buf, &mut pos)?.is_some() {}
+        Ok(LtfTrace { buf, pos: start, dec: V2Decoder::new(base_line), finished: false })
     }
 }
 
 impl TraceSource for LtfTrace {
-    /// # Panics
-    ///
-    /// Panics if the already-validated backing buffer fails to decode —
-    /// only possible for an mmap-backed buffer whose file is truncated or
-    /// rewritten *while the simulation replays it*. Ending the stream
-    /// quietly instead would let the run complete with silently wrong
-    /// statistics.
     #[inline]
     fn next_op(&mut self) -> Option<TraceOp> {
-        self.try_next()
-            .unwrap_or_else(|e| panic!("LTF file changed during replay (validated at open): {e}"))
+        if self.finished {
+            return None;
+        }
+        let op = self.dec.next(&self.buf, &mut self.pos).expect(VALIDATED);
+        self.finished = op.is_none();
+        op
     }
 
-    /// Batched decode straight off the shared buffer; same panic
-    /// contract as [`next_op`](Self::next_op). Everything a per-op
-    /// cursor pays on every call — the buffer deref (an `Arc` chase
-    /// plus a backing-enum match) and the cursor field write-back — is
-    /// hoisted out of the loop, so the loop body is just the record
-    /// decode against registers.
+    /// Batched decode straight off the shared buffer. Everything a
+    /// per-op cursor pays on every call — the buffer deref and the cursor
+    /// field write-back — is hoisted out of the loop, so the loop body is
+    /// just the record decode against registers.
     #[inline]
     fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
         if self.finished {
@@ -216,27 +180,15 @@ impl TraceSource for LtfTrace {
         }
         let bytes: &[u8] = &self.buf;
         let mut pos = self.pos;
-        let drained = self.dec.next_batch(bytes, &mut pos, out, max);
+        let (appended, end) = self.dec.next_batch(bytes, &mut pos, out, max).expect(VALIDATED);
         self.pos = pos;
-        match drained {
-            Ok((appended, end)) => {
-                self.finished = end;
-                appended
-            }
-            Err(e) => panic!("LTF file changed during replay (validated at open): {e}"),
-        }
+        self.finished = end;
+        appended
     }
 }
 
-/// Opens a `.ltf` file as a replayable [`Workload`] with zero-copy
-/// per-core traces.
-///
-/// The file is loaded once into a [`SharedBuf`] — an mmap where
-/// available, a buffered read otherwise — and validated in a single pass
-/// over that buffer: header, offset table, then every op of every stream
-/// exactly once ([`LtfTrace::open`] doubles as the validator), so any
-/// corruption surfaces here as a typed error rather than during
-/// simulation. Every core's cursor shares the one buffer.
+/// Opens a `.ltf` file as a replayable [`Workload`]: reads the whole file
+/// once and hands the bytes to [`workload_from_bytes`].
 ///
 /// # Errors
 ///
@@ -244,20 +196,26 @@ impl TraceSource for LtfTrace {
 /// [`VERSION`], truncation anywhere, over-long varints, undefined opcodes
 /// or region classes, offsets outside the file.
 pub fn read_workload<P: AsRef<Path>>(path: P) -> Result<Workload, TraceError> {
-    workload_from_shared(SharedBuf::open(path)?)
+    workload_from_bytes(std::fs::read(path)?)
 }
 
-/// [`read_workload`] for an already-loaded buffer (in-memory encoders,
-/// benches, servers holding trace images).
+/// Decodes an in-memory LTF image as a replayable [`Workload`] whose
+/// per-core traces are [`LtfTrace`] cursors over `bytes`.
+///
+/// The image is validated in a single pass — header, offset table, then
+/// every op of every stream exactly once — so any corruption surfaces
+/// here as a typed error rather than during simulation. The buffer is
+/// moved, not copied: every core's cursor shares it behind one `Arc`.
 ///
 /// # Errors
 ///
 /// Same failure modes as [`read_workload`], minus the I/O.
-pub fn workload_from_shared(buf: SharedBuf) -> Result<Workload, TraceError> {
-    let (header, offsets) = read_header_bytes(&buf)?;
+pub fn workload_from_bytes(bytes: Vec<u8>) -> Result<Workload, TraceError> {
+    let (header, offsets) = read_header_bytes(&bytes)?;
+    let buf = Arc::new(bytes);
     let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(header.num_cores);
     for &offset in &offsets {
-        traces.push(Box::new(LtfTrace::open(buf.clone(), offset as usize, &header)?));
+        traces.push(Box::new(LtfTrace::open(Arc::clone(&buf), offset as usize, &header)?));
     }
     Ok(Workload {
         name: header.name,
@@ -286,28 +244,6 @@ pub fn read_header_bytes(bytes: &[u8]) -> Result<(LtfHeader, Vec<u64>), TraceErr
         .collect();
     check_offsets(&offsets, pos as u64, bytes.len() as u64)?;
     Ok((header, offsets))
-}
-
-/// Eagerly decodes a complete in-memory LTF image: the header plus every
-/// core's ops. The workhorse of round-trip and
-/// robustness tests.
-///
-/// # Errors
-///
-/// Any [`TraceError`] a malformed image can produce.
-pub fn read_workload_bytes(bytes: &[u8]) -> Result<(LtfHeader, Vec<Vec<TraceOp>>), TraceError> {
-    let (header, offsets) = read_header_bytes(bytes)?;
-    let mut cores = Vec::with_capacity(header.num_cores);
-    for &offset in &offsets {
-        let mut dec = V2Decoder::new(super::v2::base_line(&header.regions));
-        let mut pos = offset as usize;
-        let mut ops = Vec::new();
-        while let Some(op) = dec.next(bytes, &mut pos)? {
-            ops.push(op);
-        }
-        cores.push(ops);
-    }
-    Ok((header, cores))
 }
 
 #[cfg(test)]
@@ -354,15 +290,21 @@ mod tests {
         }
     }
 
+    /// Every core's ops, in order.
+    fn drain(w: Workload) -> Vec<Vec<TraceOp>> {
+        w.traces.into_iter().map(|mut t| std::iter::from_fn(|| t.next_op()).collect()).collect()
+    }
+
     #[test]
     fn bytes_round_trip_exactly() {
         let bytes = workload_to_ltf_bytes_v2(sample()).unwrap();
-        let (header, ops) = read_workload_bytes(&bytes).unwrap();
-        assert_eq!(header.name, "sample");
-        assert_eq!(header.num_cores, 2);
-        assert_eq!(header.instr_lines, 12);
-        assert_eq!(header.instr_base, default_instr_base());
-        assert_eq!(header.regions, sample().regions);
+        let w = workload_from_bytes(bytes).unwrap();
+        assert_eq!(w.name, "sample");
+        assert_eq!(w.active_cores(), 2);
+        assert_eq!(w.instr_lines, 12);
+        assert_eq!(w.instr_base, default_instr_base());
+        assert_eq!(w.regions, sample().regions);
+        let ops = drain(w);
         assert_eq!(ops[0][1], TraceOp::Store { addr: Addr::new(0x1040), value: u64::MAX });
         assert_eq!(ops[0].len(), 3);
         assert_eq!(ops[1].len(), 3);
@@ -390,8 +332,7 @@ mod tests {
     #[test]
     fn cursors_share_one_buffer_and_batch_decode() {
         let bytes = workload_to_ltf_bytes_v2(sample()).unwrap();
-        let buf = SharedBuf::from_vec(bytes);
-        let w = workload_from_shared(buf).unwrap();
+        let w = workload_from_bytes(bytes).unwrap();
         let mut ops = Vec::new();
         let mut traces = w.traces;
         assert_eq!(traces[0].next_ops(&mut ops, 100), 3, "short batch means end of stream");
@@ -400,19 +341,6 @@ mod tests {
         // A bounded batch leaves the rest for the next call.
         assert_eq!(traces[1].next_ops(&mut ops, 2), 2);
         assert_eq!(traces[1].next_ops(&mut ops, 2), 1);
-    }
-
-    #[test]
-    fn reset_replays_the_same_stream() {
-        let bytes = workload_to_ltf_bytes_v2(sample()).unwrap();
-        let (header, offsets) = read_header_bytes(&bytes).unwrap();
-        let buf = SharedBuf::from_vec(bytes);
-        let mut t = LtfTrace::open(buf, offsets[0] as usize, &header).unwrap();
-        let first: Vec<_> = std::iter::from_fn(|| t.next_op()).collect();
-        t.reset();
-        let second: Vec<_> = std::iter::from_fn(|| t.next_op()).collect();
-        assert_eq!(first, second);
-        assert_eq!(first.len(), 3);
     }
 
     #[test]
@@ -425,9 +353,7 @@ mod tests {
             instr_base: default_instr_base(),
         };
         let bytes = workload_to_ltf_bytes_v2(w).unwrap();
-        let (header, ops) = read_workload_bytes(&bytes).unwrap();
-        assert_eq!(header.num_cores, 0);
-        assert!(ops.is_empty());
+        assert_eq!(workload_from_bytes(bytes).unwrap().active_cores(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn encode(mut value: u64, out: &mut Vec<u8>) {
 
 /// Decodes one varint from `bytes` at `*pos`, advancing `*pos` past the
 /// bytes consumed — the one decode primitive the header parser and the
-/// zero-copy stream cursors are built on. Decoding straight off the slice
+/// in-place stream cursors are built on. Decoding straight off the slice
 /// (with one- and two-byte fast paths, the overwhelmingly common case) is
 /// what makes the cursors fast.
 ///

@@ -1,6 +1,6 @@
 //! Serializing [`Workload`]s into LTF streams.
 //!
-//! The writer drains each per-core [`TraceSource`] in
+//! The writer drains each per-core [`TraceSource`](crate::TraceSource) in
 //! turn, so memory stays bounded by the writer's buffer no matter how long
 //! the traces are. It needs `Write + Seek` because the core offset table
 //! sits in the header but stream lengths are only known after draining:
@@ -13,7 +13,7 @@ use std::path::Path;
 use lacc_core::rnuca::RegionClass;
 use lacc_model::TraceError;
 
-use crate::trace::{TraceSource, Workload};
+use crate::trace::Workload;
 
 use super::v2::{V2Encoder, OP2_END};
 use super::{
@@ -257,7 +257,7 @@ mod tests {
             instr_base: default_instr_base(),
         };
         let bytes = workload_to_ltf_bytes_v2(at_limit).unwrap();
-        assert!(crate::ltf::read_workload_bytes(&bytes).is_ok());
+        assert!(crate::ltf::workload_from_bytes(bytes).is_ok());
     }
 
     #[test]

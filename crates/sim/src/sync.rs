@@ -94,10 +94,18 @@ impl SyncManager {
     ///
     /// # Panics
     ///
-    /// Panics if `core` does not hold the lock (a workload bug).
+    /// Panics if lock `id` was never acquired or `core` does not hold it
+    /// (a workload bug); the message names the lock, the core and `now`.
     pub fn release(&mut self, id: u32, core: CoreId, now: Cycle) -> SyncOutcome {
-        let l = self.locks.get_mut(&id).expect("release of unknown lock");
-        assert_eq!(l.holder, Some(core), "release by non-holder");
+        let l = self
+            .locks
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("release of unknown lock {id} by {core} at cycle {now}"));
+        assert!(
+            l.holder == Some(core),
+            "release by non-holder: lock {id} released by {core} at cycle {now}, held by {}",
+            l.holder.map_or_else(|| "no core".to_string(), |h| h.to_string()),
+        );
         match l.queue.pop_front() {
             None => {
                 l.holder = None;
@@ -203,6 +211,13 @@ mod tests {
         let mut s = SyncManager::new(2);
         s.acquire(0, c(0), 0);
         let _ = s.release(0, c(1), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "release of unknown lock 3 by core0 at cycle 10")]
+    fn release_of_unknown_lock_names_lock_core_and_cycle() {
+        let mut s = SyncManager::new(2);
+        let _ = s.release(3, c(0), 10);
     }
 
     #[test]

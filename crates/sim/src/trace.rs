@@ -49,9 +49,10 @@ pub enum TraceOp {
 ///
 /// `Send` is a supertrait: a trace is owned by exactly one
 /// [`Simulator`](crate::Simulator), and the experiment harness dispatches
-/// whole simulations across worker threads (`lacc_experiments::run_jobs`),
-/// so every source must be movable to the thread that runs it. Sources
-/// never need `Sync` — nothing shares a trace between threads.
+/// whole simulations across worker threads
+/// (`lacc_experiments::Cli::run_jobs`), so every source must be movable to
+/// the thread that runs it. Sources never need `Sync` — nothing shares a
+/// trace between threads.
 pub trait TraceSource: Send {
     /// The next operation, or `None` when the core's work is done.
     fn next_op(&mut self) -> Option<TraceOp>;
@@ -64,7 +65,7 @@ pub trait TraceSource: Send {
     /// This is the amortization point of the trace plane: batch-friendly
     /// sources (the LTF cursors, [`VecTrace`]) decode a whole batch per
     /// virtual call instead of paying per-op dispatch, which is what the
-    /// engine's prefetch feeds and the serial core pull consume. The
+    /// engine's per-core pull consumes. The
     /// default just loops [`next_op`](Self::next_op), so existing sources
     /// keep working unchanged.
     fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
@@ -79,18 +80,6 @@ pub trait TraceSource: Send {
             }
         }
         appended
-    }
-}
-
-/// A boxed trace for each core is also a trace. Both methods forward, so
-/// batching survives the indirection.
-impl TraceSource for Box<dyn TraceSource> {
-    fn next_op(&mut self) -> Option<TraceOp> {
-        (**self).next_op()
-    }
-
-    fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        (**self).next_ops(out, max)
     }
 }
 
@@ -204,7 +193,7 @@ mod tests {
         assert_eq!(out, ops);
         assert_eq!(t.next_ops(&mut out, 2), 0, "exhausted sources append nothing");
 
-        // The default impl (through a Box) agrees with the override.
+        // The boxed trait object the engine holds agrees with the override.
         let mut boxed: Box<dyn TraceSource> = Box::new(VecTrace::new(ops.clone()));
         let mut out2 = Vec::new();
         assert_eq!(boxed.next_ops(&mut out2, 100), 3);

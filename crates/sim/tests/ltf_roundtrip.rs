@@ -57,6 +57,19 @@ fn workload_from(
     }
 }
 
+/// Every core's ops, in order.
+fn drain(traces: Vec<Box<dyn TraceSource>>) -> Vec<Vec<TraceOp>> {
+    traces.into_iter().map(|mut t| std::iter::from_fn(|| t.next_op()).collect()).collect()
+}
+
+/// Decodes an LTF image, splitting off every core's drained ops.
+fn decode(bytes: Vec<u8>) -> Result<(Workload, Vec<Vec<TraceOp>>), proptest::TestCaseError> {
+    let mut w = ltf::workload_from_bytes(bytes)
+        .map_err(|e| proptest::TestCaseError::fail(format!("decode: {e}")))?;
+    let ops = drain(std::mem::take(&mut w.traces));
+    Ok((w, ops))
+}
+
 proptest! {
     #[test]
     fn varints_round_trip(v in prop_oneof![
@@ -93,17 +106,14 @@ proptest! {
         let bytes = ltf::workload_to_ltf_bytes_v2(mk()).map_err(|e| {
             proptest::TestCaseError::fail(format!("encode: {e}"))
         })?;
-        let (header, decoded) = ltf::read_workload_bytes(&bytes).map_err(|e| {
-            proptest::TestCaseError::fail(format!("decode: {e}"))
-        })?;
+        // Deterministic: same workload, same bytes.
+        prop_assert_eq!(&ltf::workload_to_ltf_bytes_v2(mk()).unwrap(), &bytes);
+        let (header, decoded) = decode(bytes)?;
         prop_assert_eq!(&header.name, &name);
-        prop_assert_eq!(header.num_cores, cores.len());
         prop_assert_eq!(header.instr_lines, instr_lines);
         prop_assert_eq!(header.instr_base, default_instr_base());
         prop_assert_eq!(&header.regions, &regions);
         prop_assert_eq!(&decoded, &cores);
-        // Deterministic: same workload, same bytes.
-        prop_assert_eq!(&ltf::workload_to_ltf_bytes_v2(mk()).unwrap(), &bytes);
     }
 
     #[test]
@@ -137,9 +147,7 @@ proptest! {
         let bytes = ltf::workload_to_ltf_bytes_v2(
             workload_from("local".into(), &cores, regions.clone(), 0),
         ).map_err(|e| proptest::TestCaseError::fail(format!("encode: {e}")))?;
-        let (header, decoded) = ltf::read_workload_bytes(&bytes).map_err(|e| {
-            proptest::TestCaseError::fail(format!("decode: {e}"))
-        })?;
+        let (header, decoded) = decode(bytes)?;
         prop_assert_eq!(&header.regions, &regions);
         prop_assert_eq!(&decoded, &cores);
     }
@@ -163,7 +171,7 @@ proptest! {
 fn extreme_operands_stream_back_from_disk() {
     // Deterministic companion to the properties: max-width varint operands
     // and worst-case line deltas across the whole 48-bit space, written to
-    // a real file and decoded through the zero-copy reader.
+    // a real file and decoded through the file reader.
     let ops = vec![
         TraceOp::Store { addr: Addr::new((1 << 48) - 8), value: u64::MAX },
         TraceOp::Compute(u32::MAX),
@@ -196,7 +204,31 @@ fn empty_workload_round_trips_through_disk() {
 }
 
 #[test]
+fn replay_decodes_the_bytes_validated_at_open() {
+    // Overwriting the file after it was opened, in place and at the same
+    // length, with bytes that are not LTF at all cannot change what
+    // replays: the reader owns the bytes it validated.
+    let cores = vec![
+        vec![TraceOp::Compute(5), TraceOp::Store { addr: Addr::new(0x1040), value: 9 }],
+        vec![TraceOp::Load { addr: Addr::new(0x1040) }, TraceOp::Barrier { id: 0 }],
+    ];
+    let w = workload_from("rewritten".into(), &cores, vec![], 8);
+    let path = std::env::temp_dir().join("lacc_ltf_rewritten.ltf");
+    w.dump_ltf_v2(&path).unwrap();
+    let replayed = ltf::read_workload(&path).unwrap();
+
+    let len = std::fs::metadata(&path).unwrap().len() as usize;
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    std::io::Write::write_all(&mut file, &vec![0xff; len]).unwrap();
+    drop(file);
+    assert_eq!(std::fs::read(&path).unwrap(), vec![0xff; len]);
+
+    assert_eq!(drain(replayed.traces), cores);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn decode_errors_are_values_not_panics() {
     // The property suite only sees valid images; pin the Result surface.
-    assert!(matches!(ltf::read_workload_bytes(&[]), Err(TraceError::Truncated { .. })));
+    assert!(matches!(ltf::workload_from_bytes(Vec::new()), Err(TraceError::Truncated { .. })));
 }

@@ -3,7 +3,8 @@
 //!
 //! Each case corrupts a real encoder output (or hand-assembles a stream
 //! with the public varint primitives) and asserts on the exact error
-//! variant, through both the in-memory and the file-backed entry points.
+//! variant. The file entry point is `std::fs::read` followed by the same
+//! bytes path, so one valid-file round trip covers it.
 
 use lacc::prelude::ltf::varint;
 use lacc::prelude::*;
@@ -46,14 +47,14 @@ fn victim_workload() -> Workload {
     }
 }
 
-/// Decodes through the file-backed streaming path, cleaning up after
-/// itself; used to prove path and bytes APIs fail identically.
-fn open_as_file(bytes: &[u8], tag: &str) -> Result<Workload, TraceError> {
-    let path = std::env::temp_dir().join(format!("lacc_ltf_robustness_{tag}.ltf"));
-    std::fs::write(&path, bytes).unwrap();
-    let result = ltf::read_workload(&path);
-    std::fs::remove_file(&path).ok();
-    result
+/// Decodes an in-memory image.
+fn decode(bytes: &[u8]) -> Result<Workload, TraceError> {
+    ltf::workload_from_bytes(bytes.to_vec())
+}
+
+/// Every core's ops, in order.
+fn drain(w: Workload) -> Vec<Vec<TraceOp>> {
+    w.traces.into_iter().map(|mut t| std::iter::from_fn(|| t.next_op()).collect()).collect()
 }
 
 fn v(value: u64) -> Vec<u8> {
@@ -64,29 +65,27 @@ fn v(value: u64) -> Vec<u8> {
 
 #[test]
 fn valid_image_decodes_everywhere() {
-    let bytes = valid_bytes();
-    let (header, ops) = ltf::read_workload_bytes(&bytes).unwrap();
-    assert_eq!(header.name, "victim");
-    assert_eq!(header.regions, victim_workload().regions);
-    assert_eq!(ops, victim_ops());
-    let w = open_as_file(&bytes, "valid").unwrap();
-    assert_eq!(w.active_cores(), 2);
+    let w = decode(&valid_bytes()).unwrap();
+    assert_eq!(w.name, "victim");
+    assert_eq!(w.regions, victim_workload().regions);
+    assert_eq!(drain(w), victim_ops());
 }
 
 #[test]
 fn v2_image_decodes_everywhere_and_matches_v1() {
     // The retired absolute-address encoding used to be the reference here;
-    // now the reference is the source workload itself. The file-backed
-    // streaming path, read in small batches that straddle op boundaries,
-    // must yield exactly the ops the byte-slice decoder returns.
-    let bytes = valid_bytes();
-    let (header, ops) = ltf::read_workload_bytes(&bytes).unwrap();
-    assert_eq!(ops, victim_ops());
-    let w = open_as_file(&bytes, "valid_stream").unwrap();
-    assert_eq!(w.name, header.name);
-    assert_eq!(w.regions, header.regions);
+    // now the reference is the source workload itself. The file path,
+    // read in small batches that straddle op boundaries, must yield
+    // exactly the source ops.
+    let path = std::env::temp_dir().join("lacc_ltf_robustness_valid.ltf");
+    std::fs::write(&path, valid_bytes()).unwrap();
+    let w = ltf::read_workload(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(w.name, "victim");
+    assert_eq!(w.regions, victim_workload().regions);
     assert_eq!(w.instr_lines, 16);
     assert_eq!(w.instr_base, default_instr_base());
+    let ops = victim_ops();
     assert_eq!(w.traces.len(), ops.len());
     for (mut trace, expected) in w.traces.into_iter().zip(&ops) {
         let mut streamed = Vec::new();
@@ -100,19 +99,18 @@ fn v2_image_decodes_everywhere_and_matches_v1() {
 fn truncated_header_is_typed() {
     let bytes = valid_bytes();
     // Inside the magic.
-    let e = ltf::read_workload_bytes(&bytes[..5]).unwrap_err();
+    let e = decode(&bytes[..5]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "magic" });
-    assert_eq!(open_as_file(&bytes[..5], "magic").unwrap_err(), e);
     // Just past the magic: the version varint is missing.
-    let e = ltf::read_workload_bytes(&bytes[..8]).unwrap_err();
+    let e = decode(&bytes[..8]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "version" });
     // Inside the name bytes (magic + version + flags + name length = 10).
-    let e = ltf::read_workload_bytes(&bytes[..12]).unwrap_err();
+    let e = decode(&bytes[..12]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "name" });
     // Inside the core offset table.
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     let table_end = offsets[0] as usize;
-    let e = ltf::read_workload_bytes(&bytes[..table_end - 3]).unwrap_err();
+    let e = decode(&bytes[..table_end - 3]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "core offset table" });
 }
 
@@ -120,11 +118,10 @@ fn truncated_header_is_typed() {
 fn bad_magic_is_typed() {
     let mut bytes = valid_bytes();
     bytes[0] ^= 0xff;
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert!(matches!(&e, TraceError::BadMagic { found } if found.len() == 8));
-    assert_eq!(open_as_file(&bytes, "magic2").unwrap_err(), e);
     // A different trace-looking file is rejected the same way.
-    let e = ltf::read_workload_bytes(b"GRAPHITE0123").unwrap_err();
+    let e = decode(b"GRAPHITE0123").unwrap_err();
     assert!(matches!(e, TraceError::BadMagic { .. }));
 }
 
@@ -134,9 +131,8 @@ fn unsupported_version_is_typed() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&ltf::MAGIC);
     bytes.extend_from_slice(&v(ltf::VERSION + 97));
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::UnsupportedVersion { found: 99 });
-    assert_eq!(open_as_file(&bytes, "version").unwrap_err(), e);
 
     // The retired absolute-address encoding shares the container, so a
     // version-1 file differs from a valid image in its version byte; it
@@ -144,9 +140,8 @@ fn unsupported_version_is_typed() {
     let mut bytes = valid_bytes();
     assert_eq!(bytes[8], ltf::VERSION as u8);
     bytes[8] = 1;
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::UnsupportedVersion { found: 1 });
-    assert_eq!(open_as_file(&bytes, "version1").unwrap_err(), e);
 }
 
 #[test]
@@ -155,7 +150,7 @@ fn reserved_flags_are_rejected() {
     bytes.extend_from_slice(&ltf::MAGIC);
     bytes.extend_from_slice(&v(ltf::VERSION));
     bytes.extend_from_slice(&v(1)); // flags must be zero
-    assert!(matches!(ltf::read_workload_bytes(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
+    assert!(matches!(decode(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
 }
 
 #[test]
@@ -176,17 +171,15 @@ fn mid_op_eof_is_typed() {
     let bytes = ltf::workload_to_ltf_bytes_v2(w).unwrap();
 
     // Dropping the final end-of-stream marker truncates the stream.
-    let e = ltf::read_workload_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
+    let e = decode(&bytes[..bytes.len() - 1]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "opcode" });
-    assert_eq!(open_as_file(&bytes[..bytes.len() - 1], "endmarker").unwrap_err(), e);
 
     // Cutting right after the first opcode byte leaves its operand dangling.
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     let first_op = offsets[0] as usize;
     assert_eq!(bytes[first_op], ltf::v2::OP2_STORE);
-    let e = ltf::read_workload_bytes(&bytes[..first_op + 1]).unwrap_err();
+    let e = decode(&bytes[..first_op + 1]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "store address" });
-    assert_eq!(open_as_file(&bytes[..first_op + 1], "midop").unwrap_err(), e);
 }
 
 #[test]
@@ -195,9 +188,8 @@ fn overlong_varint_is_typed() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&ltf::MAGIC);
     bytes.extend_from_slice(&[0xff; 10]);
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::OverlongVarint { what: "version" });
-    assert_eq!(open_as_file(&bytes, "overlong").unwrap_err(), e);
 
     // Same failure inside an op operand: a compute count of 11
     // continuation bytes.
@@ -214,9 +206,8 @@ fn overlong_varint_is_typed() {
     bytes.push(ltf::v2::OP2_COMPUTE);
     bytes.extend_from_slice(&[0x80; 11]);
     bytes.push(ltf::v2::OP2_END);
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::OverlongVarint { what: "compute count" });
-    assert_eq!(open_as_file(&bytes, "overlong_operand").unwrap_err(), e);
 }
 
 #[test]
@@ -234,9 +225,8 @@ fn unknown_region_class_is_typed() {
     bytes.extend_from_slice(&v(0x41)); // first line
     bytes.extend_from_slice(&v(8)); // lines
     bytes.push(0xee); // undefined class tag
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::BadRegionClass { tag: 0xee });
-    assert_eq!(open_as_file(&bytes, "class").unwrap_err(), e);
 }
 
 #[test]
@@ -248,7 +238,7 @@ fn corrupt_counts_and_offsets_are_typed() {
     bytes.extend_from_slice(&v(0));
     bytes.extend_from_slice(&v(0));
     bytes.extend_from_slice(&v(ltf::MAX_CORES + 1));
-    assert!(matches!(ltf::read_workload_bytes(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
+    assert!(matches!(decode(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
 
     // An offset pointing past end-of-file.
     let valid = valid_bytes();
@@ -256,14 +246,13 @@ fn corrupt_counts_and_offsets_are_typed() {
     let table_at = offsets[0] as usize - 16; // two 8-byte entries precede the streams
     let mut bytes = valid.clone();
     bytes[table_at..table_at + 8].copy_from_slice(&(valid.len() as u64 + 100).to_le_bytes());
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert!(matches!(e, TraceError::Corrupt { .. }));
-    assert_eq!(open_as_file(&bytes, "offset").unwrap_err(), e);
 
     // An offset pointing back into the header.
     let mut bytes = valid.clone();
     bytes[table_at..table_at + 8].copy_from_slice(&0u64.to_le_bytes());
-    assert!(matches!(ltf::read_workload_bytes(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
+    assert!(matches!(decode(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
 }
 
 #[test]
@@ -274,23 +263,19 @@ fn invalid_name_utf8_is_typed() {
     bytes.extend_from_slice(&v(0));
     bytes.extend_from_slice(&v(2)); // two name bytes...
     bytes.extend_from_slice(&[0xff, 0xfe]); // ...that are not UTF-8
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::BadUtf8 { what: "name" });
-    assert_eq!(open_as_file(&bytes, "utf8").unwrap_err(), e);
 }
 
 #[test]
 fn every_prefix_of_a_valid_file_errors_not_panics() {
     // The decoder is total: any truncation point yields Err, never a panic
-    // and never a silently shortened success — and the file entry point
-    // (mmap, or the heap fallback for the empty prefix) fails identically.
+    // and never a silently shortened success.
     let bytes = valid_bytes();
     for len in 0..bytes.len() {
-        let e = ltf::read_workload_bytes(&bytes[..len])
-            .expect_err(&format!("prefix of {len} bytes decoded successfully"));
-        assert_eq!(open_as_file(&bytes[..len], "prefix").unwrap_err(), e, "prefix of {len}");
+        assert!(decode(&bytes[..len]).is_err(), "prefix of {len} bytes decoded successfully");
     }
-    assert!(ltf::read_workload_bytes(&bytes).is_ok());
+    assert!(decode(&bytes).is_ok());
 }
 
 #[test]
@@ -323,12 +308,9 @@ fn every_prefix_of_a_valid_v2_file_errors_not_panics() {
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     assert_eq!(bytes[offsets[0] as usize], ltf::v2::OP2_COMPUTE_RUN);
     for len in 0..bytes.len() {
-        assert!(
-            ltf::read_workload_bytes(&bytes[..len]).is_err(),
-            "prefix of {len} bytes decoded successfully"
-        );
+        assert!(decode(&bytes[..len]).is_err(), "prefix of {len} bytes decoded successfully");
     }
-    assert!(ltf::read_workload_bytes(&bytes).is_ok());
+    assert!(decode(&bytes).is_ok());
 }
 
 #[test]
@@ -341,9 +323,8 @@ fn unknown_opcode_is_typed() {
     for code in 0xf0..=0xffu8 {
         let mut bytes = valid.clone();
         bytes[at] = code;
-        let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+        let e = decode(&bytes).unwrap_err();
         assert_eq!(e, TraceError::BadOpCode { code });
-        assert_eq!(open_as_file(&bytes, "opcode").unwrap_err(), e);
     }
 }
 
@@ -354,9 +335,8 @@ fn v2_undefined_tag_is_typed() {
     let (_, offsets) = ltf::read_header_bytes(&bytes).unwrap();
     let mut bytes = bytes;
     bytes[offsets[0] as usize] = 0xf7;
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::BadOpCode { code: 0xf7 });
-    assert_eq!(open_as_file(&bytes, "v2_opcode").unwrap_err(), e);
 }
 
 #[test]
@@ -376,9 +356,8 @@ fn v2_corrupt_run_length_is_typed() {
     let mut bytes = bytes;
     assert_eq!(bytes[offsets[0] as usize], ltf::v2::OP2_COMPUTE);
     bytes[offsets[0] as usize] = ltf::v2::OP2_COMPUTE_RUN;
-    let e = ltf::read_workload_bytes(&bytes).unwrap_err();
+    let e = decode(&bytes).unwrap_err();
     assert_eq!(e, TraceError::Corrupt { what: "compute run length out of range" });
-    assert_eq!(open_as_file(&bytes, "v2_run").unwrap_err(), e);
 }
 
 #[test]
@@ -396,7 +375,6 @@ fn v2_truncated_store_value_is_typed() {
         instr_base: default_instr_base(),
     };
     let bytes = ltf::workload_to_ltf_bytes_v2(w).unwrap();
-    let e = ltf::read_workload_bytes(&bytes[..bytes.len() - 2]).unwrap_err();
+    let e = decode(&bytes[..bytes.len() - 2]).unwrap_err();
     assert_eq!(e, TraceError::Truncated { what: "store value" });
-    assert_eq!(open_as_file(&bytes[..bytes.len() - 2], "v2_value").unwrap_err(), e);
 }
