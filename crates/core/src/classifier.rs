@@ -186,12 +186,14 @@ impl LocalityClassifier {
     #[must_use]
     pub fn new(cfg: &ClassifierConfig, num_cores: usize) -> Self {
         assert!(cfg.pct >= 1, "pct must be at least 1");
-        let ladder_vec = cfg.mechanism.rat_ladder(cfg.pct);
-        assert!(ladder_vec.len() <= MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
         let mut ladder = [0u32; MAX_RAT_LEVELS];
-        ladder[..ladder_vec.len()].copy_from_slice(&ladder_vec);
-        let ladder_len = ladder_vec.len();
-        let util_cap = (*ladder_vec.last().unwrap()).max(cfg.pct).min(255) as u8;
+        let mut ladder_len = 0;
+        for rat in cfg.mechanism.rat_ladder(cfg.pct) {
+            assert!(ladder_len < MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
+            ladder[ladder_len] = rat;
+            ladder_len += 1;
+        }
+        let util_cap = ladder[ladder_len - 1].max(cfg.pct).min(255) as u8;
         let (limit, storage) = match cfg.tracking {
             TrackingKind::Complete => (
                 None,

@@ -101,6 +101,13 @@ impl L1Cache {
         self.tags.is_empty()
     }
 
+    /// `true` if a valid copy of `line` is resident. Touches neither LRU
+    /// nor the access timestamps.
+    #[must_use]
+    pub fn holds(&self, line: LineAddr) -> bool {
+        self.tags.contains(line)
+    }
+
     /// Looks up a load. On a hit: bumps utilization, refreshes LRU and the
     /// last-access timestamp, and returns the word. On a miss: `None`.
     pub fn load(

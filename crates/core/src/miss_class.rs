@@ -7,9 +7,7 @@
 //! remotely at the shared L2 → **Word**; and a write hitting an S copy is
 //! an **Upgrade** miss regardless of history.
 
-use std::collections::HashMap;
-
-use lacc_model::{LineAddr, MissClass};
+use lacc_model::{LineAddr, LineMap, MissClass};
 
 use crate::classifier::RemovalReason;
 
@@ -23,7 +21,8 @@ enum PastEvent {
 /// Tracks per-line history for one core and classifies its misses.
 #[derive(Clone, Debug, Default)]
 pub struct MissClassifier {
-    history: HashMap<LineAddr, PastEvent>,
+    /// Read on every miss, written on every removal, never iterated.
+    history: LineMap<PastEvent>,
 }
 
 impl MissClassifier {

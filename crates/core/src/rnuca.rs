@@ -16,9 +16,7 @@
 //! classification as the fallback for undeclared pages (see DESIGN.md,
 //! "Substitutions"). Reclassification shootdowns are not modeled.
 
-use std::collections::HashMap;
-
-use lacc_model::{CoreId, LineAddr, PageAddr};
+use lacc_model::{CoreId, FxHashMap, LineAddr, PageAddr};
 
 /// R-NUCA class of a page.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -36,7 +34,9 @@ pub enum RegionClass {
 pub struct Rnuca {
     num_cores: usize,
     cluster: usize,
-    pages: HashMap<PageAddr, RegionClass>,
+    /// Read on every miss and every `Inv` arrival, never iterated: the
+    /// hasher cannot change any output.
+    pages: FxHashMap<PageAddr, RegionClass>,
 }
 
 impl Rnuca {
@@ -49,7 +49,7 @@ impl Rnuca {
     #[must_use]
     pub fn new(num_cores: usize, cluster: usize) -> Self {
         assert!(cluster > 0 && num_cores % cluster == 0, "cluster must divide num_cores");
-        Rnuca { num_cores, cluster, pages: HashMap::new() }
+        Rnuca { num_cores, cluster, pages: FxHashMap::default() }
     }
 
     /// Declares a page's class up front (the oracle seeding).

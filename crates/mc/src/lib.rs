@@ -21,7 +21,7 @@
 //! State deduplication uses a canonical fingerprint with symmetry
 //! reduction over interchangeable cores (`Simulator::fingerprint`).
 //! The checker itself is validated by mutation testing
-//! ([`run_mutation`]): six seeded protocol bugs (the
+//! ([`run_mutation`]): seven seeded protocol bugs (the
 //! [`FaultInjection`] variants) must each be killed with a replayable
 //! counterexample.
 
@@ -185,6 +185,39 @@ pub fn scenarios() -> Vec<Scenario> {
                 )
             },
         },
+        // Two readers fill an ACKwise_1 directory past its one pointer;
+        // the third core's store must then broadcast. With no barrier, a
+        // reader's grant can still be on the wire when the store is
+        // decided, which the broadcast filter must cover.
+        Scenario {
+            name: "readers_then_writer",
+            cores: 3,
+            lines: 1,
+            sym_groups: vec![vec![0, 1]],
+            build: || {
+                workload(
+                    "readers_then_writer",
+                    1,
+                    vec![vec![load(LINE_A)], vec![load(LINE_A)], vec![store(LINE_A, 3)]],
+                )
+            },
+        },
+        // The same overflow reached by an upgrade, with the third core
+        // idle: the broadcast's `Inv` to the bystander tile is filtered
+        // out, since that tile neither holds the line nor waits on it.
+        Scenario {
+            name: "upgrade_bystander",
+            cores: 3,
+            lines: 1,
+            sym_groups: vec![],
+            build: || {
+                workload(
+                    "upgrade_bystander",
+                    1,
+                    vec![vec![load(LINE_A), store(LINE_A, 4)], vec![load(LINE_A)]],
+                )
+            },
+        },
         Scenario {
             name: "three_core_mix",
             cores: 3,
@@ -274,6 +307,9 @@ pub struct CheckResult {
     pub terminals: usize,
     /// Longest explored path.
     pub max_depth: usize,
+    /// Distinct states whose path sent at least one broadcast
+    /// invalidation (0 under a full-map directory).
+    pub broadcast_states: usize,
     /// `true` if the `max_states` cap stopped the enumeration.
     pub capped: bool,
     /// The first violation found, if any.
@@ -411,6 +447,9 @@ pub fn explore(
         }
         result.states += 1;
         result.max_depth = result.max_depth.max(path.len());
+        if sim.protocol_stats().broadcasts > 0 {
+            result.broadcast_states += 1;
+        }
 
         let checked = catch_unwind(AssertUnwindSafe(|| sim.check_invariants()))
             .unwrap_or_else(|e| Err(format!("invariant check panic: {}", panic_message(e))));
@@ -450,13 +489,14 @@ pub fn explore(
 // ---------------------------------------------------------------------------
 
 /// Every seeded protocol bug the checker must kill.
-pub const MUTANTS: [FaultInjection; 6] = [
+pub const MUTANTS: [FaultInjection; 7] = [
     FaultInjection::DropInvalidation,
     FaultInjection::StaleGrant,
     FaultInjection::SkippedAckDecrement,
     FaultInjection::WrongSharerClear,
     FaultInjection::PrematureTxnRetire,
     FaultInjection::MonitorWordSkew,
+    FaultInjection::InvFilterIgnoresPendingMiss,
 ];
 
 /// The minimal scenario that exposes each mutant (see DESIGN.md §8.4).
@@ -493,6 +533,13 @@ fn mutant_scenario(fault: FaultInjection) -> Scenario {
             sym_groups: vec![],
             build: || workload("mutant_self", 1, vec![vec![store(LINE_A, 5), load(LINE_A)]]),
         },
+        // An ACKwise broadcast while a reader's grant is in flight: the
+        // home counts that reader as a sharer and waits for an ack it
+        // never gets.
+        FaultInjection::InvFilterIgnoresPendingMiss => scenarios()
+            .into_iter()
+            .find(|s| s.name == "readers_then_writer")
+            .expect("registered scenario"),
     }
 }
 
@@ -574,6 +621,28 @@ mod tests {
         );
     }
 
+    /// The 3-core pass reaches ACKwise broadcasts: under `ackwise1`, two
+    /// private copies overflow the single pointer and the next write's
+    /// invalidation goes out as a broadcast — with a reader's grant
+    /// possibly still in flight (`readers_then_writer`), or past an idle
+    /// tile the filter skips (`upgrade_bystander`). The whole space is
+    /// clean and drains to terminals.
+    #[test]
+    fn three_core_pass_reaches_a_broadcast() {
+        for sc in ["readers_then_writer", "upgrade_bystander"] {
+            for (name, cfg) in config_matrix(3) {
+                let r = explore(&cfg, &scenario(sc), None, CheckConfig::default());
+                assert!(r.violation.is_none(), "[{sc}, {name}] {}", r.violation.unwrap());
+                assert!(!r.capped && r.terminals > 0, "[{sc}, {name}] did not drain");
+                if name.starts_with("ackwise1") {
+                    assert!(r.broadcast_states > 0, "[{sc}, {name}] never broadcast");
+                } else {
+                    assert_eq!(r.broadcast_states, 0, "[{sc}, {name}] full-map broadcast");
+                }
+            }
+        }
+    }
+
     /// Barriers participate in the interleaving too; the sync-blocked
     /// states must drain (quiescence holds everywhere).
     #[test]
@@ -622,15 +691,17 @@ mod tests {
         assert!(survivors.is_empty(), "mutants survived the checker: {survivors:?}");
     }
 
-    /// A clean run under every mutant scenario *without* the fault —
-    /// the kills come from the seeded bugs, not from flaky scenarios.
+    /// A clean run under every mutant scenario *without* the fault, in
+    /// every configuration — the kills come from the seeded bugs, not
+    /// from flaky scenarios.
     #[test]
     fn mutant_scenarios_are_clean_without_the_fault() {
         for fault in MUTANTS {
             let sc = mutant_scenario(fault);
-            let cfg = config_matrix(sc.cores).remove(0).1;
-            let r = explore(&cfg, &sc, None, CheckConfig::default());
-            assert!(r.violation.is_none(), "[{fault:?}] {}", r.violation.unwrap());
+            for (name, cfg) in config_matrix(sc.cores) {
+                let r = explore(&cfg, &sc, None, CheckConfig::default());
+                assert!(r.violation.is_none(), "[{fault:?}, {name}] {}", r.violation.unwrap());
+            }
         }
     }
 }

@@ -81,13 +81,15 @@ fn main() -> ExitCode {
             let r = explore(&cfg, &scenario, None, ck);
             let depth = ck.depth.map_or_else(|| "full".into(), |d| format!("≤{d}"));
             println!(
-                "{:<18} {:<14} depth {:<5} states {:>7}  dups {:>7}  terminals {:>5}  max-path {}{}",
+                "{:<19} {:<14} depth {:<5} states {:>7}  dups {:>7}  terminals {:>5}  \
+                 broadcast {:>6}  max-path {}{}",
                 scenario.name,
                 cfg_name,
                 depth,
                 r.states,
                 r.duplicates,
                 r.terminals,
+                r.broadcast_states,
                 r.max_depth,
                 if r.capped { "  [CAPPED]" } else { "" },
             );
@@ -111,7 +113,7 @@ fn run_mutations(ck: CheckConfig) -> ExitCode {
         match outcome.counterexample {
             Some(cx) => {
                 println!(
-                    "KILLED   {:<22} [{}] after {} states, {}-step counterexample",
+                    "KILLED   {:<27} [{}] after {} states, {}-step counterexample",
                     format!("{fault:?}"),
                     outcome.config,
                     outcome.states_explored,
@@ -123,7 +125,7 @@ fn run_mutations(ck: CheckConfig) -> ExitCode {
             }
             None => {
                 println!(
-                    "SURVIVED {:<22} after {} states — the checker missed it",
+                    "SURVIVED {:<27} after {} states — the checker missed it",
                     format!("{fault:?}"),
                     outcome.states_explored
                 );

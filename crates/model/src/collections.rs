@@ -1,14 +1,17 @@
 //! Hot-path hashed collections.
 //!
-//! Every line-addressed table in the simulator (in-flight home
-//! transactions, waiter queues, the DRAM backing store, the coherence
-//! monitor's shadow memory) is keyed by a [`LineAddr`] — a small integer.
+//! The simulator's per-access tables are keyed by small integers: a
+//! [`LineAddr`] for in-flight home transactions, waiter queues, the DRAM
+//! backing store, the coherence monitor's shadow memory and each core's
+//! miss-class history, a page number for the R-NUCA page table.
 //! `std`'s default SipHash is a DoS-hardened cryptographic hash; paying it
 //! per simulated memory access is pure overhead because the keys are not
 //! attacker-controlled. This module provides an FxHash-style multiplicative
 //! hasher (the `rustc-hash` construction: rotate, xor, multiply by a
 //! golden-ratio-derived odd constant) with no external dependencies, plus
-//! the [`LineMap`]/[`LineSet`] aliases used throughout the workspace.
+//! the [`FxHashMap`] and [`LineMap`]/[`LineSet`] aliases those tables use.
+//! Only tables off the per-access path (barrier and lock state, the model
+//! checker's bookkeeping) keep `std`'s hasher.
 //!
 //! The hasher is deterministic across processes (no random seeding), which
 //! the repository's replay-equivalence tests rely on; nothing in the

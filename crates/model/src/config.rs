@@ -113,29 +113,27 @@ impl MechanismKind {
         MechanismKind::RatLevels { levels: 2, rat_max: 16 }
     }
 
-    /// The threshold ladder for a RAT mechanism given `pct`.
+    /// The threshold ladder for a RAT mechanism given `pct`, lowest rung
+    /// first. Lazy, so a directory entry fills its fixed-size ladder
+    /// without a heap allocation.
     ///
     /// §3.3: "RAT is additively increased in equal steps from PCT to RATmax,
     /// the number of steps being equal to (nRATlevels − 1)". With a single
-    /// level the RAT stays pinned at `pct`.
-    #[must_use]
-    pub fn rat_ladder(&self, pct: u32) -> Vec<u32> {
-        match *self {
-            MechanismKind::Timestamp => vec![pct],
-            MechanismKind::RatLevels { levels, rat_max } => {
-                let levels = levels.max(1);
-                if levels == 1 {
-                    return vec![pct];
-                }
-                let span = rat_max.saturating_sub(pct) as f64;
-                (0..levels)
-                    .map(|i| {
-                        let frac = i as f64 / (levels - 1) as f64;
-                        (pct as f64 + span * frac).round() as u32
-                    })
-                    .collect()
+    /// level (and for the Timestamp mechanism) the RAT stays pinned at
+    /// `pct`.
+    pub fn rat_ladder(&self, pct: u32) -> impl Iterator<Item = u32> {
+        let (levels, rat_max) = match *self {
+            MechanismKind::Timestamp => (1, pct),
+            MechanismKind::RatLevels { levels, rat_max } => (levels.max(1), rat_max),
+        };
+        let span = rat_max.saturating_sub(pct) as f64;
+        (0..levels).map(move |i| {
+            if i == 0 {
+                return pct;
             }
-        }
+            let frac = i as f64 / (levels - 1) as f64;
+            (pct as f64 + span * frac).round() as u32
+        })
     }
 }
 
@@ -432,16 +430,17 @@ mod tests {
 
     #[test]
     fn rat_ladder_matches_section_3_3() {
+        let ladder = |m: MechanismKind, pct| m.rat_ladder(pct).collect::<Vec<_>>();
         // Table 1 defaults: 2 levels from PCT=4 to RATmax=16.
-        assert_eq!(MechanismKind::rat_default().rat_ladder(4), vec![4, 16]);
+        assert_eq!(ladder(MechanismKind::rat_default(), 4), vec![4, 16]);
         // Four levels: equal additive steps.
         let m = MechanismKind::RatLevels { levels: 4, rat_max: 16 };
-        assert_eq!(m.rat_ladder(4), vec![4, 8, 12, 16]);
+        assert_eq!(ladder(m, 4), vec![4, 8, 12, 16]);
         // A single level pins RAT at PCT.
         let m = MechanismKind::RatLevels { levels: 1, rat_max: 16 };
-        assert_eq!(m.rat_ladder(4), vec![4]);
+        assert_eq!(ladder(m, 4), vec![4]);
         // Timestamp mechanism has no ladder beyond PCT.
-        assert_eq!(MechanismKind::Timestamp.rat_ladder(4), vec![4]);
+        assert_eq!(ladder(MechanismKind::Timestamp, 4), vec![4]);
     }
 
     #[test]

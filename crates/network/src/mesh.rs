@@ -1,7 +1,5 @@
 //! Timed mesh model: unicast and broadcast with link contention.
 
-use std::collections::HashMap;
-
 use lacc_model::{CoreId, Cycle};
 
 use crate::topology::Topology;
@@ -27,12 +25,19 @@ pub struct NetStats {
 /// the mesh records per-link busy windows so later messages crossing the
 /// same links queue behind earlier ones ("only link contention, infinite
 /// input buffers" — Table 1).
+///
+/// The per-message paths allocate nothing: unicasts and broadcasts walk
+/// their XY route or tree in place, and broadcast arrivals land in a
+/// reused buffer.
 #[derive(Clone, Debug)]
 pub struct MeshNetwork {
     topo: Topology,
     hop_cycles: Cycle,
     link_next_free: Vec<Cycle>,
-    fifo_last: HashMap<(u16, u16), Cycle>,
+    /// Latest delivery per (source, destination), indexed `src * n + dst`.
+    fifo_last: Vec<Cycle>,
+    /// The arrivals [`MeshNetwork::broadcast`] returns, reused per call.
+    arrivals: Vec<Cycle>,
     stats: NetStats,
 }
 
@@ -48,11 +53,12 @@ impl MeshNetwork {
         let topo = Topology::for_tiles(num_tiles);
         let slots = topo.num_link_slots();
         MeshNetwork {
-            topo,
             hop_cycles: hop_router_cycles + hop_link_cycles,
             link_next_free: vec![0; slots],
-            fifo_last: HashMap::new(),
+            fifo_last: vec![0; num_tiles * num_tiles],
+            arrivals: vec![0; num_tiles],
             stats: NetStats::default(),
+            topo,
         }
     }
 
@@ -100,25 +106,26 @@ impl MeshNetwork {
             return now;
         }
         self.stats.unicasts += 1;
-        let route = self.topo.xy_route(src, dst);
         let mut head = now;
-        for &(router, dir) in &route {
-            let li = self.topo.link_index(router, dir);
+        let mut hops = 0;
+        self.topo.for_each_xy_link(src, dst, |li| {
             let depart = head.max(self.link_next_free[li]);
             self.stats.contention_cycles += depart - head;
             self.link_next_free[li] = depart + flits as Cycle;
             head = depart + self.hop_cycles;
-        }
+            hops += 1;
+        });
         // Head flit arrives at `head`; the tail arrives flits-1 later.
         let arrival = head + flits as Cycle - 1;
         let arrival = self.clamp_fifo(src, dst, arrival);
-        self.stats.router_flits += (flits * (route.len() + 1)) as u64;
-        self.stats.link_flits += (flits * route.len()) as u64;
+        self.stats.router_flits += (flits * (hops + 1)) as u64;
+        self.stats.link_flits += (flits * hops) as u64;
         arrival
     }
 
     /// Injects a broadcast at `src` at time `now`; returns each tile's
-    /// delivery time (index = tile id). The source's own entry is `now`.
+    /// delivery time (index = tile id), valid until the next call. The
+    /// source's own entry is `now`.
     ///
     /// The message is replicated along the XY broadcast tree; every tree
     /// link is occupied for `flits` cycles, so one injection reaches all
@@ -127,36 +134,37 @@ impl MeshNetwork {
     /// # Panics
     ///
     /// Panics if `flits` is zero.
-    pub fn broadcast(&mut self, src: CoreId, flits: usize, now: Cycle) -> Vec<Cycle> {
+    pub fn broadcast(&mut self, src: CoreId, flits: usize, now: Cycle) -> &[Cycle] {
         assert!(flits > 0, "messages carry at least the header flit");
         self.stats.broadcasts += 1;
         let n = self.topo.num_tiles();
-        let mut head_at: Vec<Cycle> = vec![0; n];
-        head_at[src.index()] = now;
-        let edges = self.topo.broadcast_tree(src);
-        for &(parent, dir, child) in &edges {
-            let li = self.topo.link_index(parent, dir);
-            let ready = head_at[parent.index()];
+        let s = src.index();
+        // Head-flit times first. The tree reaches every tile exactly once,
+        // parents before children, so every entry is written before it is
+        // read and nothing needs clearing between calls.
+        let head_at = &mut self.arrivals;
+        head_at[s] = now;
+        self.topo.for_each_broadcast_edge(src, |parent, li, child| {
+            let ready = head_at[parent];
             let depart = ready.max(self.link_next_free[li]);
             self.stats.contention_cycles += depart - ready;
             self.link_next_free[li] = depart + flits as Cycle;
-            head_at[child.index()] = depart + self.hop_cycles;
-        }
+            head_at[child] = depart + self.hop_cycles;
+        });
         self.stats.router_flits += (flits * n) as u64;
-        self.stats.link_flits += (flits * edges.len()) as u64;
-        let mut arrivals = head_at;
-        for (i, a) in arrivals.iter_mut().enumerate() {
-            if i != src.index() {
-                *a += flits as Cycle - 1;
-                *a = self.clamp_fifo(src, CoreId::new(i), *a);
+        self.stats.link_flits += (flits * (n - 1)) as u64;
+        let fifo = &mut self.fifo_last[s * n..(s + 1) * n];
+        for (i, (a, last)) in head_at.iter_mut().zip(fifo).enumerate() {
+            if i != s {
+                *a = (*a + flits as Cycle - 1).max(*last);
+                *last = *a;
             }
         }
-        arrivals
+        &self.arrivals
     }
 
     fn clamp_fifo(&mut self, src: CoreId, dst: CoreId, arrival: Cycle) -> Cycle {
-        let key = (src.index() as u16, dst.index() as u16);
-        let last = self.fifo_last.entry(key).or_insert(0);
+        let last = &mut self.fifo_last[src.index() * self.topo.num_tiles() + dst.index()];
         let clamped = arrival.max(*last);
         *last = clamped;
         clamped
@@ -222,7 +230,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_everyone() {
         let mut net = MeshNetwork::new(16, 1, 1);
-        let arrivals = net.broadcast(t(5), 1, 10);
+        let arrivals = net.broadcast(t(5), 1, 10).to_vec();
         assert_eq!(arrivals.len(), 16);
         assert_eq!(arrivals[5], 10);
         for (i, &a) in arrivals.iter().enumerate() {
@@ -266,10 +274,121 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use std::collections::HashMap;
+
     use super::*;
     use proptest::prelude::*;
 
+    /// Reference mesh built on the topology's route lists: a fresh
+    /// [`Topology::xy_route`] per unicast, a fresh
+    /// [`Topology::broadcast_tree`] per broadcast, and a `(src, dst)` map
+    /// for the FIFO clamp.
+    struct RefMesh {
+        topo: Topology,
+        hop_cycles: Cycle,
+        link_next_free: Vec<Cycle>,
+        fifo_last: HashMap<(usize, usize), Cycle>,
+        stats: NetStats,
+    }
+
+    impl RefMesh {
+        fn new(n: usize) -> Self {
+            let topo = Topology::for_tiles(n);
+            let slots = topo.num_link_slots();
+            RefMesh {
+                topo,
+                hop_cycles: 2,
+                link_next_free: vec![0; slots],
+                fifo_last: HashMap::new(),
+                stats: NetStats::default(),
+            }
+        }
+
+        fn clamp_fifo(&mut self, src: usize, dst: usize, arrival: Cycle) -> Cycle {
+            let last = self.fifo_last.entry((src, dst)).or_insert(0);
+            *last = arrival.max(*last);
+            *last
+        }
+
+        fn unicast(&mut self, src: CoreId, dst: CoreId, flits: usize, now: Cycle) -> Cycle {
+            if src == dst {
+                return now;
+            }
+            self.stats.unicasts += 1;
+            let route = self.topo.xy_route(src, dst);
+            let mut head = now;
+            for &(router, dir) in &route {
+                let li = self.topo.link_index(router, dir);
+                let depart = head.max(self.link_next_free[li]);
+                self.stats.contention_cycles += depart - head;
+                self.link_next_free[li] = depart + flits as Cycle;
+                head = depart + self.hop_cycles;
+            }
+            self.stats.router_flits += (flits * (route.len() + 1)) as u64;
+            self.stats.link_flits += (flits * route.len()) as u64;
+            self.clamp_fifo(src.index(), dst.index(), head + flits as Cycle - 1)
+        }
+
+        fn broadcast(&mut self, src: CoreId, flits: usize, now: Cycle) -> Vec<Cycle> {
+            self.stats.broadcasts += 1;
+            let n = self.topo.num_tiles();
+            let mut head_at = vec![0; n];
+            head_at[src.index()] = now;
+            let edges = self.topo.broadcast_tree(src);
+            for &(parent, dir, child) in &edges {
+                let li = self.topo.link_index(parent, dir);
+                let ready = head_at[parent.index()];
+                let depart = ready.max(self.link_next_free[li]);
+                self.stats.contention_cycles += depart - ready;
+                self.link_next_free[li] = depart + flits as Cycle;
+                head_at[child.index()] = depart + self.hop_cycles;
+            }
+            self.stats.router_flits += (flits * n) as u64;
+            self.stats.link_flits += (flits * edges.len()) as u64;
+            (0..n)
+                .map(|i| {
+                    if i == src.index() {
+                        now
+                    } else {
+                        self.clamp_fifo(src.index(), i, head_at[i] + flits as Cycle - 1)
+                    }
+                })
+                .collect()
+        }
+    }
+
     proptest! {
+        /// The allocation-free mesh is the reference walk, message for
+        /// message: equal arrival cycles, equal per-link reservations and
+        /// equal traffic counters, on a square (8×8), a rectangular (4×3)
+        /// and a prime-count (13×1) mesh. One message in eight is a
+        /// broadcast.
+        #[test]
+        fn matches_reference_walk(
+            mesh in 0usize..3,
+            msgs in proptest::collection::vec(
+                (0u8..8, 0usize..64, 0usize..64, 1usize..10, 0u64..200),
+                1..80,
+            )
+        ) {
+            let n = [64, 12, 13][mesh];
+            let mut net = MeshNetwork::new(n, 1, 1);
+            let mut reference = RefMesh::new(n);
+            for (kind, s, d, flits, now) in msgs {
+                let (src, dst) = (CoreId::new(s % n), CoreId::new(d % n));
+                if kind == 0 {
+                    let want = reference.broadcast(src, flits, now);
+                    prop_assert_eq!(net.broadcast(src, flits, now), &want[..]);
+                } else {
+                    let want = reference.unicast(src, dst, flits, now);
+                    prop_assert_eq!(net.unicast(src, dst, flits, now), want);
+                }
+                prop_assert_eq!(&net.link_next_free, &reference.link_next_free);
+                prop_assert_eq!(net.stats(), reference.stats);
+            }
+        }
+
+
         /// Delivery time is never earlier than the zero-load latency, and
         /// per-pair deliveries are monotone in injection order.
         #[test]
@@ -306,7 +425,7 @@ mod proptests {
         fn broadcast_arrivals_bounded(src in 0usize..16, flits in 1usize..10, now in 0u64..100) {
             let mut net = MeshNetwork::new(16, 1, 1);
             let src = CoreId::new(src);
-            let arr = net.broadcast(src, flits, now);
+            let arr = net.broadcast(src, flits, now).to_vec();
             for (i, &a) in arr.iter().enumerate() {
                 let dst = CoreId::new(i);
                 if dst != src {

@@ -102,7 +102,7 @@ impl Topology {
     /// Index of the directed link leaving `tile` in `dir`.
     #[must_use]
     pub fn link_index(&self, tile: CoreId, dir: Direction) -> usize {
-        tile.index() * 4 + dir as usize
+        link_slot(tile.index(), dir)
     }
 
     /// Neighbor of `tile` in `dir`, if populated.
@@ -117,11 +117,44 @@ impl Topology {
         }
     }
 
-    /// The XY (dimension-ordered: x first, then y) route from `src` to
-    /// `dst` as a list of `(router, direction)` steps; empty when
-    /// `src == dst`.
+    /// Walks the XY (dimension-ordered: x first, then y) route from `src`
+    /// to `dst`, calling `f` with the index of each directed link crossed,
+    /// in order; no call when `src == dst`. Allocation-free: the mesh's
+    /// per-message hot path.
+    pub fn for_each_xy_link(&self, src: CoreId, dst: CoreId, mut f: impl FnMut(usize)) {
+        let (mut x, mut y) = self.coord(src);
+        let (dx, dy) = self.coord(dst);
+        let mut tile = src.index();
+        while x != dx {
+            if x < dx {
+                f(link_slot(tile, Direction::East));
+                x += 1;
+                tile += 1;
+            } else {
+                f(link_slot(tile, Direction::West));
+                x -= 1;
+                tile -= 1;
+            }
+        }
+        while y != dy {
+            if y < dy {
+                f(link_slot(tile, Direction::North));
+                y += 1;
+                tile += self.width;
+            } else {
+                f(link_slot(tile, Direction::South));
+                y -= 1;
+                tile -= self.width;
+            }
+        }
+    }
+
+    /// The XY route from `src` to `dst` as a list of `(router, direction)`
+    /// steps; empty when `src == dst`. The tests' reference for
+    /// [`Topology::for_each_xy_link`].
+    #[cfg(test)]
     #[must_use]
-    pub fn xy_route(&self, src: CoreId, dst: CoreId) -> Vec<(CoreId, Direction)> {
+    pub(crate) fn xy_route(&self, src: CoreId, dst: CoreId) -> Vec<(CoreId, Direction)> {
         let (mut x, mut y) = self.coord(src);
         let (dx, dy) = self.coord(dst);
         let mut steps = Vec::with_capacity(self.hops(src, dst));
@@ -138,13 +171,40 @@ impl Topology {
         steps
     }
 
-    /// The XY broadcast tree rooted at `src` (§3.1): the message first
-    /// travels both ways along the root's row, and every router in that row
-    /// replicates it up and down its column. Returned as parent→child edges
-    /// in deterministic breadth-usable order (row edges first, then column
-    /// edges), covering every populated tile exactly once.
+    /// Walks the XY broadcast tree rooted at `src` (§3.1), calling
+    /// `f(parent, link, child)` with tile and link indices per
+    /// parent→child edge. The message first travels both ways along the
+    /// root's row, and every router in that row replicates it up and down
+    /// its column: row edges come first, then column edges, each run
+    /// outward from the source, so every parent precedes its children and
+    /// every tile is reached exactly once. Allocation-free: the mesh's
+    /// per-broadcast hot path.
+    pub fn for_each_broadcast_edge(&self, src: CoreId, mut f: impl FnMut(usize, usize, usize)) {
+        let (sx, sy) = self.coord(src);
+        let w = self.width;
+        let at = |x: usize, y: usize| y * w + x;
+        for x in sx..w - 1 {
+            f(at(x, sy), link_slot(at(x, sy), Direction::East), at(x + 1, sy));
+        }
+        for x in (1..=sx).rev() {
+            f(at(x, sy), link_slot(at(x, sy), Direction::West), at(x - 1, sy));
+        }
+        for x in 0..w {
+            for y in sy..self.height - 1 {
+                f(at(x, y), link_slot(at(x, y), Direction::North), at(x, y + 1));
+            }
+            for y in (1..=sy).rev() {
+                f(at(x, y), link_slot(at(x, y), Direction::South), at(x, y - 1));
+            }
+        }
+    }
+
+    /// The XY broadcast tree rooted at `src` as a list of parent→child
+    /// edges, built from neighbor lookups. The tests' reference for
+    /// [`Topology::for_each_broadcast_edge`].
+    #[cfg(test)]
     #[must_use]
-    pub fn broadcast_tree(&self, src: CoreId) -> Vec<(CoreId, Direction, CoreId)> {
+    pub(crate) fn broadcast_tree(&self, src: CoreId) -> Vec<(CoreId, Direction, CoreId)> {
         let (sx, sy) = self.coord(src);
         let mut edges = Vec::with_capacity(self.num_tiles.saturating_sub(1));
         // Row edges, outward from the source.
@@ -173,6 +233,11 @@ impl Topology {
         }
         edges
     }
+}
+
+/// Index of the directed link leaving tile index `tile` in `dir`.
+fn link_slot(tile: usize, dir: Direction) -> usize {
+    tile * 4 + dir as usize
 }
 
 #[cfg(test)]
@@ -236,6 +301,12 @@ mod tests {
                     cur = topo.neighbor(cur, dir).expect("route stays on mesh");
                 }
                 assert_eq!(cur, t(d));
+                // The allocation-free walk crosses the same links in order.
+                let mut links = Vec::new();
+                topo.for_each_xy_link(t(s), t(d), |li| links.push(li));
+                let want: Vec<usize> =
+                    route.iter().map(|&(router, dir)| topo.link_index(router, dir)).collect();
+                assert_eq!(links, want);
             }
         }
     }
@@ -256,6 +327,14 @@ mod tests {
                     reached[b.index()] = true;
                 }
                 assert!(reached.iter().all(|&r| r));
+                // The allocation-free walk yields the same edges in order.
+                let mut walked = Vec::new();
+                topo.for_each_broadcast_edge(t(s), |a, li, b| walked.push((a, li, b)));
+                let want: Vec<(usize, usize, usize)> = edges
+                    .iter()
+                    .map(|&(a, dir, b)| (a.index(), topo.link_index(a, dir), b.index()))
+                    .collect();
+                assert_eq!(walked, want, "n={n}, src={s}");
             }
         }
     }

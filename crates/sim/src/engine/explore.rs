@@ -33,6 +33,7 @@ use lacc_core::sharer::InvalidationPlan;
 use lacc_model::{ConfigError, CoreId, CoreSet, Cycle, LineAddr, SystemConfig};
 
 use crate::msg::{Message, Payload};
+use crate::report::ProtocolStats;
 use crate::trace::{TraceOp, Workload};
 
 use super::state::{Awaiting, Blocked, HomeTxn, Phase};
@@ -96,6 +97,9 @@ pub enum FaultInjection {
     PrematureTxnRetire,
     /// The shadow-memory oracle itself records writes one word off.
     MonitorWordSkew,
+    /// The broadcast-`Inv` filter drops its in-flight clause: a core whose
+    /// grant for the line is still on the wire gets no `Inv`.
+    InvFilterIgnoresPendingMiss,
 }
 
 impl Simulator {
@@ -167,6 +171,14 @@ impl Simulator {
     #[must_use]
     pub fn enabled_count(&self) -> usize {
         self.enabled_positions().len()
+    }
+
+    /// Protocol counters accumulated along the current path, so the
+    /// checker can report which mechanisms an enumeration reached (an
+    /// ACKwise broadcast, for one).
+    #[must_use]
+    pub fn protocol_stats(&self) -> &ProtocolStats {
+        &self.protocol
     }
 
     /// Human-readable labels of the enabled events; the index into this

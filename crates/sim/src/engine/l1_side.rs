@@ -18,11 +18,12 @@ impl Simulator {
         back: bool,
         now: Cycle,
     ) {
-        // Broadcast invalidations reach every tile, but a copy answers only
-        // to its own home. This matters for R-NUCA-replicated instruction
-        // lines: the same address is homed per cluster, and a broadcast
-        // from one cluster's home must not kill (or collect acks from)
-        // another cluster's copies.
+        // A broadcast invalidation is delivered to every tile that holds
+        // the line or waits on a miss to it (`broadcast_inv`), but a copy
+        // answers only to its own home. This matters for R-NUCA-replicated
+        // instruction lines: the same address is homed per cluster, and a
+        // broadcast from one cluster's home must not kill (or collect acks
+        // from) another cluster's copies.
         if self.home_of(line, CoreId::new(tile)) != home {
             return;
         }
@@ -52,8 +53,11 @@ impl Simulator {
                 now,
             );
         }
-        // No copy: stay silent — the eviction notify in flight (or the
-        // broadcast over-approximation) is accounted by the home.
+        // No copy: stay silent. Either the copy's eviction notify is in
+        // flight and the home counts it as the response, or this tile got
+        // a broadcast `Inv` because its core waits on a miss to the line
+        // that the home has not granted; a broadcast awaits acks from real
+        // sharers only.
     }
 
     pub(crate) fn l1_writeback_req(

@@ -484,21 +484,31 @@ impl Simulator {
         self.schedule(arrival, Event::Deliver(Message { src, dst, line, payload, sent: now }));
     }
 
+    /// Broadcasts an invalidation of `line` from `home`. The mesh carries
+    /// it to every tile (flits, link reservations, contention and the
+    /// per-pair FIFO clamp all count every destination), but only a tile
+    /// that can act on it gets a `Deliver` event: one whose L1D or L1I
+    /// holds the line, or whose core's outstanding miss is to the line
+    /// (its grant may still be in flight; FIFO delivery puts the grant
+    /// first). Any other tile cannot gain the line before the `Inv`
+    /// lands, because the home serializes the line's transactions, so its
+    /// `Inv` would find no copy and stay silent. Skipping those events
+    /// keeps the `(cycle, push order)` of the rest, and no report changes.
     pub(crate) fn broadcast_inv(&mut self, home: usize, line: LineAddr, back: bool, now: Cycle) {
         let src = CoreId::new(home);
+        // Seeded bug (mutation testing): forget the in-flight-grant clause.
+        let see_pending = self.fault != Some(FaultInjection::InvFilterIgnoresPendingMiss);
         let arrivals = self.net.broadcast(src, 1, now);
         for (t, &at) in arrivals.iter().enumerate() {
+            let tile = &self.tiles[t];
+            let pending =
+                see_pending && self.cores[t].outstanding.is_some_and(|miss| miss.line == line);
+            if !(pending || tile.l1d.holds(line) || tile.l1i.holds(line)) {
+                continue;
+            }
             let dst = CoreId::new(t);
-            self.schedule(
-                at,
-                Event::Deliver(Message {
-                    src,
-                    dst,
-                    line,
-                    payload: Payload::Inv { back },
-                    sent: now,
-                }),
-            );
+            let msg = Message { src, dst, line, payload: Payload::Inv { back }, sent: now };
+            self.events.push(at, Event::Deliver(msg));
         }
     }
 
