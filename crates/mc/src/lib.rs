@@ -16,12 +16,13 @@
 //!    every state, not just at end of run.
 //!
 //! Terminal states additionally satisfy **quiescence**: all cores
-//! finished, no live transaction, waiter or blocked core.
+//! finished, no busy home line (live transaction or queued request), no
+//! blocked core.
 //!
 //! State deduplication uses a canonical fingerprint with symmetry
 //! reduction over interchangeable cores (`Simulator::fingerprint`).
 //! The checker itself is validated by mutation testing
-//! ([`run_mutation`]): seven seeded protocol bugs (the
+//! ([`run_mutation`]): eight seeded protocol bugs (the
 //! [`FaultInjection`] variants) must each be killed with a replayable
 //! counterexample.
 
@@ -169,6 +170,31 @@ pub fn scenarios() -> Vec<Scenario> {
                 )
             },
         },
+        // A read, a barrier, then the paper's own mechanism: core 1's
+        // store invalidates core 0's one-access copy, which under `pct4`
+        // demotes core 0 to a remote sharer, so its re-read and store are
+        // word accesses at the home (`pct1` keeps it private).
+        Scenario {
+            name: "demote_then_reread",
+            cores: 2,
+            lines: 1,
+            sym_groups: vec![],
+            build: || {
+                workload(
+                    "demote_then_reread",
+                    1,
+                    vec![
+                        vec![
+                            load(LINE_A),
+                            TraceOp::Barrier { id: 0 },
+                            load(LINE_A),
+                            store(LINE_A, 6),
+                        ],
+                        vec![TraceOp::Barrier { id: 0 }, store(LINE_A, 8)],
+                    ],
+                )
+            },
+        },
         Scenario {
             name: "two_lines",
             cores: 2,
@@ -232,6 +258,11 @@ pub fn scenarios() -> Vec<Scenario> {
             },
         },
     ]
+}
+
+/// The registered scenario called `name`.
+fn scenario(name: &str) -> Scenario {
+    scenarios().into_iter().find(|s| s.name == name).expect("registered scenario")
 }
 
 /// The directory/classifier configurations each scenario runs under:
@@ -310,6 +341,9 @@ pub struct CheckResult {
     /// Distinct states whose path sent at least one broadcast
     /// invalidation (0 under a full-map directory).
     pub broadcast_states: usize,
+    /// Distinct states whose path served at least one remote word read or
+    /// write at the home (0 when every sharer stays private).
+    pub word_states: usize,
     /// `true` if the `max_states` cap stopped the enumeration.
     pub capped: bool,
     /// The first violation found, if any.
@@ -447,8 +481,12 @@ pub fn explore(
         }
         result.states += 1;
         result.max_depth = result.max_depth.max(path.len());
-        if sim.protocol_stats().broadcasts > 0 {
+        let stats = sim.protocol_stats();
+        if stats.broadcasts > 0 {
             result.broadcast_states += 1;
+        }
+        if stats.word_reads + stats.word_writes > 0 {
+            result.word_states += 1;
         }
 
         let checked = catch_unwind(AssertUnwindSafe(|| sim.check_invariants()))
@@ -489,7 +527,7 @@ pub fn explore(
 // ---------------------------------------------------------------------------
 
 /// Every seeded protocol bug the checker must kill.
-pub const MUTANTS: [FaultInjection; 7] = [
+pub const MUTANTS: [FaultInjection; 8] = [
     FaultInjection::DropInvalidation,
     FaultInjection::StaleGrant,
     FaultInjection::SkippedAckDecrement,
@@ -497,6 +535,7 @@ pub const MUTANTS: [FaultInjection; 7] = [
     FaultInjection::PrematureTxnRetire,
     FaultInjection::MonitorWordSkew,
     FaultInjection::InvFilterIgnoresPendingMiss,
+    FaultInjection::WordReadSkipsOwnerFetch,
 ];
 
 /// The minimal scenario that exposes each mutant (see DESIGN.md §8.4).
@@ -536,10 +575,10 @@ fn mutant_scenario(fault: FaultInjection) -> Scenario {
         // An ACKwise broadcast while a reader's grant is in flight: the
         // home counts that reader as a sharer and waits for an ack it
         // never gets.
-        FaultInjection::InvFilterIgnoresPendingMiss => scenarios()
-            .into_iter()
-            .find(|s| s.name == "readers_then_writer")
-            .expect("registered scenario"),
+        FaultInjection::InvFilterIgnoresPendingMiss => scenario("readers_then_writer"),
+        // A demoted core's word read while the other core holds the line
+        // dirty: only the owner fetch brings the written value home.
+        FaultInjection::WordReadSkipsOwnerFetch => scenario("demote_then_reread"),
     }
 }
 
@@ -581,10 +620,6 @@ pub fn run_mutation(fault: FaultInjection, ck: CheckConfig) -> MutationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scenario(name: &str) -> Scenario {
-        scenarios().into_iter().find(|s| s.name == name).expect("known scenario")
-    }
 
     /// The acceptance-criterion run: full (un-depth-bounded) enumeration
     /// of a 2-core, 1-line config in both directory flavors, every
@@ -639,6 +674,24 @@ mod tests {
                 } else {
                     assert_eq!(r.broadcast_states, 0, "[{sc}, {name}] full-map broadcast");
                 }
+            }
+        }
+    }
+
+    /// The 2-core pass reaches the paper's remote word accesses:
+    /// `demote_then_reread` serves word reads and writes at the home in
+    /// every `pct4` config and none in any `pct1` config, and its whole
+    /// space is clean.
+    #[test]
+    fn demoted_sharer_makes_word_accesses_only_under_pct4() {
+        for (name, cfg) in config_matrix(2) {
+            let r = explore(&cfg, &scenario("demote_then_reread"), None, CheckConfig::default());
+            assert!(r.violation.is_none(), "[{name}] {}", r.violation.unwrap());
+            assert!(!r.capped && r.terminals > 0, "[{name}] did not drain");
+            if name.ends_with("pct4") {
+                assert!(r.word_states > 0, "[{name}] no word access reached");
+            } else {
+                assert_eq!(r.word_states, 0, "[{name}] word access with pct 1");
             }
         }
     }

@@ -82,7 +82,7 @@ fn main() -> ExitCode {
             let depth = ck.depth.map_or_else(|| "full".into(), |d| format!("≤{d}"));
             println!(
                 "{:<19} {:<14} depth {:<5} states {:>7}  dups {:>7}  terminals {:>5}  \
-                 broadcast {:>6}  max-path {}{}",
+                 broadcast {:>6}  word {:>6}  max-path {}{}",
                 scenario.name,
                 cfg_name,
                 depth,
@@ -90,6 +90,7 @@ fn main() -> ExitCode {
                 r.duplicates,
                 r.terminals,
                 r.broadcast_states,
+                r.word_states,
                 r.max_depth,
                 if r.capped { "  [CAPPED]" } else { "" },
             );

@@ -23,7 +23,7 @@
 //! — see DESIGN.md §8.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use lacc_cache::DataSlab;
 use lacc_core::home::DirectoryEntry;
@@ -41,10 +41,8 @@ use super::{Event, EventPlane, SimOptions, Simulator};
 
 /// The pending-event set of an exploration-mode simulator: every
 /// scheduled event sits in an inspectable list tagged with its cycle and
-/// a global push sequence number. `ChoicePlane::pop` replays the serial
-/// `(cycle, push-order)` total order, so `Simulator::run` still works on
-/// a `Choice` plane; the model checker instead removes *chosen* entries
-/// through `Simulator::fire_choice`.
+/// a global push sequence number. The model checker removes *chosen*
+/// entries through `Simulator::fire_choice`.
 #[derive(Debug, Default)]
 pub struct ChoicePlane {
     /// `(cycle, push sequence, event)` triples in push order.
@@ -63,17 +61,6 @@ impl ChoicePlane {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push((at, seq, ev));
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(Cycle, Event)> {
-        let pos = self
-            .pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(at, seq, _))| (at, seq))
-            .map(|(i, _)| i)?;
-        let (at, _, ev) = self.pending.remove(pos);
-        Some((at, ev))
     }
 }
 
@@ -100,6 +87,9 @@ pub enum FaultInjection {
     /// The broadcast-`Inv` filter drops its in-flight clause: a core whose
     /// grant for the line is still on the wire gets no `Inv`.
     InvFilterIgnoresPendingMiss,
+    /// A remote word read is served from the L2 copy without fetching the
+    /// exclusive owner's (possibly dirty) data first.
+    WordReadSkipsOwnerFetch,
 }
 
 impl Simulator {
@@ -320,15 +310,15 @@ impl Simulator {
             }
         }
 
-        // In-flight home transactions, per tile, sorted by line.
+        // Busy lines, per tile, sorted by line: the in-flight transaction,
+        // then the queued requests in FIFO order.
         for tile in &self.tiles {
-            let mut lines: Vec<(LineAddr, u32)> =
-                tile.txns.iter().map(|(l, id)| (*l, *id)).collect();
+            let mut lines: Vec<_> = tile.busy.iter().collect();
             lines.sort_unstable_by_key(|&(l, _)| l.raw());
             out.push(lines.len() as u64);
-            for (line, id) in lines {
+            for (line, busy) in lines {
                 out.push(line.raw());
-                match tile.txn_arena.get(id) {
+                match &busy.txn {
                     HomeTxn::Request(t) => {
                         out.push(1);
                         out.push(perm[t.requester.index()] as u64);
@@ -376,19 +366,8 @@ impl Simulator {
                         encode_awaiting(&t.awaiting, &mut out, perm);
                     }
                 }
-            }
-        }
-
-        // Waiter queues, per tile, sorted by line, FIFO order inside.
-        for tile in &self.tiles {
-            let mut queues: Vec<(LineAddr, &VecDeque<(Message, Cycle)>)> =
-                tile.waiters.iter().collect();
-            queues.sort_unstable_by_key(|&(l, _)| l.raw());
-            out.push(queues.len() as u64);
-            for (line, q) in queues {
-                out.push(line.raw());
-                out.push(q.len() as u64);
-                for (msg, _) in q {
+                out.push(busy.queued.len() as u64);
+                for (msg, _) in &busy.queued {
                     encode_message(msg, &self.slab, perm, &mut out);
                 }
             }
@@ -541,7 +520,7 @@ impl Simulator {
         // Data values: every violation the monitor saw during execution,
         // then a sweep of resident copies against the shadow. L2 content
         // is only checkable when the line is at rest (no writable L1
-        // copy, no transaction, message or waiter touching it).
+        // copy, no busy entry, no message touching it).
         let mut to_verify: Vec<(CoreId, LineAddr, usize, u64)> = Vec::new();
         for (t, tile) in self.tiles.iter().enumerate() {
             for set in 0..tile.l1d.num_sets() {
@@ -554,8 +533,7 @@ impl Simulator {
             }
             for (line, l2line) in tile.l2.iter() {
                 let at_rest = !matches!(l2line.entry.state, DirState::Exclusive(_))
-                    && !tile.txns.contains_key(&line)
-                    && !tile.waiters.line_busy(line)
+                    && !tile.busy.contains_key(&line)
                     && !self.line_in_flight(line);
                 if at_rest {
                     let words = self.slab.get(l2line.data).words();
@@ -586,7 +564,7 @@ impl Simulator {
 
     /// The at-every-state version of the end-of-run slab audit: the
     /// outstanding handle count must equal the owners — resident lines,
-    /// backing entries, data-bearing pending/waiting messages and evict
+    /// backing entries, data-bearing pending/queued messages and evict
     /// transactions.
     fn check_slab_refs(&self) -> Result<(), String> {
         let resident: usize =
@@ -597,16 +575,12 @@ impl Simulator {
                 expected += payload_handles(&m.payload);
             }
         }
-        for tile in &self.tiles {
-            for (_, q) in tile.waiters.iter() {
-                for (msg, _) in q {
-                    expected += payload_handles(&msg.payload);
-                }
+        for busy in self.tiles.iter().flat_map(|t| t.busy.values()) {
+            for (msg, _) in &busy.queued {
+                expected += payload_handles(&msg.payload);
             }
-            for (_, &id) in tile.txns.iter() {
-                if matches!(tile.txn_arena.get(id), HomeTxn::Evict(_)) {
-                    expected += 1;
-                }
+            if matches!(busy.txn, HomeTxn::Evict(_)) {
+                expected += 1;
             }
         }
         if self.slab.total_refs() != expected {
@@ -619,8 +593,8 @@ impl Simulator {
     }
 
     /// Checks that a state with no enabled events is a proper terminal:
-    /// every core finished, every transaction retired, no waiter queued,
-    /// nobody blocked on synchronization.
+    /// every core finished, no line busy (every transaction retired, no
+    /// request queued), nobody blocked on synchronization.
     ///
     /// # Errors
     ///
@@ -634,14 +608,11 @@ impl Simulator {
             return Err(format!("cores {stuck:?} never finished (blocked: {states:?})"));
         }
         for (t, tile) in self.tiles.iter().enumerate() {
-            if tile.txn_arena.live() != 0 {
+            if !tile.busy.is_empty() {
                 return Err(format!(
                     "tile {t}: {} home transaction(s) never retired",
-                    tile.txn_arena.live()
+                    tile.busy.len()
                 ));
-            }
-            if !tile.waiters.is_empty() {
-                return Err(format!("tile {t}: waiter queues are not empty"));
             }
         }
         if self.sync.blocked_count() != 0 {

@@ -1,13 +1,13 @@
 //! Home-side engine: directory transactions, L2 installs and evictions,
-//! ack collection, grants, and waiter draining.
+//! sharer responses, grants, and queued-request draining.
 //!
-//! Each line has at most one in-flight transaction per home slice
-//! (`TileState::txns`, slots recycled through the per-tile `TxnArena`);
-//! requests that find the line busy queue FIFO in `TileState::waiters`
-//! and their queueing time is charged as *L2 cache waiting time*. The
-//! decision kernel itself ([`DirectoryEntry::begin_request`]) is pure and
-//! lives in `lacc_core`; this module executes its decisions with real
-//! timing.
+//! Each line has at most one in-flight transaction per home slice: the
+//! line is busy exactly while `TileState::busy` holds its `BusyLine`.
+//! Requests that find the line busy queue FIFO in that record, and their
+//! queueing time is charged as *L2 cache waiting time*; retiring the
+//! transaction starts the oldest of them. The decision kernel itself
+//! ([`DirectoryEntry::begin_request`]) is pure and lives in `lacc_core`;
+//! this module executes its decisions with real timing.
 //!
 //! Slab handle lifetimes on this side (DESIGN.md §6.2): an incoming dirty
 //! `InvAck`/`EvictNotify`/`WbData` handle is *adopted* as the new resident
@@ -17,7 +17,9 @@
 //! move — and `DramWriteBack` transfers the victim's handle to the memory
 //! controller. A clean L2 eviction is a pure release.
 
-use lacc_cache::{DataRef, LineData};
+use std::collections::VecDeque;
+
+use lacc_cache::{DataRef, DataSlab, LineData};
 use lacc_core::classifier::{RemovalReason, SharerMode};
 use lacc_core::home::{AccessKind, DirectoryEntry, Grant, HomeRequest};
 use lacc_core::mesi::MesiState;
@@ -27,23 +29,28 @@ use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
 use crate::msg::{Message, Payload};
 
 use super::explore::FaultInjection;
-use super::state::{Awaiting, EvictTxn, HomeTxn, L2Line, Phase, RequestTxn};
+use super::state::{Awaiting, BusyLine, EvictTxn, HomeTxn, L2Line, Phase, RequestTxn};
 use super::{Event, Simulator, INSTALL_RETRY_CYCLES};
 
 impl Simulator {
     pub(crate) fn home_request_arrival(&mut self, msg: Message, now: Cycle) {
         let tile = msg.dst.index();
-        let line = msg.line;
-        let busy =
-            self.tiles[tile].txns.contains_key(&line) || self.tiles[tile].waiters.line_busy(line);
-        if busy {
-            self.tiles[tile].waiters.push(line, (msg, now));
-        } else {
-            self.start_home_txn(tile, msg, now, now);
+        match self.tiles[tile].busy.get_mut(&msg.line) {
+            Some(busy) => busy.queued.push_back((msg, now)),
+            None => self.start_home_txn(tile, msg, now, VecDeque::new(), now),
         }
     }
 
-    fn start_home_txn(&mut self, tile: usize, msg: Message, arrival: Cycle, now: Cycle) {
+    /// Begins serving `msg` on its idle line; `queued` holds the requests
+    /// that arrived behind it, oldest first.
+    fn start_home_txn(
+        &mut self,
+        tile: usize,
+        msg: Message,
+        arrival: Cycle,
+        queued: VecDeque<(Message, Cycle)>,
+        now: Cycle,
+    ) {
         let (kind, hints, word, value, instr) = match msg.payload {
             Payload::ReadReq { hints, word, instr } => (AccessKind::Read, hints, word, 0, instr),
             Payload::WriteReq { hints, word, value } => {
@@ -68,7 +75,9 @@ impl Simulator {
             decision: None,
             awaiting: Awaiting::Count(0),
         };
-        self.tiles[tile].txn_insert(msg.line, HomeTxn::Request(txn));
+        let busy = BusyLine { txn: HomeTxn::Request(txn), queued };
+        let prev = self.tiles[tile].busy.insert(msg.line, busy);
+        debug_assert!(prev.is_none(), "line {} already has an in-flight transaction", msg.line);
         self.schedule(now + self.cfg.l2.latency, Event::HomeLookup { tile, line: msg.line });
     }
 
@@ -140,15 +149,13 @@ impl Simulator {
         let entry =
             DirectoryEntry::new(self.cfg.directory, &self.cfg.classifier, self.cfg.num_cores);
         let fresh = L2Line { dirty: false, data, entry };
-        // A victim must not have an in-flight transaction of its own.
-        // Query the transaction/waiter maps directly per candidate (O(1)
-        // each) instead of materializing every in-flight line per install.
+        // A victim must not be busy. Query the busy map per candidate
+        // (O(1) each) instead of materializing every busy line per install.
         let tile_state = &mut self.tiles[tile];
-        let txns = &tile_state.txns;
-        let waiters = &tile_state.waiters;
-        let result = tile_state.l2.try_insert_filtered(line, fresh, |l, _| {
-            l != line && !txns.contains_key(&l) && !waiters.line_busy(l)
-        });
+        let busy = &tile_state.busy;
+        let result = tile_state
+            .l2
+            .try_insert_filtered(line, fresh, |l, _| l != line && !busy.contains_key(&l));
         match result {
             Err(rejected) => Err(rejected.data),
             Ok(victim) => {
@@ -198,21 +205,21 @@ impl Simulator {
                         Awaiting::Count(expected_acks)
                     }
                 };
-                self.tiles[tile].txn_insert(
-                    vline,
-                    HomeTxn::Evict(EvictTxn {
-                        entry: vmeta.entry,
-                        data: vmeta.data,
-                        dirty: vmeta.dirty,
-                        awaiting,
-                    }),
-                );
+                let txn = HomeTxn::Evict(EvictTxn {
+                    entry: vmeta.entry,
+                    data: vmeta.data,
+                    dirty: vmeta.dirty,
+                    awaiting,
+                });
+                let prev =
+                    self.tiles[tile].busy.insert(vline, BusyLine { txn, queued: VecDeque::new() });
+                debug_assert!(prev.is_none(), "victim {vline} was busy");
             }
         }
     }
 
     fn home_decide(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        let decision;
+        let mut decision;
         {
             let (requester, kind, hints, instr) = {
                 let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
@@ -224,6 +231,13 @@ impl Simulator {
             let req = HomeRequest { core: requester, kind, hints, instruction: instr };
             decision = l2line.entry.begin_request(&req, now);
             self.counts.dir_updates += 1;
+        }
+        // Seeded bug (mutation testing): serve a remote word read from the
+        // L2 copy without first fetching the exclusive owner's data.
+        if self.fault == Some(FaultInjection::WordReadSkipsOwnerFetch)
+            && decision.grant == Grant::WordRead
+        {
+            decision.fetch_from_owner = None;
         }
         let fetch_from = decision.fetch_from_owner;
         {
@@ -240,7 +254,7 @@ impl Simulator {
                 // Seeded bug (mutation testing): retire the transaction
                 // while its write-back is still in flight.
                 if self.fault == Some(FaultInjection::PrematureTxnRetire) {
-                    self.tiles[tile].txn_remove(line);
+                    self.tiles[tile].busy.remove(&line);
                 }
                 return;
             }
@@ -292,87 +306,104 @@ impl Simulator {
         }
     }
 
+    /// A sharer's copy is gone: an `InvAck` answering an invalidation
+    /// (`reason` is `Invalidation`) or a back-invalidation
+    /// (`BackInvalidation`), or an `EvictNotify` (`Eviction`). `data` is
+    /// `Some` when the copy was dirty; its handle is adopted as the line's
+    /// data, so the content never moves by value.
+    ///
+    /// An L2 eviction in progress collects the response into its own
+    /// record. Otherwise the resident line's directory entry drops the
+    /// sharer, and a request transaction collecting responses grants once
+    /// the last one arrives. A notify that no transaction awaits is plain
+    /// directory bookkeeping.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn home_inv_ack(
+    pub(crate) fn home_sharer_gone(
         &mut self,
         tile: usize,
         from: CoreId,
         line: LineAddr,
         util: u32,
         data: Option<DataRef>,
-        back: bool,
+        reason: RemovalReason,
         now: Cycle,
     ) {
-        // `Some` means the invalidated copy was dirty: its handle is
-        // adopted as the new resident data (the old resident handle is
-        // released), so the line content never moves by value.
-        match self.tiles[tile].txn_mut(line) {
-            Some(HomeTxn::Request(txn)) => {
-                debug_assert_eq!(txn.phase, Phase::AwaitAcks, "unexpected inv-ack");
-                debug_assert!(!back);
-                self.inval_histogram.record(util);
-                // Seeded bug (mutation testing): claim the ack was counted
-                // without decrementing the awaited set/count.
-                let counted = if self.fault == Some(FaultInjection::SkippedAckDecrement) {
-                    true
-                } else {
-                    txn.awaiting.note_response(from)
-                };
-                debug_assert!(counted, "uncounted inv-ack from {from}");
-                let done = txn.awaiting.done();
-                // Seeded bug (mutation testing): clear the wrong core from
-                // the sharer set.
-                let ack_core = if self.fault == Some(FaultInjection::WrongSharerClear) {
-                    CoreId::new((from.index() + 1) % self.cfg.num_cores)
-                } else {
-                    from
-                };
-                let l2line = self.tiles[tile].l2.peek_mut(line).expect("resident during txn");
-                let mode =
-                    l2line.entry.sharer_response(ack_core, util, RemovalReason::Invalidation);
-                if mode == Some(SharerMode::Remote) {
-                    self.protocol.demotions += 1;
-                }
-                if let Some(d) = data {
-                    let old = std::mem::replace(&mut l2line.data, d);
-                    l2line.dirty = true;
-                    self.slab.release(old);
-                    self.counts.l2_line_writes += 1;
-                }
-                if done {
-                    let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                        unreachable!();
-                    };
-                    txn.sharers_lat += now - txn.phase_start;
-                    self.home_grant(tile, line, now);
-                }
-            }
+        let invalidation = reason == RemovalReason::Invalidation;
+        if invalidation {
+            self.inval_histogram.record(util);
+        } else {
+            self.evict_histogram.record(util);
+        }
+        if reason == RemovalReason::Eviction {
+            self.protocol.evictions += 1;
+        }
+        // `Some(done)` while a request transaction collects responses.
+        let collecting = match self.tiles[tile].txn_mut(line) {
             Some(HomeTxn::Evict(et)) => {
-                self.evict_histogram.record(util);
-                et.entry.sharer_response(from, util, RemovalReason::BackInvalidation);
-                if let Some(d) = data {
-                    let old = std::mem::replace(&mut et.data, d);
-                    et.dirty = true;
-                    self.slab.release(old);
-                }
+                et.entry.sharer_response(from, util, reason);
+                adopt_dirty(&mut self.slab, &mut et.data, &mut et.dirty, data);
                 et.awaiting.note_response(from);
                 if et.awaiting.done() {
                     self.finish_l2_eviction(tile, line, now);
                 }
+                return;
             }
-            None => {
-                debug_assert!(false, "inv-ack for idle line {line}");
-                // Unreachable in a correct run; consume the handle anyway
-                // so a release build cannot leak the slot.
-                if let Some(d) = data {
-                    self.slab.release(d);
-                }
+            Some(HomeTxn::Request(txn)) if txn.phase == Phase::AwaitAcks => {
+                // Seeded bug (mutation testing): claim the ack was counted
+                // without decrementing the awaited set/count.
+                let counted =
+                    if invalidation && self.fault == Some(FaultInjection::SkippedAckDecrement) {
+                        true
+                    } else {
+                        txn.awaiting.note_response(from)
+                    };
+                debug_assert!(counted || !invalidation, "uncounted inv-ack from {from}");
+                Some(counted && txn.awaiting.done())
             }
+            _ => {
+                debug_assert!(!invalidation, "inv-ack for {line} with no transaction awaiting it");
+                None
+            }
+        };
+        let Some(l2line) = self.tiles[tile].l2.peek_mut(line) else {
+            debug_assert!(false, "sharer response for non-resident {line}");
+            // Consume the handle anyway so a release build cannot leak
+            // the slot.
+            if let Some(d) = data {
+                self.slab.release(d);
+            }
+            return;
+        };
+        // Seeded bug (mutation testing): clear the wrong core from the
+        // sharer set.
+        let gone = if invalidation && self.fault == Some(FaultInjection::WrongSharerClear) {
+            CoreId::new((from.index() + 1) % self.cfg.num_cores)
+        } else {
+            from
+        };
+        if l2line.entry.sharer_response(gone, util, reason) == Some(SharerMode::Remote) {
+            self.protocol.demotions += 1;
+        }
+        if adopt_dirty(&mut self.slab, &mut l2line.data, &mut l2line.dirty, data) {
+            self.counts.l2_line_writes += 1;
+        }
+        match collecting {
+            Some(true) => {
+                let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
+                    unreachable!();
+                };
+                txn.sharers_lat += now - txn.phase_start;
+                self.home_grant(tile, line, now);
+            }
+            Some(false) => {}
+            None => self.counts.dir_updates += 1,
         }
     }
 
     fn finish_l2_eviction(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        let Some(HomeTxn::Evict(et)) = self.tiles[tile].txn_remove(line) else {
+        let Some(BusyLine { txn: HomeTxn::Evict(et), queued }) =
+            self.tiles[tile].busy.remove(&line)
+        else {
             unreachable!();
         };
         if et.dirty {
@@ -382,80 +413,7 @@ impl Simulator {
         } else {
             self.slab.release(et.data);
         }
-        self.drain_waiter(tile, line, now);
-    }
-
-    pub(crate) fn home_evict_notify(
-        &mut self,
-        tile: usize,
-        from: CoreId,
-        line: LineAddr,
-        util: u32,
-        data: Option<DataRef>,
-        now: Cycle,
-    ) {
-        // As with inv-acks: a dirty notify's handle is adopted as the new
-        // resident data and the old resident handle released.
-        self.protocol.evictions += 1;
-        self.evict_histogram.record(util);
-        match self.tiles[tile].txn_mut(line) {
-            Some(HomeTxn::Request(txn)) if txn.phase == Phase::AwaitAcks => {
-                let counted = txn.awaiting.note_response(from);
-                let done = txn.awaiting.done();
-                let l2line = self.tiles[tile].l2.peek_mut(line).expect("resident during txn");
-                let mode = l2line.entry.sharer_response(from, util, RemovalReason::Eviction);
-                if mode == Some(SharerMode::Remote) {
-                    self.protocol.demotions += 1;
-                }
-                if let Some(d) = data {
-                    let old = std::mem::replace(&mut l2line.data, d);
-                    l2line.dirty = true;
-                    self.slab.release(old);
-                    self.counts.l2_line_writes += 1;
-                }
-                if counted && done {
-                    let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                        unreachable!();
-                    };
-                    txn.sharers_lat += now - txn.phase_start;
-                    self.home_grant(tile, line, now);
-                }
-            }
-            Some(HomeTxn::Evict(et)) => {
-                et.entry.sharer_response(from, util, RemovalReason::Eviction);
-                if let Some(d) = data {
-                    let old = std::mem::replace(&mut et.data, d);
-                    et.dirty = true;
-                    self.slab.release(old);
-                }
-                et.awaiting.note_response(from);
-                if et.awaiting.done() {
-                    self.finish_l2_eviction(tile, line, now);
-                }
-            }
-            _ => {
-                // No transaction (or one not yet collecting acks): plain
-                // bookkeeping on the resident line.
-                let Some(l2line) = self.tiles[tile].l2.peek_mut(line) else {
-                    debug_assert!(false, "evict notify for non-resident {line}");
-                    if let Some(d) = data {
-                        self.slab.release(d);
-                    }
-                    return;
-                };
-                let mode = l2line.entry.sharer_response(from, util, RemovalReason::Eviction);
-                if mode == Some(SharerMode::Remote) {
-                    self.protocol.demotions += 1;
-                }
-                if let Some(d) = data {
-                    let old = std::mem::replace(&mut l2line.data, d);
-                    l2line.dirty = true;
-                    self.slab.release(old);
-                    self.counts.l2_line_writes += 1;
-                }
-                self.counts.dir_updates += 1;
-            }
-        }
+        self.start_next_queued(tile, queued, now);
     }
 
     /// `response` is `None` for a `WbNack`, `Some(None)` for a clean
@@ -479,10 +437,7 @@ impl Simulator {
             match response {
                 Some(data) => {
                     l2line.entry.owner_downgraded(owner);
-                    if let Some(d) = data {
-                        let old = std::mem::replace(&mut l2line.data, d);
-                        l2line.dirty = true;
-                        self.slab.release(old);
+                    if adopt_dirty(&mut self.slab, &mut l2line.data, &mut l2line.dirty, data) {
                         self.counts.l2_line_writes += 1;
                     }
                 }
@@ -497,7 +452,9 @@ impl Simulator {
     }
 
     fn home_grant(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_remove(line) else {
+        let Some(BusyLine { txn: HomeTxn::Request(txn), queued }) =
+            self.tiles[tile].busy.remove(&line)
+        else {
             unreachable!("grant without transaction");
         };
         let decision = txn.decision.expect("granting after decision");
@@ -563,22 +520,45 @@ impl Simulator {
             }
         };
         self.send(home, txn.requester, line, payload, now);
-        self.drain_waiter(tile, line, now);
+        self.start_next_queued(tile, queued, now);
     }
 
-    fn drain_waiter(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        if let Some((msg, arrival)) = self.tiles[tile].waiters.pop(line) {
-            self.start_home_txn(tile, msg, arrival, now);
+    /// Starts the oldest request `queued` behind a retired transaction;
+    /// the rest of the queue moves into its record.
+    fn start_next_queued(
+        &mut self,
+        tile: usize,
+        mut queued: VecDeque<(Message, Cycle)>,
+        now: Cycle,
+    ) {
+        if let Some((msg, arrival)) = queued.pop_front() {
+            self.start_home_txn(tile, msg, arrival, queued, now);
         }
     }
+}
+
+/// Adopts a dirty response's handle as `data`, releasing the handle it
+/// replaces; `true` if `incoming` carried one.
+fn adopt_dirty(
+    slab: &mut DataSlab,
+    data: &mut DataRef,
+    dirty: &mut bool,
+    incoming: Option<DataRef>,
+) -> bool {
+    let Some(d) = incoming else { return false };
+    slab.release(std::mem::replace(data, d));
+    *dirty = true;
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{default_instr_base, Workload};
+    use crate::trace::{default_instr_base, RegionDecl, TraceOp, TraceSource, VecTrace, Workload};
     use lacc_cache::LineData;
-    use lacc_model::SystemConfig;
+    use lacc_core::classifier::RequestHints;
+    use lacc_core::rnuca::RegionClass;
+    use lacc_model::{Addr, SystemConfig};
 
     fn idle_sim() -> Simulator {
         let w = Workload {
@@ -589,6 +569,80 @@ mod tests {
             instr_base: default_instr_base(),
         };
         Simulator::new(SystemConfig::small_for_tests(4), w).expect("valid config")
+    }
+
+    /// A request transaction still in its L2 lookup: enough to make a
+    /// line busy without touching the slab.
+    fn lookup_in_progress() -> BusyLine {
+        let txn = RequestTxn {
+            requester: CoreId::new(1),
+            kind: AccessKind::Read,
+            hints: RequestHints::default(),
+            word: 0,
+            value: 0,
+            instr: false,
+            wait: 0,
+            offchip: 0,
+            sharers_lat: 0,
+            phase: Phase::Lookup,
+            phase_start: 0,
+            decision: None,
+            awaiting: Awaiting::Count(0),
+        };
+        BusyLine { txn: HomeTxn::Request(txn), queued: VecDeque::new() }
+    }
+
+    /// The request transaction `line` is serving, as `(requester, wait)`.
+    fn serving(sim: &Simulator, line: LineAddr) -> Option<(CoreId, Cycle)> {
+        sim.tiles.iter().find_map(|t| match &t.busy.get(&line)?.txn {
+            HomeTxn::Request(r) => Some((r.requester, r.wait)),
+            HomeTxn::Evict(_) => None,
+        })
+    }
+
+    /// Requests that find their line busy start in arrival order, each
+    /// charged the time it queued as L2 waiting time. Four cores load one
+    /// line at cycle 0: the first request to arrive makes the line busy,
+    /// and the other three queue behind its DRAM fill.
+    #[test]
+    fn queued_requests_start_in_arrival_order() {
+        let line = LineAddr::new(0x40);
+        let load = TraceOp::Load { addr: Addr::new(line.raw() * 64) };
+        let w = Workload {
+            name: "contended-line".into(),
+            traces: (0..4)
+                .map(|_| Box::new(VecTrace::new(vec![load])) as Box<dyn TraceSource>)
+                .collect(),
+            regions: vec![RegionDecl { first_line: line, lines: 1, class: RegionClass::Shared }],
+            instr_lines: 0,
+            instr_base: default_instr_base(),
+        };
+        let mut sim = Simulator::new(SystemConfig::small_for_tests(4), w).expect("valid config");
+        let mut arrivals: Vec<(CoreId, Cycle)> = Vec::new();
+        let mut starts: Vec<(CoreId, Cycle, Cycle)> = Vec::new();
+        while let Some((now, ev)) = sim.events.pop() {
+            if let Event::Deliver(m) = &ev {
+                if matches!(m.payload, Payload::ReadReq { .. }) && m.line == line {
+                    arrivals.push((m.src, now));
+                }
+            }
+            sim.dispatch(ev, now);
+            if let Some((core, wait)) = serving(&sim, line) {
+                if starts.last().map(|&(c, _, _)| c) != Some(core) {
+                    starts.push((core, now, wait));
+                }
+            }
+        }
+        assert_eq!(arrivals.len(), 4, "one request per core");
+        let order = |v: &[(CoreId, Cycle)]| v.iter().map(|&(c, _)| c).collect::<Vec<_>>();
+        let started: Vec<_> = starts.iter().map(|&(c, at, _)| (c, at)).collect();
+        assert_eq!(order(&started), order(&arrivals), "transactions start in arrival order");
+        for (&(core, start, wait), &(_, arrival)) in starts.iter().zip(&arrivals) {
+            assert_eq!(wait, start - arrival, "core {core}: wait is start minus arrival");
+        }
+        assert!(starts[1..].iter().all(|&(_, _, wait)| wait > 0), "three requests queued");
+        let report = sim.finish();
+        assert_eq!(report.monitor.violations, 0);
     }
 
     /// Satellite regression: a refused `install_l2_line` must hand the
@@ -606,7 +660,7 @@ mod tests {
             let resident = LineAddr::new(i * num_sets);
             let data = sim.slab.alloc(LineData::zeroed());
             sim.install_l2_line(0, resident, data, 0).expect("set not yet full");
-            sim.tiles[0].txns.insert(resident, 0);
+            sim.tiles[0].busy.insert(resident, lookup_in_progress());
         }
         let incoming = LineAddr::new(assoc * num_sets); // same set, absent
         let data = sim.slab.alloc(LineData::from_words([42; 8]));
@@ -625,7 +679,7 @@ mod tests {
         // Once a way frees up, the retry lands that same handle as the
         // resident line (transfer), evicting the freed way cleanly.
         let freed = LineAddr::new(0);
-        sim.tiles[0].txns.remove(&freed);
+        sim.tiles[0].busy.remove(&freed);
         let mid = sim.slab.stats();
         sim.install_l2_line(0, incoming, back, 2).expect("retry succeeds");
         assert!(sim.tiles[0].l2.contains(incoming));

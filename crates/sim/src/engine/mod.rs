@@ -21,12 +21,11 @@
 //! The engine is split by subsystem (DESIGN.md §2 maps this layout):
 //!
 //! * [`queue`] — the two-level calendar event queue;
-//! * `state` — per-core and per-tile state (L1s, L2 slice, transaction
-//!   tables, waiter queues);
+//! * `state` — per-core and per-tile state (L1s, L2 slice, busy lines);
 //! * `core_side` — trace execution, instruction fetch, replay, miss
 //!   issue and reply handling;
-//! * `home_side` — directory transactions, L2 installs/evictions, ack
-//!   collection, grants and waiter draining;
+//! * `home_side` — directory transactions, L2 installs/evictions, sharer
+//!   responses, grants and queued-request draining;
 //! * `l1_side` — remote-initiated L1 actions (invalidations, write-back
 //!   requests).
 
@@ -39,6 +38,7 @@ mod l1_side;
 mod state;
 
 use lacc_cache::{DataRef, DataSlab, LineData, SetAssocCache};
+use lacc_core::classifier::RemovalReason;
 use lacc_core::l1::L1Cache;
 use lacc_core::rnuca::{RegionClass, Rnuca};
 use lacc_dram::DramSystem;
@@ -57,14 +57,10 @@ use crate::trace::{TraceSource, Workload};
 
 use explore::{ChoicePlane, FaultInjection};
 use queue::CalendarQueue;
-use state::{CoreState, TileState, TxnArena, Waiters};
+use state::{CoreState, TileState};
 
 pub(crate) const INSTR_PER_LINE: u64 = 8; // 64-byte line / 8-byte instruction
 pub(crate) const INSTALL_RETRY_CYCLES: Cycle = 32;
-/// Transaction slots pre-created per tile; blocking cores keep the
-/// simultaneous in-flight count per home slice small, so the arena
-/// rarely grows past its seed.
-pub(crate) const TXN_ARENA_SEED_SLOTS: usize = 8;
 
 /// One scheduled occurrence in the simulation.
 #[derive(Debug)]
@@ -78,16 +74,10 @@ pub(crate) enum Event {
 }
 
 // Every queued occurrence moves one `Event` through the calendar queue,
-// so its size is the hot-path unit of the whole simulation. Pre-refactor
-// (payloads embedding `LineData` inline) `Event` measured 120 bytes;
-// slab handles bound it at 64. The first bound is the acceptance
-// criterion ("drops below its pre-refactor value"), the second is the
-// measured regression pin.
-const PRE_REFACTOR_EVENT_BYTES: usize = 120;
-const _: () = {
-    assert!(std::mem::size_of::<Event>() < PRE_REFACTOR_EVENT_BYTES);
-    assert!(std::mem::size_of::<Event>() <= 64);
-};
+// so its size is the hot-path unit of the whole simulation. Payloads
+// carry slab handles instead of inline `LineData` (which made `Event`
+// 120 bytes); this pins the bound.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 /// Run-time switches that do not belong to the simulated machine
 /// ([`SystemConfig`] describes the machine; this describes the run).
@@ -119,15 +109,14 @@ impl Default for SimOptions {
 }
 
 /// The event queue behind [`Simulator::schedule`]: the calendar queue of
-/// a normal run, or the model checker's choice plane. Both yield the
-/// `(cycle, push order)` total order.
+/// a normal run, which yields the `(cycle, push order)` total order, or
+/// the model checker's choice plane.
 #[derive(Debug)]
 pub(crate) enum EventPlane {
     Serial(CalendarQueue<Event>),
     /// The model checker's pending-event set ([`explore`]): every push
-    /// lands in an inspectable list, pops replay the serial `(cycle,
-    /// push-order)` total order, and `Simulator::fire_choice` can instead
-    /// fire any *enabled* pending event out of order.
+    /// lands in an inspectable list, and `Simulator::fire_choice` fires
+    /// any *enabled* pending event, in or out of order.
     Choice(ChoicePlane),
 }
 
@@ -144,7 +133,9 @@ impl EventPlane {
     fn pop(&mut self) -> Option<(Cycle, Event)> {
         match self {
             EventPlane::Serial(q) => q.pop(),
-            EventPlane::Choice(p) => p.pop(),
+            EventPlane::Choice(_) => {
+                unreachable!("an exploration simulator fires events through fire_choice")
+            }
         }
     }
 }
@@ -297,9 +288,7 @@ impl Simulator {
                 l1i: L1Cache::new(&cfg.l1i, cfg.line_bytes, CoreId::new(i)),
                 l1d: L1Cache::new(&cfg.l1d, cfg.line_bytes, CoreId::new(i)),
                 l2: SetAssocCache::new(cfg.l2.num_sets(cfg.line_bytes), cfg.l2.associativity),
-                txns: LineMap::default(),
-                txn_arena: TxnArena::with_capacity(TXN_ARENA_SEED_SLOTS),
-                waiters: Waiters::new(),
+                busy: LineMap::default(),
             })
             .collect();
 
@@ -455,11 +444,10 @@ impl Simulator {
             expected
         );
         for (t, tile) in self.tiles.iter().enumerate() {
-            assert_eq!(
-                tile.txn_arena.live(),
-                0,
+            assert!(
+                tile.busy.is_empty(),
                 "tile {t}: {} home transaction(s) never retired",
-                tile.txn_arena.live()
+                tile.busy.len()
             );
         }
         self.build_report()
@@ -531,7 +519,12 @@ impl Simulator {
                 self.l1_invalidate(msg.dst.index(), msg.src, msg.line, back, now)
             }
             Payload::InvAck { util, data, back } => {
-                self.home_inv_ack(msg.dst.index(), msg.src, msg.line, util, data, back, now);
+                let reason = if back {
+                    RemovalReason::BackInvalidation
+                } else {
+                    RemovalReason::Invalidation
+                };
+                self.home_sharer_gone(msg.dst.index(), msg.src, msg.line, util, data, reason, now);
             }
             Payload::WbReq => self.l1_writeback_req(msg.dst.index(), msg.src, msg.line, now),
             Payload::WbData { data } => {
@@ -539,7 +532,8 @@ impl Simulator {
             }
             Payload::WbNack => self.home_wb_response(msg.dst.index(), msg.src, msg.line, None, now),
             Payload::EvictNotify { util, data } => {
-                self.home_evict_notify(msg.dst.index(), msg.src, msg.line, util, data, now);
+                let reason = RemovalReason::Eviction;
+                self.home_sharer_gone(msg.dst.index(), msg.src, msg.line, util, data, reason, now);
             }
             Payload::DramFetch => {
                 let ctrl = self.dram.ctrl_for_line(msg.line);

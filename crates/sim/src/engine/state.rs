@@ -3,10 +3,10 @@
 //! The [`Simulator`](super::Simulator) owns one [`CoreState`] per core
 //! (trace cursor, local clock, completion breakdown, miss classifier) and
 //! one [`TileState`] per tile (private L1s, the local L2/directory slice,
-//! in-flight home transactions and their waiter queues). Everything here
-//! is data + small invariant-preserving helpers; the protocol logic that
-//! drives it lives in the sibling `core_side`/`home_side`/`l1_side`
-//! modules.
+//! and its busy lines: one in-flight transaction each, plus the requests
+//! queued behind it). Everything here is data + small helpers; the
+//! protocol logic that drives it lives in the sibling
+//! `core_side`/`home_side`/`l1_side` modules.
 
 use std::collections::VecDeque;
 
@@ -17,6 +17,7 @@ use lacc_core::l1::L1Cache;
 use lacc_core::miss_class::MissClassifier;
 use lacc_model::{CompletionBreakdown, CoreId, CoreSet, Cycle, LineAddr, LineMap, MissStats};
 
+use crate::msg::Message;
 use crate::trace::{TraceOp, TraceSource};
 
 // ---------------------------------------------------------------------------
@@ -138,98 +139,6 @@ pub(crate) struct L2Line {
     pub entry: DirectoryEntry,
 }
 
-// ---------------------------------------------------------------------------
-// Transaction arena
-// ---------------------------------------------------------------------------
-
-/// Index of a transaction slot in a [`TxnArena`].
-pub(crate) type TxnId = u32;
-
-/// Slot-recycling arena for in-flight home transactions.
-///
-/// A home slice begins and retires one transaction per miss it serves; with
-/// transactions stored directly in a hash map, that is one full
-/// [`HomeTxn`]-sized move in and out of the table per miss, plus the map's
-/// own churn. The arena keeps fixed-size slots alive for the whole run and
-/// recycles them through a LIFO free list: steady-state transaction
-/// turnover touches no allocator at all, and the line → transaction map
-/// shrinks to 4-byte [`TxnId`] values. Slots are only added when the
-/// number of *simultaneously* live transactions exceeds every previous
-/// high-water mark (bounded in practice by the blocking-core protocol:
-/// one outstanding request per core plus the evictions they spawn).
-///
-/// [`TxnArena::live`] is the leak-check quantity: when a tile is idle it
-/// must be zero, or a transaction was begun and never retired.
-pub(crate) struct TxnArena<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<TxnId>,
-}
-
-impl<T> TxnArena<T> {
-    /// An arena with `cap` slots pre-created (empty, free-listed).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut arena = TxnArena { slots: Vec::with_capacity(cap), free: Vec::with_capacity(cap) };
-        for i in 0..cap {
-            arena.slots.push(None);
-            arena.free.push(i as TxnId);
-        }
-        // LIFO free list: pop order is ascending slot index.
-        arena.free.reverse();
-        arena
-    }
-
-    /// Stores `txn` in a recycled (or, past the high-water mark, fresh)
-    /// slot and returns its id.
-    pub fn insert(&mut self, txn: T) -> TxnId {
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none(), "free-listed slot occupied");
-                self.slots[id as usize] = Some(txn);
-                id
-            }
-            None => {
-                let id = TxnId::try_from(self.slots.len()).expect("txn arena exceeds u32 slots");
-                self.slots.push(Some(txn));
-                id
-            }
-        }
-    }
-
-    /// Shared access to the transaction in slot `id` (invariant checks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant (stale id).
-    pub fn get(&self, id: TxnId) -> &T {
-        self.slots[id as usize].as_ref().expect("stale TxnId: slot is vacant")
-    }
-
-    /// Mutable access to the transaction in slot `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant (stale id).
-    pub fn get_mut(&mut self, id: TxnId) -> &mut T {
-        self.slots[id as usize].as_mut().expect("stale TxnId: slot is vacant")
-    }
-
-    /// Retires the transaction in slot `id`, recycling the slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is vacant (double retire).
-    pub fn remove(&mut self, id: TxnId) -> T {
-        let txn = self.slots[id as usize].take().expect("double retire of TxnId");
-        self.free.push(id);
-        txn
-    }
-
-    /// Number of live transactions.
-    pub fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 /// The responses a home transaction still waits for: exact identities
 /// (unicast rounds) or a bare count (ACKwise broadcast rounds).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -306,86 +215,31 @@ pub(crate) enum HomeTxn {
     Evict(EvictTxn),
 }
 
-/// Per-line FIFO queues of requests that arrived while the line was busy.
+/// A line the home slice is serving: its one in-flight transaction and
+/// the requests that arrived while it was in flight, oldest first.
 ///
 /// Queueing time becomes the *L2 cache waiting time* completion component,
 /// so fairness is an accounting invariant, not just a liveness one: for any
 /// line, requests are served in exactly the order they arrived.
-pub(crate) struct Waiters<T> {
-    map: LineMap<VecDeque<T>>,
-}
-
-impl<T> Waiters<T> {
-    pub fn new() -> Self {
-        Waiters { map: LineMap::default() }
-    }
-
-    /// Whether `line` has queued requests.
-    pub fn line_busy(&self, line: LineAddr) -> bool {
-        self.map.get(&line).is_some_and(|q| !q.is_empty())
-    }
-
-    /// Appends a request to `line`'s queue.
-    pub fn push(&mut self, line: LineAddr, item: T) {
-        self.map.entry(line).or_default().push_back(item);
-    }
-
-    /// Pops the oldest queued request for `line`, dropping the queue when
-    /// it empties so `line_busy` stays O(1)-accurate.
-    pub fn pop(&mut self, line: LineAddr) -> Option<T> {
-        let q = self.map.get_mut(&line)?;
-        let item = q.pop_front();
-        if q.is_empty() {
-            self.map.remove(&line);
-        }
-        item
-    }
-
-    /// `true` when no line has queued requests (quiescence checks).
-    pub fn is_empty(&self) -> bool {
-        self.map.values().all(VecDeque::is_empty)
-    }
-
-    /// Iterates every non-empty queue as `(line, queue)` in map order
-    /// (callers needing a canonical order sort by line).
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &VecDeque<T>)> {
-        self.map.iter().map(|(l, q)| (*l, q))
-    }
+pub(crate) struct BusyLine {
+    pub txn: HomeTxn,
+    pub queued: VecDeque<(Message, Cycle)>,
 }
 
 /// One tile: the private L1 pair and the local shared-L2 slice with its
-/// in-flight transaction table and waiter queues.
-///
-/// Transactions live in the slot-recycling [`TxnArena`]; `txns` maps a
-/// busy line to its arena slot. Use the `txn*` helpers — they keep the
-/// map and the arena in lock-step.
+/// busy lines.
 pub(crate) struct TileState {
     pub l1i: L1Cache,
     pub l1d: L1Cache,
     pub l2: SetAssocCache<L2Line>,
-    pub txns: LineMap<TxnId>,
-    pub txn_arena: TxnArena<HomeTxn>,
-    pub waiters: Waiters<(crate::msg::Message, Cycle)>,
+    /// A line is busy exactly while it has an entry here.
+    pub busy: LineMap<BusyLine>,
 }
 
 impl TileState {
     /// The in-flight transaction on `line`, if any.
     pub fn txn_mut(&mut self, line: LineAddr) -> Option<&mut HomeTxn> {
-        let id = *self.txns.get(&line)?;
-        Some(self.txn_arena.get_mut(id))
-    }
-
-    /// Begins a transaction on `line` (which must be idle).
-    pub fn txn_insert(&mut self, line: LineAddr, txn: HomeTxn) {
-        let id = self.txn_arena.insert(txn);
-        let prev = self.txns.insert(line, id);
-        debug_assert!(prev.is_none(), "line {line} already has an in-flight transaction");
-    }
-
-    /// Retires `line`'s transaction, recycling its arena slot.
-    pub fn txn_remove(&mut self, line: LineAddr) -> Option<HomeTxn> {
-        let id = self.txns.remove(&line)?;
-        Some(self.txn_arena.remove(id))
+        self.busy.get_mut(&line).map(|b| &mut b.txn)
     }
 }
 
@@ -415,94 +269,5 @@ mod tests {
         assert!(a.note_response(c(0)), "count mode ignores identities");
         assert!(a.done());
         assert!(!a.note_response(c(1)));
-    }
-
-    #[test]
-    fn txn_arena_recycles_slots() {
-        let mut a: TxnArena<&'static str> = TxnArena::with_capacity(2);
-        assert_eq!(a.live(), 0);
-        let x = a.insert("x");
-        let y = a.insert("y");
-        assert_eq!((x, y), (0, 1), "pre-created slots hand out in index order");
-        assert_eq!(a.live(), 2);
-        let z = a.insert("z"); // past the high-water mark: grows
-        assert_eq!(z, 2);
-        assert_eq!(a.remove(y), "y");
-        assert_eq!(a.insert("y2"), y, "retired slot is recycled, not grown");
-        assert_eq!(*a.get_mut(z), "z");
-        *a.get_mut(x) = "x2";
-        assert_eq!(a.remove(x), "x2");
-        assert_eq!(a.remove(z), "z");
-        assert_eq!(a.remove(y), "y2");
-        assert_eq!(a.live(), 0);
-        // Steady-state reuse: a full drain puts every slot back in play.
-        let again = a.insert("again");
-        assert!(again < 3, "no growth while free slots exist");
-    }
-
-    #[test]
-    #[should_panic(expected = "stale TxnId")]
-    fn txn_arena_stale_id_panics() {
-        let mut a: TxnArena<u8> = TxnArena::with_capacity(1);
-        let id = a.insert(7);
-        a.remove(id);
-        let _ = a.get_mut(id);
-    }
-
-    #[test]
-    fn waiters_fifo_per_line() {
-        let mut w: Waiters<u32> = Waiters::new();
-        let l = LineAddr::new(7);
-        assert!(!w.line_busy(l));
-        w.push(l, 1);
-        w.push(l, 2);
-        assert!(w.line_busy(l));
-        assert_eq!(w.pop(l), Some(1));
-        assert_eq!(w.pop(l), Some(2));
-        assert_eq!(w.pop(l), None);
-        assert!(!w.line_busy(l));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// FIFO fairness under contention: with arbitrary interleavings of
-        /// arrivals and drains across many contended lines, every line
-        /// serves its requests in exact arrival order and no request is
-        /// lost or duplicated (matches a per-line VecDeque reference
-        /// model).
-        #[test]
-        fn waiters_match_reference_queues(
-            ops in proptest::collection::vec((0u64..8, proptest::bool::ANY), 1..300)
-        ) {
-            let mut w: Waiters<usize> = Waiters::new();
-            let mut model: std::collections::BTreeMap<u64, VecDeque<usize>> =
-                std::collections::BTreeMap::new();
-            for (ticket, (line, push)) in ops.into_iter().enumerate() {
-                let l = LineAddr::new(line);
-                if push {
-                    w.push(l, ticket);
-                    model.entry(line).or_default().push_back(ticket);
-                } else {
-                    prop_assert_eq!(w.pop(l), model.entry(line).or_default().pop_front());
-                }
-                prop_assert_eq!(
-                    w.line_busy(l),
-                    !model.entry(line).or_default().is_empty()
-                );
-            }
-            // Drain: remaining arrivals come out in arrival order.
-            for (line, q) in model {
-                let l = LineAddr::new(line);
-                for expect in q {
-                    prop_assert_eq!(w.pop(l), Some(expect));
-                }
-                prop_assert_eq!(w.pop(l), None);
-            }
-        }
     }
 }

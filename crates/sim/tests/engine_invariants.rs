@@ -4,10 +4,11 @@
 //!    `(cycle, schedule order)` — property-tested against a reference
 //!    `BinaryHeap<Reverse<(cycle, seq)>>` model (the structure it
 //!    replaced).
-//! 2. Home waiter-queue FIFO fairness under contention, observed end to
-//!    end: a line hammered by every core stays coherent, charges L2
-//!    waiting time, and reproduces bit-identically (the per-structure
-//!    FIFO property test lives with the `Waiters` type in the engine).
+//! 2. Home queueing fairness under contention, observed end to end: a
+//!    line hammered by every core stays coherent, charges L2 waiting
+//!    time, and reproduces bit-identically (the unit test
+//!    `queued_requests_start_in_arrival_order` in `engine/home_side.rs`
+//!    checks the per-line start order directly).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -147,12 +148,12 @@ fn contended_line_is_fifo_fair_coherent_and_deterministic() {
     };
     let a = run();
     // Coherence under heavy same-line contention is exactly the property
-    // FIFO waiter service protects (a starved or reordered waiter would
-    // read a stale serialization).
+    // FIFO service of queued requests protects (a starved or reordered
+    // request would read a stale serialization).
     assert_eq!(a.monitor.violations, 0);
     assert!(a.breakdown.l2_waiting > 0, "8 cores hammering one line must queue at the home");
-    // Waiter service order is part of simulated time: any nondeterminism
-    // in the queues or the event order shows up here.
+    // Queued-request service order is part of simulated time: any
+    // nondeterminism in the queues or the event order shows up here.
     let b = run();
     assert_eq!(a.completion_time, b.completion_time);
     assert_eq!(a.breakdown, b.breakdown);
