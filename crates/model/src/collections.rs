@@ -1,9 +1,9 @@
 //! Hot-path hashed collections.
 //!
 //! The simulator's per-access tables are keyed by small integers: a
-//! [`LineAddr`] for busy home lines, the DRAM backing store, the
-//! coherence monitor's shadow memory and each core's miss-class history,
-//! a page number for the R-NUCA page table.
+//! [`LineAddr`] for busy home lines, the DRAM backing store and each
+//! core's miss-class history, a page number for the R-NUCA page table and
+//! the coherence monitor's shadow-page index.
 //! `std`'s default SipHash is a DoS-hardened cryptographic hash; paying it
 //! per simulated memory access is pure overhead because the keys are not
 //! attacker-controlled. This module provides an FxHash-style multiplicative

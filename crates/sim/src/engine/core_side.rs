@@ -54,38 +54,47 @@ impl Simulator {
         }
     }
 
-    /// Executes pending compute instructions; `false` when blocked or
-    /// rescheduled.
+    /// Retires the core's pending compute instructions a line at a time:
+    /// the L1I is probed only when the fetch position reaches an I-line
+    /// boundary, and every instruction up to the next boundary retires in
+    /// one step. `false` when blocked on an I-miss or rescheduled.
     fn run_compute(&mut self, ci: usize, now: Cycle) -> bool {
         while self.cores[ci].pending_compute > 0 {
-            if !self.fetch_instr(ci, now) {
+            let k = self.fetch_instr(ci, self.cores[ci].pending_compute, now);
+            if k == 0 {
                 return false;
             }
             let core = &mut self.cores[ci];
-            core.pending_compute -= 1;
-            core.clock += 1;
-            core.breakdown.compute += 1;
-            core.instructions += 1;
-            self.counts.l1i_reads += 1;
+            core.pending_compute -= k;
+            core.clock += Cycle::from(k);
+            core.breakdown.compute += Cycle::from(k);
+            core.instructions += u64::from(k);
+            self.counts.l1i_reads += u64::from(k);
         }
         true
     }
 
-    /// Fetches the next instruction (I-cache model); `false` when blocked
-    /// on an I-miss or rescheduled to the core's local clock.
-    fn fetch_instr(&mut self, ci: usize, now: Cycle) -> bool {
+    /// Fetches up to `n` (≥ 1) instructions from the I-line at the core's
+    /// fetch position (I-cache model): probes the L1I if the position is
+    /// at a line boundary and returns how many instructions fetched before
+    /// the next boundary. With no instruction footprint every fetch hits
+    /// and all `n` return. `0` when blocked on an I-miss or rescheduled to
+    /// the core's local clock.
+    fn fetch_instr(&mut self, ci: usize, n: u32, now: Cycle) -> u32 {
         if self.instr_lines == 0 {
-            return true;
+            return n;
         }
         let pos = self.cores[ci].instr_pos;
-        let line = LineAddr::new(self.instr_base.raw() + (pos / INSTR_PER_LINE) % self.instr_lines);
-        if pos % INSTR_PER_LINE == 0 {
+        let offset = pos % INSTR_PER_LINE;
+        if offset == 0 {
+            let line =
+                LineAddr::new(self.instr_base.raw() + (pos / INSTR_PER_LINE) % self.instr_lines);
             let clock = self.cores[ci].clock;
             let hit = self.tiles[ci].l1i.load(line, 0, clock, &self.slab).is_some();
             if !hit {
                 if clock > now {
                     self.schedule(clock, Event::CoreStep(ci));
-                    return false;
+                    return 0;
                 }
                 let miss = self.cores[ci].miss_class.classify(line, false);
                 self.cores[ci].l1i_stats.record_miss(miss);
@@ -101,12 +110,14 @@ impl Simulator {
                     },
                 );
                 self.cores[ci].blocked = Blocked::IFetch;
-                return false;
+                return 0;
             }
             self.cores[ci].l1i_stats.record_hit();
         }
-        self.cores[ci].instr_pos = pos + 1;
-        true
+        // At most `INSTR_PER_LINE` remain in the line, so the cast is lossless.
+        let k = n.min((INSTR_PER_LINE - offset) as u32);
+        self.cores[ci].instr_pos = pos + u64::from(k);
+        k
     }
 
     /// Executes one trace op; `false` when blocked or rescheduled.
@@ -116,7 +127,7 @@ impl Simulator {
         if matches!(op, TraceOp::Load { .. } | TraceOp::Store { .. })
             && !self.cores[ci].replay_ifetched
         {
-            if !self.fetch_instr(ci, now) {
+            if self.fetch_instr(ci, 1, now) == 0 {
                 self.cores[ci].replay = Some(op);
                 return false;
             }
@@ -373,5 +384,80 @@ impl Simulator {
         }
         self.cores[ci].blocked = Blocked::No;
         self.step_core(ci, now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::SimReport;
+    use crate::trace::{default_instr_base, VecTrace, Workload};
+    use lacc_model::SystemConfig;
+
+    /// One core running `Compute(3), Compute(20)` over an instruction
+    /// footprint of `instr_lines` lines, from a cold L1I.
+    fn compute_sim(instr_lines: u64) -> Simulator {
+        let w = Workload {
+            name: "compute-runs".into(),
+            traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(3), TraceOp::Compute(20)]))],
+            regions: vec![],
+            instr_lines,
+            instr_base: default_instr_base(),
+        };
+        Simulator::new(SystemConfig::small_for_tests(4), w).expect("valid config")
+    }
+
+    /// Runs to the end, returning the report, the `(line, issue cycle)` of
+    /// each instruction miss and the cycle each instruction grant landed.
+    fn run_observed(mut sim: Simulator) -> (SimReport, Vec<(LineAddr, Cycle)>, Vec<Cycle>) {
+        let (mut misses, mut grants) = (Vec::new(), Vec::new());
+        while let Some((now, ev)) = sim.events.pop() {
+            if matches!(&ev, Event::Deliver(m) if matches!(m.payload, Payload::GrantLine { .. })) {
+                grants.push(now);
+            }
+            sim.dispatch(ev, now);
+            if let Some(o) = sim.cores[0].outstanding {
+                assert!(o.instr, "the trace has no data accesses");
+                if misses.last() != Some(&(o.line, o.issue_time)) {
+                    misses.push((o.line, o.issue_time));
+                }
+            }
+        }
+        (sim.finish(), misses, grants)
+    }
+
+    /// The fetch position walks lines 0, 1, 0 of a two-line footprint
+    /// (positions 0, 8 and 16 are the boundaries). Line 0 misses at cycle
+    /// 0; its grant at `t1` retires `Compute(3)` and the first five
+    /// instructions of `Compute(20)`, reaching position 8 at `t1 + 8`,
+    /// ahead of the grant's event time, so the core reschedules itself and
+    /// line 1 misses at `t1 + 8`, mid-run. Its grant at `t2` retires eight
+    /// instructions, position 16 hits line 0, and the last seven finish
+    /// at `t2 + 15`. Each miss is followed by a hit on the refetch.
+    #[test]
+    fn compute_runs_retire_a_line_at_a_time_across_an_ifetch_miss() {
+        let (r, misses, grants) = run_observed(compute_sim(2));
+        let base = default_instr_base().raw();
+        let [t1, t2] = grants[..] else { panic!("two instruction grants, got {grants:?}") };
+        assert_eq!(misses, [(LineAddr::new(base), 0), (LineAddr::new(base + 1), t1 + 8)]);
+        assert_eq!(r.instructions, 23);
+        assert_eq!(r.breakdown.compute, 23);
+        assert_eq!(r.energy_counts.l1i_reads, 23);
+        assert_eq!((r.l1i.hits, r.l1i.total_misses()), (3, 2));
+        assert_eq!(r.completion_time, t2 + 15);
+        assert_eq!(r.monitor.violations, 0);
+    }
+
+    /// With no instruction footprint every fetch hits without a probe: the
+    /// 23 instructions retire back to back from cycle 0.
+    #[test]
+    fn compute_runs_without_an_instruction_footprint_retire_whole() {
+        let (r, misses, grants) = run_observed(compute_sim(0));
+        assert!(misses.is_empty() && grants.is_empty());
+        assert_eq!(r.instructions, 23);
+        assert_eq!(r.breakdown.compute, 23);
+        assert_eq!(r.energy_counts.l1i_reads, 23);
+        assert_eq!((r.l1i.hits, r.l1i.total_misses()), (0, 0));
+        assert_eq!(r.completion_time, 23);
     }
 }

@@ -21,10 +21,28 @@
 //! [`CoherenceMonitor::record_swmr_breach`] lets an external invariant
 //! checker report multiple-writer states through the same reporting path.
 
-use lacc_model::{CoreId, Cycle, LineAddr, LineMap};
+use lacc_model::collections::FxHashMap;
+use lacc_model::{CoreId, Cycle, LineAddr};
 
 /// Words per cache line in the shadow (64-byte lines of 8-byte words).
 const WORDS_PER_LINE: usize = 8;
+
+/// Lines per shadow page: one bit each in [`ShadowPage::written`].
+const PAGE_LINES: u64 = 64;
+
+/// The memo's page index when the memoized page does not exist.
+const ABSENT: u32 = u32::MAX;
+
+/// 64 consecutive lines of the shadow (4 KiB of words plus the mask).
+///
+/// Words are plain `[u64; 8]`, not `LineData`: that type's 64-byte
+/// alignment would pad every page.
+#[derive(Clone, Debug)]
+struct ShadowPage {
+    /// Bit `i` is set once line `i` of the page has been written.
+    written: u64,
+    lines: [[u64; WORDS_PER_LINE]; PAGE_LINES as usize],
+}
 
 /// What kind of coherence property a violation broke.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -97,14 +115,21 @@ pub struct MonitorReport {
 
 /// Shadow-memory coherence checker.
 ///
-/// The shadow is line-granular: the words of each written line sit inline
-/// in one `LineMap` bucket, so a checked access costs a single lookup
-/// (rather than hashing a per-word key). A line enters the map
-/// zero-filled on its first write — untouched memory reads as zero — and
-/// stays for the run.
+/// The shadow is paged and direct-indexed: a page holds the words of 64
+/// consecutive lines, a page-number index finds a page's slot in `pages`,
+/// and a one-entry memo of the last page looked up (present or not)
+/// skips the index while a core's accesses stay inside one page, which
+/// trace regions make the common case. A page is created zero-filled on
+/// the first write to any of its lines — untouched memory reads as zero,
+/// and reads never allocate — and stays for the run. Its `written` mask
+/// records which lines a write has reached, so the shadow encoding the
+/// model checker fingerprints holds exactly the written lines.
 #[derive(Clone, Debug)]
 pub struct CoherenceMonitor {
-    shadow: LineMap<[u64; WORDS_PER_LINE]>,
+    pages: Vec<ShadowPage>,
+    page_index: FxHashMap<u64, u32>,
+    /// `(page number, slot in pages or ABSENT)` of the last lookup.
+    memo: (u64, u32),
     enabled: bool,
     panic_on_violation: bool,
     word_skew: usize,
@@ -119,7 +144,10 @@ impl CoherenceMonitor {
     #[must_use]
     pub fn new(enabled: bool, panic_on_violation: bool) -> Self {
         CoherenceMonitor {
-            shadow: LineMap::default(),
+            pages: Vec::new(),
+            page_index: FxHashMap::default(),
+            // No page number reaches `u64::MAX`: it is a line number / 64.
+            memo: (u64::MAX, ABSENT),
             enabled,
             panic_on_violation,
             word_skew: 0,
@@ -142,6 +170,26 @@ impl CoherenceMonitor {
     /// detects a broken monitor; never set in a normal run.
     pub fn set_word_skew(&mut self, skew: usize) {
         self.word_skew = skew;
+    }
+
+    /// The slot of the page holding `line`, or [`ABSENT`]; memoized.
+    #[inline]
+    fn page_slot(&mut self, line: LineAddr) -> u32 {
+        let page = line.raw() / PAGE_LINES;
+        if self.memo.0 != page {
+            let slot = self.page_index.get(&page).copied().unwrap_or(ABSENT);
+            self.memo = (page, slot);
+        }
+        self.memo.1
+    }
+
+    /// The shadow value of `word` of `line` (zero if never written).
+    #[inline]
+    fn shadow_word(&mut self, line: LineAddr, word: usize) -> u64 {
+        match self.page_slot(line) {
+            ABSENT => 0,
+            slot => self.pages[slot as usize].lines[(line.raw() % PAGE_LINES) as usize][word],
+        }
     }
 
     fn record(&mut self, mut rec: ViolationRecord) {
@@ -167,7 +215,18 @@ impl CoherenceMonitor {
         }
         self.report.writes_recorded += 1;
         let word = (word + self.word_skew) % WORDS_PER_LINE;
-        self.shadow.entry(line).or_default()[word] = value;
+        let mut slot = self.page_slot(line);
+        if slot == ABSENT {
+            slot = u32::try_from(self.pages.len()).expect("shadow page count fits u32");
+            self.pages
+                .push(ShadowPage { written: 0, lines: [[0; WORDS_PER_LINE]; PAGE_LINES as usize] });
+            self.page_index.insert(self.memo.0, slot);
+            self.memo.1 = slot;
+        }
+        let page = &mut self.pages[slot as usize];
+        let i = line.raw() % PAGE_LINES;
+        page.written |= 1 << i;
+        page.lines[i as usize][word] = value;
     }
 
     /// Checks a read of `word` of `line` that returned `value` at `now`.
@@ -180,7 +239,7 @@ impl CoherenceMonitor {
             return;
         }
         self.report.reads_checked += 1;
-        let expected = self.shadow.get(&line).map_or(0, |words| words[word]);
+        let expected = self.shadow_word(line, word);
         if value != expected {
             self.record(ViolationRecord {
                 kind: ViolationKind::StaleRead,
@@ -212,7 +271,7 @@ impl CoherenceMonitor {
         if !self.enabled {
             return;
         }
-        let expected = self.shadow.get(&line).map_or(0, |words| words[word]);
+        let expected = self.shadow_word(line, word);
         if value != expected {
             self.record(ViolationRecord {
                 kind: ViolationKind::ShadowMismatch,
@@ -250,16 +309,25 @@ impl CoherenceMonitor {
         });
     }
 
-    /// Appends a canonical encoding of the shadow memory to `out` (lines
-    /// sorted by address, eight words each) — the model checker
+    /// Appends a canonical encoding of the shadow memory to `out` (written
+    /// lines sorted by address, eight words each) — the model checker
     /// fingerprints the oracle state alongside the machine state.
     pub(crate) fn encode_shadow(&self, out: &mut Vec<u64>) {
-        let mut lines: Vec<(&LineAddr, &[u64; WORDS_PER_LINE])> = self.shadow.iter().collect();
-        lines.sort_unstable_by_key(|&(l, _)| l.raw());
-        out.push(lines.len() as u64);
-        for (line, words) in lines {
-            out.push(line.raw());
-            out.extend_from_slice(words);
+        let mut pages: Vec<(u64, &ShadowPage)> = self
+            .page_index
+            .iter()
+            .map(|(&page, &slot)| (page, &self.pages[slot as usize]))
+            .collect();
+        pages.sort_unstable_by_key(|&(page, _)| page);
+        out.push(pages.iter().map(|(_, p)| u64::from(p.written.count_ones())).sum());
+        for (page, p) in pages {
+            let mut mask = p.written;
+            while mask != 0 {
+                let i = u64::from(mask.trailing_zeros());
+                mask &= mask - 1;
+                out.push(page * PAGE_LINES + i);
+                out.extend_from_slice(&p.lines[i as usize]);
+            }
         }
     }
 
@@ -404,5 +472,101 @@ mod tests {
         m.on_read(CoreId::new(0), l(1), 0, 7, 1);
         assert_eq!(m.report().violations, 1);
         assert_eq!(m.report().first_violation.map(|v| v.expected), Some(0));
+    }
+}
+
+#[cfg(test)]
+mod shadow_model {
+    use super::*;
+    use lacc_model::LineMap;
+    use proptest::prelude::*;
+
+    /// Lines on both sides of the page boundaries at 64 and 128, a page
+    /// of its own at 0, and a far page: each page holds written and
+    /// unwritten lines in the sampled sequences.
+    const LINES: [u64; 8] = [0, 63, 64, 65, 127, 128, 129, 1 << 40];
+
+    /// Values drawn small so writes of 0 and matching reads are common.
+    const VALUES: [u64; 4] = [0, 1, 7, u64::MAX];
+
+    /// The reference: the line-granular `LineMap` shadow with the
+    /// monitor's counting and first-violation rules, written out plainly.
+    struct LineMapShadow {
+        shadow: LineMap<[u64; WORDS_PER_LINE]>,
+        skew: usize,
+        report: MonitorReport,
+    }
+
+    impl LineMapShadow {
+        fn expect(&mut self, rec: ViolationRecord, got: u64) {
+            let expected = self.shadow.get(&rec.line).map_or(0, |w| w[rec.word]);
+            if got != expected {
+                self.report.violations += 1;
+                self.report.first_violation.get_or_insert(ViolationRecord { got, expected, ..rec });
+            }
+        }
+
+        fn encode(&self) -> Vec<u64> {
+            let mut lines: Vec<_> = self.shadow.iter().collect();
+            lines.sort_unstable_by_key(|&(l, _)| l.raw());
+            let mut out = vec![lines.len() as u64];
+            for (line, words) in lines {
+                out.push(line.raw());
+                out.extend_from_slice(words);
+            }
+            out
+        }
+    }
+
+    proptest! {
+        /// The paged shadow gives the same report and the same canonical
+        /// encoding as the `LineMap` shadow for any sequence of writes,
+        /// reads and resident checks, with and without a word skew.
+        #[test]
+        fn paged_shadow_matches_line_map_shadow(
+            skew in 0usize..3,
+            ops in proptest::collection::vec((0u8..3, 0usize..8, 0usize..8, 0usize..4), 1..120),
+        ) {
+            let mut paged = CoherenceMonitor::new(true, false);
+            paged.set_word_skew(skew);
+            let mut reference = LineMapShadow {
+                shadow: LineMap::default(),
+                skew,
+                report: MonitorReport::default(),
+            };
+            for (seq, &(kind, line, word, value)) in ops.iter().enumerate() {
+                let (core, line, value) = (CoreId::new(seq % 4), LineAddr::new(LINES[line]), VALUES[value]);
+                let now = seq as Cycle;
+                paged.set_event_seq(seq as u64);
+                let rec = |kind| ViolationRecord {
+                    kind, core, line, word, cycle: now, seq: seq as u64, got: 0, expected: 0,
+                };
+                match kind {
+                    0 => {
+                        paged.on_write(core, line, word, value, now);
+                        reference.report.writes_recorded += 1;
+                        let w = (word + reference.skew) % WORDS_PER_LINE;
+                        reference.shadow.entry(line).or_default()[w] = value;
+                    }
+                    1 => {
+                        paged.on_read(core, line, word, value, now);
+                        reference.report.reads_checked += 1;
+                        reference.expect(rec(ViolationKind::StaleRead), value);
+                    }
+                    _ => {
+                        paged.verify_resident(core, line, word, value, now);
+                        reference.expect(rec(ViolationKind::ShadowMismatch), value);
+                    }
+                }
+            }
+            let (got, want) = (paged.report(), &reference.report);
+            prop_assert_eq!(got.reads_checked, want.reads_checked);
+            prop_assert_eq!(got.writes_recorded, want.writes_recorded);
+            prop_assert_eq!(got.violations, want.violations);
+            prop_assert_eq!(got.first_violation, want.first_violation);
+            let mut encoded = Vec::new();
+            paged.encode_shadow(&mut encoded);
+            prop_assert_eq!(encoded, reference.encode());
+        }
     }
 }
