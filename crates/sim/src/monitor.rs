@@ -30,9 +30,6 @@ const WORDS_PER_LINE: usize = 8;
 /// Lines per shadow page: one bit each in [`ShadowPage::written`].
 const PAGE_LINES: u64 = 64;
 
-/// The memo's page index when the memoized page does not exist.
-const ABSENT: u32 = u32::MAX;
-
 /// 64 consecutive lines of the shadow (4 KiB of words plus the mask).
 ///
 /// Words are plain `[u64; 8]`, not `LineData`: that type's 64-byte
@@ -116,20 +113,16 @@ pub struct MonitorReport {
 /// Shadow-memory coherence checker.
 ///
 /// The shadow is paged and direct-indexed: a page holds the words of 64
-/// consecutive lines, a page-number index finds a page's slot in `pages`,
-/// and a one-entry memo of the last page looked up (present or not)
-/// skips the index while a core's accesses stay inside one page, which
-/// trace regions make the common case. A page is created zero-filled on
-/// the first write to any of its lines — untouched memory reads as zero,
-/// and reads never allocate — and stays for the run. Its `written` mask
-/// records which lines a write has reached, so the shadow encoding the
-/// model checker fingerprints holds exactly the written lines.
+/// consecutive lines, and a page-number index finds a page's slot in
+/// `pages`. A page is created zero-filled on the first write to any of
+/// its lines — untouched memory reads as zero, and reads never
+/// allocate — and stays for the run. Its `written` mask records which
+/// lines a write has reached, so the shadow encoding the model checker
+/// fingerprints holds exactly the written lines.
 #[derive(Clone, Debug)]
 pub struct CoherenceMonitor {
     pages: Vec<ShadowPage>,
     page_index: FxHashMap<u64, u32>,
-    /// `(page number, slot in pages or ABSENT)` of the last lookup.
-    memo: (u64, u32),
     enabled: bool,
     panic_on_violation: bool,
     word_skew: usize,
@@ -146,8 +139,6 @@ impl CoherenceMonitor {
         CoherenceMonitor {
             pages: Vec::new(),
             page_index: FxHashMap::default(),
-            // No page number reaches `u64::MAX`: it is a line number / 64.
-            memo: (u64::MAX, ABSENT),
             enabled,
             panic_on_violation,
             word_skew: 0,
@@ -172,23 +163,14 @@ impl CoherenceMonitor {
         self.word_skew = skew;
     }
 
-    /// The slot of the page holding `line`, or [`ABSENT`]; memoized.
-    #[inline]
-    fn page_slot(&mut self, line: LineAddr) -> u32 {
-        let page = line.raw() / PAGE_LINES;
-        if self.memo.0 != page {
-            let slot = self.page_index.get(&page).copied().unwrap_or(ABSENT);
-            self.memo = (page, slot);
-        }
-        self.memo.1
-    }
-
     /// The shadow value of `word` of `line` (zero if never written).
     #[inline]
-    fn shadow_word(&mut self, line: LineAddr, word: usize) -> u64 {
-        match self.page_slot(line) {
-            ABSENT => 0,
-            slot => self.pages[slot as usize].lines[(line.raw() % PAGE_LINES) as usize][word],
+    fn shadow_word(&self, line: LineAddr, word: usize) -> u64 {
+        match self.page_index.get(&(line.raw() / PAGE_LINES)) {
+            None => 0,
+            Some(&slot) => {
+                self.pages[slot as usize].lines[(line.raw() % PAGE_LINES) as usize][word]
+            }
         }
     }
 
@@ -215,14 +197,12 @@ impl CoherenceMonitor {
         }
         self.report.writes_recorded += 1;
         let word = (word + self.word_skew) % WORDS_PER_LINE;
-        let mut slot = self.page_slot(line);
-        if slot == ABSENT {
-            slot = u32::try_from(self.pages.len()).expect("shadow page count fits u32");
-            self.pages
+        let pages = &mut self.pages;
+        let slot = *self.page_index.entry(line.raw() / PAGE_LINES).or_insert_with(|| {
+            pages
                 .push(ShadowPage { written: 0, lines: [[0; WORDS_PER_LINE]; PAGE_LINES as usize] });
-            self.page_index.insert(self.memo.0, slot);
-            self.memo.1 = slot;
-        }
+            u32::try_from(pages.len() - 1).expect("shadow page count fits u32")
+        });
         let page = &mut self.pages[slot as usize];
         let i = line.raw() % PAGE_LINES;
         page.written |= 1 << i;
