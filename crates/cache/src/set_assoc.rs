@@ -27,6 +27,12 @@ pub struct InsertOutcome<M> {
 
 /// A set-associative array of per-line metadata.
 ///
+/// Storage follows use: a set holds no ways until its first fill, which
+/// allocates all `assoc` of them at once. Way positions, recency stamps
+/// and victims are therefore the same as if every set had been allocated
+/// up front; only memory differs (a Table-1 L2 slice is 4096 sets, most of
+/// which a short run never fills).
+///
 /// Recency is tracked with a monotonically increasing use stamp per way:
 /// [`SetAssocCache::touch`], [`SetAssocCache::get_mut`] and
 /// [`SetAssocCache::insert`] refresh it, so LRU victims are exact (not
@@ -48,6 +54,8 @@ pub struct InsertOutcome<M> {
 /// ```
 #[derive(Clone)]
 pub struct SetAssocCache<M> {
+    /// One entry per set: empty until the set's first fill, then exactly
+    /// `assoc` ways.
     sets: Vec<Vec<Option<Way<M>>>>,
     num_sets: usize,
     assoc: usize,
@@ -65,11 +73,22 @@ impl<M> SetAssocCache<M> {
         assert!(num_sets.is_power_of_two(), "num_sets must be a power of two");
         assert!(assoc > 0, "associativity must be positive");
         SetAssocCache {
-            sets: (0..num_sets).map(|_| (0..assoc).map(|_| None).collect()).collect(),
+            sets: (0..num_sets).map(|_| Vec::new()).collect(),
             num_sets,
             assoc,
             next_stamp: 1,
         }
+    }
+
+    /// A cache with every set allocated up front: the reference the lazy
+    /// allocation is checked against.
+    #[cfg(test)]
+    fn eager(num_sets: usize, assoc: usize) -> Self {
+        let mut c = SetAssocCache::new(num_sets, assoc);
+        for ways in &mut c.sets {
+            *ways = (0..assoc).map(|_| None).collect();
+        }
+        c
     }
 
     /// Number of sets.
@@ -82,6 +101,12 @@ impl<M> SetAssocCache<M> {
     #[must_use]
     pub fn associativity(&self) -> usize {
         self.assoc
+    }
+
+    /// Number of sets that hold ways (have been filled at least once).
+    #[must_use]
+    pub fn allocated_sets(&self) -> usize {
+        self.sets.iter().filter(|ways| !ways.is_empty()).count()
     }
 
     /// Total line capacity.
@@ -195,7 +220,11 @@ impl<M> SetAssocCache<M> {
             return Ok(None);
         }
 
-        // Fill an invalid way first.
+        // Fill an invalid way first. A set's first fill allocates its ways
+        // (an exact-size allocation: `assoc` slots, no growth slack).
+        if self.sets[set].is_empty() {
+            self.sets[set] = (0..self.assoc).map(|_| None).collect();
+        }
         if let Some(way) = self.sets[set].iter().position(Option::is_none) {
             self.sets[set][way] = Some(Way { line, meta, stamp });
             return Ok(None);
@@ -236,8 +265,10 @@ impl<M> SetAssocCache<M> {
     /// Number of invalid (free) ways in the set a line maps to.
     #[must_use]
     pub fn free_ways_in_set_of(&self, line: LineAddr) -> usize {
-        let set = self.set_index(line);
-        self.sets[set].iter().filter(|w| w.is_none()).count()
+        match &self.sets[self.set_index(line)] {
+            ways if ways.is_empty() => self.assoc,
+            ways => ways.iter().filter(|w| w.is_none()).count(),
+        }
     }
 
     /// Iterates over every valid line as `(line, &meta)`.
@@ -373,6 +404,28 @@ mod tests {
     }
 
     #[test]
+    fn sets_are_allocated_on_first_fill() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(8, 2);
+        assert_eq!(c.allocated_sets(), 0);
+        // Lookups, removals and free-way counts on an untouched set
+        // allocate nothing and see every way free.
+        assert!(!c.touch(line(3)));
+        assert_eq!(c.remove(line(3)), None);
+        assert_eq!(c.free_ways_in_set_of(line(3)), 2);
+        assert_eq!(c.iter_set(3).count(), 0);
+        assert_eq!(c.allocated_sets(), 0);
+        c.insert(line(3), 1);
+        c.insert(line(11), 2);
+        assert_eq!(c.allocated_sets(), 1, "lines 3 and 11 share set 3");
+        assert_eq!(c.free_ways_in_set_of(line(3)), 0);
+        // Emptying a set keeps its ways.
+        c.remove(line(3));
+        c.remove(line(11));
+        assert_eq!(c.allocated_sets(), 1);
+        assert_eq!(c.free_ways_in_set_of(line(3)), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn non_pow2_sets_panics() {
         let _: SetAssocCache<()> = SetAssocCache::new(3, 2);
@@ -490,6 +543,59 @@ mod proptests {
                     held.sort_unstable();
                     let held: Vec<(u64, u64)> = held.into_iter().map(|(_, l, m)| (l, m)).collect();
                     prop_assert_eq!(&held, ways);
+                }
+            }
+        }
+
+        /// Allocating sets on first fill is invisible: against a cache
+        /// whose sets were all allocated up front, every operation returns
+        /// the same value and leaves the same ways, stamps, free counts and
+        /// length behind.
+        #[test]
+        fn lazy_sets_match_eager_allocation(
+            ops in proptest::collection::vec((0u64..48, 0u8..6, 0u32..u32::MAX), 1..300)
+        ) {
+            const SETS: usize = 8;
+            const WAYS: usize = 3;
+            let mut lazy: SetAssocCache<u64> = SetAssocCache::new(SETS, WAYS);
+            let mut eager: SetAssocCache<u64> = SetAssocCache::eager(SETS, WAYS);
+            for (i, (l, op, mask)) in ops.into_iter().enumerate() {
+                let line = LineAddr::new(l);
+                let meta = i as u64;
+                match op {
+                    0 => prop_assert_eq!(lazy.insert(line, meta), eager.insert(line, meta)),
+                    1 => {
+                        let evictable = |v: LineAddr, _: &u64| mask & (1 << (v.raw() % 32)) != 0;
+                        prop_assert_eq!(
+                            lazy.try_insert_filtered(line, meta, evictable),
+                            eager.try_insert_filtered(line, meta, evictable)
+                        );
+                    }
+                    2 => prop_assert_eq!(lazy.remove(line), eager.remove(line)),
+                    3 => {
+                        let (a, b) = (lazy.get_mut(line), eager.get_mut(line));
+                        prop_assert_eq!(a.as_deref(), b.as_deref());
+                        if let (Some(a), Some(b)) = (a, b) {
+                            *a += 1;
+                            *b += 1;
+                        }
+                    }
+                    4 => {
+                        let (a, b) = (lazy.peek_mut(line), eager.peek_mut(line));
+                        prop_assert_eq!(a.as_deref(), b.as_deref());
+                        if let (Some(a), Some(b)) = (a, b) {
+                            *a ^= 7;
+                            *b ^= 7;
+                        }
+                    }
+                    _ => prop_assert_eq!(lazy.touch(line), eager.touch(line)),
+                }
+                prop_assert_eq!(lazy.len(), eager.len());
+                prop_assert_eq!(lazy.free_ways_in_set_of(line), eager.free_ways_in_set_of(line));
+                for set in 0..SETS {
+                    let a: Vec<_> = lazy.iter_set(set).collect();
+                    let b: Vec<_> = eager.iter_set(set).collect();
+                    prop_assert_eq!(a, b);
                 }
             }
         }

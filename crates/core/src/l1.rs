@@ -258,6 +258,13 @@ impl L1Cache {
         self.tags.num_sets()
     }
 
+    /// Number of tag-array sets allocated so far (a set is allocated on
+    /// its first fill).
+    #[must_use]
+    pub fn allocated_sets(&self) -> usize {
+        self.tags.allocated_sets()
+    }
+
     /// The set a line maps to.
     #[must_use]
     pub fn set_index(&self, line: LineAddr) -> usize {

@@ -44,10 +44,10 @@ pub mod prelude {
     pub use lacc_core::DirectoryKind;
     pub use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
     pub use lacc_model::{Addr, CoreId, Error, LineAddr, MissClass, SystemConfig, TraceError};
-    pub use lacc_sim::ltf::{self, LtfHeader, LtfSummary, LtfTrace};
+    pub use lacc_sim::ltf::{self, LtfHeader, LtfSummary};
     pub use lacc_sim::trace::default_instr_base;
     pub use lacc_sim::{
-        RegionDecl, SimOptions, SimReport, Simulator, TraceOp, TraceSource, VecTrace, Workload,
+        RegionDecl, SimOptions, SimReport, Simulator, TraceBuilder, TraceOp, VecTrace, Workload,
     };
     pub use lacc_workloads::{Benchmark, Phases, Region};
 }

@@ -27,7 +27,7 @@ fn two_core_simulator_round_trip() {
     let t1 = VecTrace::new(vec![TraceOp::Barrier { id: 1 }, TraceOp::Load { addr: line.base() }]);
     let workload = Workload {
         name: "smoke".into(),
-        traces: vec![Box::new(t0), Box::new(t1)],
+        traces: vec![t0, t1],
         regions: vec![RegionDecl { first_line: line, lines: 1, class: RegionClass::Shared }],
         instr_lines: 1,
         instr_base: default_instr_base(),

@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use lacc_core::rnuca::RegionClass;
 use lacc_model::config::DirectoryKind;
 use lacc_model::{Addr, LineAddr, SystemConfig};
-use lacc_sim::trace::{default_instr_base, RegionDecl, TraceOp, TraceSource, VecTrace, Workload};
+use lacc_sim::trace::{default_instr_base, RegionDecl, TraceOp, VecTrace, Workload};
 use lacc_sim::{FaultInjection, Simulator};
 
 /// First line of the shared region the scenarios touch.
@@ -79,10 +79,7 @@ pub struct Scenario {
 fn workload(name: &str, lines: u64, scripts: Vec<Vec<TraceOp>>) -> Workload {
     Workload {
         name: name.into(),
-        traces: scripts
-            .into_iter()
-            .map(|s| Box::new(VecTrace::new(s)) as Box<dyn TraceSource>)
-            .collect(),
+        traces: scripts.into_iter().map(VecTrace::new).collect(),
         regions: vec![RegionDecl {
             first_line: LineAddr::new(LINE_A),
             lines,

@@ -20,7 +20,7 @@ use lacc_model::{CoreId, Cycle, LineAddr};
 
 use crate::msg::{Message, Payload};
 use crate::sync::{SyncManager, SyncOutcome};
-use crate::trace::{TraceOp, TraceSource};
+use crate::trace::TraceOp;
 
 use super::state::{Blocked, Outstanding};
 use super::{Event, Simulator, INSTR_PER_LINE};
@@ -399,7 +399,7 @@ mod tests {
     fn compute_sim(instr_lines: u64) -> Simulator {
         let w = Workload {
             name: "compute-runs".into(),
-            traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(3), TraceOp::Compute(20)]))],
+            traces: vec![VecTrace::new(vec![TraceOp::Compute(3), TraceOp::Compute(20)])],
             regions: vec![],
             instr_lines,
             instr_base: default_instr_base(),

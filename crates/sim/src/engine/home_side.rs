@@ -554,7 +554,7 @@ fn adopt_dirty(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{default_instr_base, RegionDecl, TraceOp, TraceSource, VecTrace, Workload};
+    use crate::trace::{default_instr_base, RegionDecl, TraceOp, VecTrace, Workload};
     use lacc_cache::LineData;
     use lacc_core::classifier::RequestHints;
     use lacc_core::rnuca::RegionClass;
@@ -610,9 +610,7 @@ mod tests {
         let load = TraceOp::Load { addr: Addr::new(line.raw() * 64) };
         let w = Workload {
             name: "contended-line".into(),
-            traces: (0..4)
-                .map(|_| Box::new(VecTrace::new(vec![load])) as Box<dyn TraceSource>)
-                .collect(),
+            traces: (0..4).map(|_| VecTrace::new(vec![load])).collect(),
             regions: vec![RegionDecl { first_line: line, lines: 1, class: RegionClass::Shared }],
             instr_lines: 0,
             instr_base: default_instr_base(),

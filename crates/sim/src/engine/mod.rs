@@ -53,7 +53,7 @@ use crate::monitor::CoherenceMonitor;
 use crate::msg::{Message, Payload};
 use crate::report::{ProtocolStats, SimReport};
 use crate::sync::SyncManager;
-use crate::trace::{TraceSource, Workload};
+use crate::trace::Workload;
 
 use explore::{ChoicePlane, FaultInjection};
 use queue::CalendarQueue;
@@ -166,11 +166,16 @@ pub struct Simulator {
     ///
     /// Boxed for the host allocator, not for size: the box is a small
     /// allocation made above the tile arrays that lives as long as the
-    /// simulator. Measured with glibc malloc on a 2-CPU Linux host, an
-    /// unboxed slab let the memory a dropped simulator freed merge into
-    /// the heap top, which malloc returned to the OS and then
-    /// page-faulted back in for the next one: building the 42 Table-1
-    /// sweep grid points back to back took about twice as long.
+    /// simulator. While the constructor still filled every L2 way up
+    /// front (about 75 MB), an unboxed slab let the memory a dropped
+    /// simulator freed merge into glibc's heap top, which malloc returned
+    /// to the OS and page-faulted back in for the next one, and building
+    /// the 42 Table-1 sweep grid points back to back took about twice as
+    /// long. With sets allocated on first fill the effect is small:
+    /// perfbench `suite_sweep` on a 2-CPU Linux host, 10 interleaved
+    /// pairs, `setup_s` median 0.82 s boxed against 0.86 s unboxed
+    /// (unboxed faster in 4 pairs, so unresolved) and `peak_rss_mib`
+    /// 345.6 against 347.0 MiB (boxed lower in 8 pairs).
     pub(crate) slab: Box<DataSlab>,
     pub(crate) backing: LineMap<DataRef>,
     pub(crate) cores: Vec<CoreState>,
@@ -276,8 +281,7 @@ impl Simulator {
             cfg.dram_bytes_per_cycle,
         );
         let active = workload.active_cores().max(1);
-        let mut traces: Vec<Option<Box<dyn TraceSource>>> =
-            workload.traces.into_iter().map(Some).collect();
+        let mut traces: Vec<Option<_>> = workload.traces.into_iter().map(Some).collect();
         traces.resize_with(cfg.num_cores, || None);
 
         let cores = traces.into_iter().map(CoreState::new).collect::<Vec<_>>();
@@ -590,6 +594,34 @@ impl Simulator {
             instructions: self.cores.iter().map(|c| c.instructions).sum(),
             monitor: self.monitor.report().clone(),
             slab: self.slab.stats(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{default_instr_base, TraceOp, VecTrace};
+
+    /// Cache arrays cost memory only once lines are filled: a Table-1
+    /// machine allocates no L1 or L2 set when it is built.
+    #[test]
+    fn construction_allocates_no_cache_set() {
+        let cfg = SystemConfig::isca13_64core();
+        let w = Workload {
+            name: "idle".into(),
+            traces: (0..64).map(|_| VecTrace::new(vec![TraceOp::Compute(1)])).collect(),
+            regions: vec![],
+            instr_lines: 4,
+            instr_base: default_instr_base(),
+        };
+        let sim = Simulator::with_options(cfg, w, SimOptions::default()).unwrap();
+        assert_eq!(sim.tiles.len(), 64);
+        for tile in &sim.tiles {
+            assert_eq!(tile.l2.capacity(), 4096, "a Table-1 L2 slice");
+            assert_eq!(tile.l2.allocated_sets(), 0);
+            assert_eq!(tile.l1d.allocated_sets(), 0);
+            assert_eq!(tile.l1i.allocated_sets(), 0);
         }
     }
 }

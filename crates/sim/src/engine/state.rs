@@ -18,7 +18,7 @@ use lacc_core::miss_class::MissClassifier;
 use lacc_model::{CompletionBreakdown, CoreId, CoreSet, Cycle, LineAddr, LineMap, MissStats};
 
 use crate::msg::Message;
-use crate::trace::{TraceOp, TraceSource};
+use crate::trace::{TraceOp, VecTrace};
 
 // ---------------------------------------------------------------------------
 // Core side
@@ -27,24 +27,23 @@ use crate::trace::{TraceOp, TraceSource};
 /// How many ops the engine pulls from a core's source per refill.
 const LOCAL_BATCH: usize = 64;
 
-/// A [`TraceSource`] wrapped with a small refill buffer, so the engine's
-/// per-op pull consumes batched decodes ([`TraceSource::next_ops`])
-/// instead of paying a virtual call and a record decode per op. Pure
-/// pass-through semantically: the op sequence is exactly the source's.
+/// A [`VecTrace`] wrapped with a small refill buffer, so the engine's
+/// per-op pull consumes batched decodes ([`VecTrace::next_ops`]) instead
+/// of paying a record decode call per op. Pure pass-through semantically:
+/// the op sequence is exactly the trace's.
 pub(crate) struct BatchedSource {
-    src: Box<dyn TraceSource>,
+    src: VecTrace,
     buf: Vec<TraceOp>,
     pos: usize,
 }
 
 impl BatchedSource {
-    pub fn new(src: Box<dyn TraceSource>) -> Self {
+    pub fn new(src: VecTrace) -> Self {
         BatchedSource { src, buf: Vec::with_capacity(LOCAL_BATCH), pos: 0 }
     }
-}
 
-impl TraceSource for BatchedSource {
-    fn next_op(&mut self) -> Option<TraceOp> {
+    /// The next op, or `None` once the trace is exhausted.
+    pub fn next_op(&mut self) -> Option<TraceOp> {
         if self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;
@@ -103,7 +102,7 @@ pub(crate) struct CoreState {
 }
 
 impl CoreState {
-    pub fn new(trace: Option<Box<dyn TraceSource>>) -> Self {
+    pub fn new(trace: Option<VecTrace>) -> Self {
         CoreState {
             finished: trace.is_none(),
             trace: trace.map(BatchedSource::new),

@@ -23,14 +23,14 @@
 //! let w = Workload {
 //!     name: "doc".into(),
 //!     traces: vec![
-//!         Box::new(VecTrace::new(vec![
+//!         VecTrace::new(vec![
 //!             TraceOp::Store { addr: Addr::new(0x1000), value: 42 },
 //!             TraceOp::Barrier { id: 0 },
-//!         ])),
-//!         Box::new(VecTrace::new(vec![
+//!         ]),
+//!         VecTrace::new(vec![
 //!             TraceOp::Barrier { id: 0 },
 //!             TraceOp::Load { addr: Addr::new(0x1000) },
-//!         ])),
+//!         ]),
 //!     ],
 //!     regions: vec![],
 //!     instr_lines: 0,
@@ -55,4 +55,4 @@ pub use engine::explore::FaultInjection;
 pub use engine::{SimOptions, Simulator};
 pub use monitor::CoherenceMonitor;
 pub use report::{ProtocolStats, SimReport};
-pub use trace::{RegionDecl, TraceOp, TraceSource, VecTrace, Workload};
+pub use trace::{RegionDecl, TraceBuilder, TraceOp, VecTrace, Workload};

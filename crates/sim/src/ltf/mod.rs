@@ -1,19 +1,22 @@
 //! LACC Trace Format (LTF): durable, replayable trace files.
 //!
-//! The simulator normally consumes in-memory [`crate::VecTrace`]s from the
-//! synthetic generators. LTF makes the same per-core instruction/memory
-//! streams durable: any [`Workload`](crate::Workload) can be serialized to
-//! a `.ltf` file and later replayed through a streaming
-//! [`TraceSource`](crate::TraceSource) that decodes lazily — the
-//! reproducible input artifact that trace-driven evaluation
+//! LTF is the simulator's one trace representation, in memory and on
+//! disk. Every per-core trace is a [`VecTrace`](crate::VecTrace) holding
+//! an LTF v2 op stream: the synthetic generators encode ops as they
+//! produce them, and a replayed file's traces decode in place from the
+//! file's bytes. A `.ltf` file makes a [`Workload`](crate::Workload)
+//! durable — the reproducible input artifact that trace-driven evaluation
 //! (the paper's Graphite methodology) and protocol-verification workflows
 //! both rely on. The full specification also lives in `docs/LTF.md`.
 //!
 //! Op streams are delta-compressed (module [`v2`]): signed-zigzag line
 //! deltas, region-relative bases, run-length compute and single-byte
 //! immediate tags, at about 2.5 bytes per op on the synthetic suite.
-//! The reader loads each file once into an owned buffer, and every
-//! per-core cursor decodes in place from it (module [`reader`]).
+//! Writing a workload copies its streams' bytes, re-encoding only the
+//! first access of a stream encoded against another base line (module
+//! [`writer`]). The reader loads each file once into an owned buffer,
+//! and every per-core cursor decodes in place from it (module
+//! [`reader`]).
 //!
 //! # Format specification (container)
 //!
@@ -57,10 +60,10 @@
 //!
 //! let w = Workload {
 //!     name: "doc".into(),
-//!     traces: vec![Box::new(VecTrace::new(vec![
+//!     traces: vec![VecTrace::new(vec![
 //!         TraceOp::Store { addr: Addr::new(0x40), value: 7 },
 //!         TraceOp::Compute(3),
-//!     ]))],
+//!     ])],
 //!     regions: vec![],
 //!     instr_lines: 4,
 //!     instr_base: default_instr_base(),
@@ -79,7 +82,7 @@ pub mod v2;
 pub mod varint;
 pub mod writer;
 
-pub use reader::{read_header_bytes, read_workload, workload_from_bytes, LtfHeader, LtfTrace};
+pub use reader::{read_header_bytes, read_workload, workload_from_bytes, LtfHeader};
 pub use writer::{workload_to_ltf_bytes_v2, write_workload_v2, LtfSummary};
 
 /// The 8-byte file magic ("LACCLTF" + format generation).

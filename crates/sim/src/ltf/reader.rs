@@ -4,9 +4,9 @@
 //! into an owned buffer and hands it to [`workload_from_bytes`], which
 //! decodes and validates header, region table and every op of every
 //! stream in a single pass over that buffer, then hands back a
-//! [`Workload`] whose per-core traces are [`LtfTrace`]s — cheap cursors
-//! that all share the one buffer and decode in place, one op (or one
-//! batch, via [`next_ops`](crate::TraceSource::next_ops)) per call.
+//! [`Workload`] whose per-core traces are [`VecTrace`]s — the same type
+//! generated traces use — that all share the one buffer and decode in
+//! place, one op (or one batch, via [`VecTrace::next_ops`]) per call.
 //! Nothing is copied out of the buffer and no per-core file handles
 //! exist. Because the buffer is owned and immutable, replay decodes
 //! exactly the bytes that were validated, whatever happens to the file
@@ -21,9 +21,8 @@ use std::sync::Arc;
 use lacc_core::rnuca::RegionClass;
 use lacc_model::{CoreId, LineAddr, TraceError};
 
-use crate::trace::{RegionDecl, TraceOp, TraceSource, Workload};
+use crate::trace::{RegionDecl, VecTrace, Workload};
 
-use super::v2::V2Decoder;
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
     MAX_REGIONS, VERSION,
@@ -124,69 +123,6 @@ fn check_offsets(offsets: &[u64], streams_start: u64, len: u64) -> Result<(), Tr
     Ok(())
 }
 
-/// A lazily decoded per-core trace, produced by [`read_workload`] or
-/// [`workload_from_bytes`].
-///
-/// Implements [`TraceSource`] by decoding in place from the one owned
-/// buffer all cursors of a workload share;
-/// [`next_ops`](TraceSource::next_ops) amortizes the decode across a
-/// whole batch. The stream was fully validated when the cursor was
-/// opened and the buffer is immutable, so decoding cannot fail during
-/// replay: malformed input is rejected with a typed error at open.
-pub struct LtfTrace {
-    buf: Arc<Vec<u8>>,
-    pos: usize,
-    dec: V2Decoder,
-    finished: bool,
-}
-
-/// Why replay cannot fail: the bytes were validated at open and nothing
-/// can change them since.
-const VALIDATED: &str = "LTF stream decodes: its owned bytes were validated at open";
-
-impl LtfTrace {
-    /// Opens one validated cursor over the stream starting at byte
-    /// `start` of `buf`, described by `header`: the stream is decoded to
-    /// its end marker once (catching every malformation), then the
-    /// cursor starts over with a fresh decoder.
-    fn open(buf: Arc<Vec<u8>>, start: usize, header: &LtfHeader) -> Result<LtfTrace, TraceError> {
-        let base_line = super::v2::base_line(&header.regions);
-        let mut dec = V2Decoder::new(base_line);
-        let mut pos = start;
-        while dec.next(&buf, &mut pos)?.is_some() {}
-        Ok(LtfTrace { buf, pos: start, dec: V2Decoder::new(base_line), finished: false })
-    }
-}
-
-impl TraceSource for LtfTrace {
-    #[inline]
-    fn next_op(&mut self) -> Option<TraceOp> {
-        if self.finished {
-            return None;
-        }
-        let op = self.dec.next(&self.buf, &mut self.pos).expect(VALIDATED);
-        self.finished = op.is_none();
-        op
-    }
-
-    /// Batched decode straight off the shared buffer. Everything a
-    /// per-op cursor pays on every call — the buffer deref and the cursor
-    /// field write-back — is hoisted out of the loop, so the loop body is
-    /// just the record decode against registers.
-    #[inline]
-    fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        if self.finished {
-            return 0;
-        }
-        let bytes: &[u8] = &self.buf;
-        let mut pos = self.pos;
-        let (appended, end) = self.dec.next_batch(bytes, &mut pos, out, max).expect(VALIDATED);
-        self.pos = pos;
-        self.finished = end;
-        appended
-    }
-}
-
 /// Opens a `.ltf` file as a replayable [`Workload`]: reads the whole file
 /// once and hands the bytes to [`workload_from_bytes`].
 ///
@@ -200,7 +136,7 @@ pub fn read_workload<P: AsRef<Path>>(path: P) -> Result<Workload, TraceError> {
 }
 
 /// Decodes an in-memory LTF image as a replayable [`Workload`] whose
-/// per-core traces are [`LtfTrace`] cursors over `bytes`.
+/// per-core traces are [`VecTrace`] cursors over `bytes`.
 ///
 /// The image is validated in a single pass — header, offset table, then
 /// every op of every stream exactly once — so any corruption surfaces
@@ -213,10 +149,11 @@ pub fn read_workload<P: AsRef<Path>>(path: P) -> Result<Workload, TraceError> {
 pub fn workload_from_bytes(bytes: Vec<u8>) -> Result<Workload, TraceError> {
     let (header, offsets) = read_header_bytes(&bytes)?;
     let buf = Arc::new(bytes);
-    let mut traces: Vec<Box<dyn TraceSource>> = Vec::with_capacity(header.num_cores);
-    for &offset in &offsets {
-        traces.push(Box::new(LtfTrace::open(Arc::clone(&buf), offset as usize, &header)?));
-    }
+    let base_line = super::v2::base_line(&header.regions);
+    let traces = offsets
+        .iter()
+        .map(|&offset| VecTrace::open(Arc::clone(&buf), offset as usize, base_line))
+        .collect::<Result<_, _>>()?;
     Ok(Workload {
         name: header.name,
         traces,
@@ -250,23 +187,23 @@ pub fn read_header_bytes(bytes: &[u8]) -> Result<(LtfHeader, Vec<u64>), TraceErr
 mod tests {
     use super::*;
     use crate::ltf::workload_to_ltf_bytes_v2;
-    use crate::trace::{default_instr_base, VecTrace};
+    use crate::trace::{default_instr_base, TraceOp};
     use lacc_model::Addr;
 
     fn sample() -> Workload {
         Workload {
             name: "sample".into(),
             traces: vec![
-                Box::new(VecTrace::new(vec![
+                VecTrace::new(vec![
                     TraceOp::Compute(7),
                     TraceOp::Store { addr: Addr::new(0x1040), value: u64::MAX },
                     TraceOp::Load { addr: Addr::new(0x1040) },
-                ])),
-                Box::new(VecTrace::new(vec![
+                ]),
+                VecTrace::new(vec![
                     TraceOp::Acquire { id: 1 },
                     TraceOp::Release { id: 1 },
                     TraceOp::Barrier { id: 0 },
-                ])),
+                ]),
             ],
             regions: vec![
                 RegionDecl {

@@ -1,11 +1,16 @@
 //! Serializing [`Workload`]s into LTF streams.
 //!
-//! The writer drains each per-core [`TraceSource`](crate::TraceSource) in
-//! turn, so memory stays bounded by the writer's buffer no matter how long
-//! the traces are. It needs `Write + Seek` because the core offset table
-//! sits in the header but stream lengths are only known after draining:
-//! offsets are backpatched in place once the last stream is written.
-//! See [`super::v2`] for the per-core stream encoding.
+//! A [`VecTrace`] already holds its ops as an LTF v2 stream, so the writer
+//! copies each core's stream bytes instead of decoding and re-encoding its
+//! ops. The one exception is a stream whose deltas start from another
+//! base line than the file's ([`super::v2::base_line`] of the workload's
+//! regions; generated traces start from line 0): its first load or store
+//! is re-encoded against the file's base, and every later byte is copied,
+//! since each later address is relative to the access before it. The
+//! writer needs `Write + Seek` because the core offset table sits in the
+//! header but stream lengths are only known once the streams are written:
+//! offsets are backpatched in place after the last stream. See
+//! [`super::v2`] for the per-core stream encoding.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -13,9 +18,9 @@ use std::path::Path;
 use lacc_core::rnuca::RegionClass;
 use lacc_model::TraceError;
 
-use crate::trace::Workload;
+use crate::trace::{VecTrace, Workload};
 
-use super::v2::{V2Encoder, OP2_END};
+use super::v2::{first_access, V2Encoder};
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
     MAX_REGIONS, VERSION,
@@ -60,10 +65,11 @@ impl<W: Write> CountingWriter<'_, W> {
     }
 }
 
-/// Serializes `workload` to `out`, draining every trace source.
+/// Serializes `workload` to `out`.
 ///
-/// The stream is written front to back; the core offset table is
-/// backpatched at the end, after which the cursor is restored to
+/// Each trace is written whole, from its first op, however far it has
+/// been read. The file is written front to back; the core offset table
+/// is backpatched at the end, after which the cursor is restored to
 /// end-of-stream.
 ///
 /// # Errors
@@ -76,6 +82,41 @@ impl<W: Write> CountingWriter<'_, W> {
 pub fn write_workload_v2<W: Write + Seek>(
     out: &mut W,
     workload: Workload,
+) -> Result<LtfSummary, TraceError> {
+    write_container(out, workload, copy_stream)
+}
+
+/// Writes one trace's stream against the file's `base_line` by copying
+/// its bytes, re-encoding the first access when the trace was encoded
+/// against another base. Returns the ops written.
+fn copy_stream<W: Write>(
+    w: &mut CountingWriter<'_, W>,
+    trace: VecTrace,
+    base_line: u64,
+) -> Result<u64, TraceError> {
+    let stream = trace.stream();
+    let rebase =
+        if trace.base_line() == base_line { None } else { first_access(stream, trace.base_line()) };
+    match rebase {
+        None => w.put(stream)?,
+        Some((record, op)) => {
+            let mut first = Vec::with_capacity(2 + varint::MAX_LEN + 8);
+            V2Encoder::new(base_line).push(op, &mut first);
+            w.put(&stream[..record.start])?;
+            w.put(&first)?;
+            w.put(&stream[record.end..])?;
+        }
+    }
+    Ok(trace.total_ops())
+}
+
+/// Writes the container around the streams `put_stream` writes (one call
+/// per trace, in core order, with the file's base line; it returns the
+/// trace's op count).
+fn write_container<W: Write + Seek>(
+    out: &mut W,
+    workload: Workload,
+    mut put_stream: impl FnMut(&mut CountingWriter<'_, W>, VecTrace, u64) -> Result<u64, TraceError>,
 ) -> Result<LtfSummary, TraceError> {
     if workload.name.len() as u64 > MAX_NAME_LEN {
         return Err(TraceError::Corrupt { what: "name length exceeds limit" });
@@ -120,23 +161,10 @@ pub fn write_workload_v2<W: Write + Seek>(
     let mut offsets = Vec::with_capacity(workload.traces.len());
     let mut ops_per_core = Vec::with_capacity(workload.traces.len());
     let mut bytes_per_core = Vec::with_capacity(workload.traces.len());
-    let mut buf = Vec::with_capacity(256);
-    for mut trace in workload.traces {
+    for trace in workload.traces {
         offsets.push(start + w.written);
         let stream_start = w.written;
-        let mut enc = V2Encoder::new(base_line);
-        let mut count = 0u64;
-        while let Some(op) = trace.next_op() {
-            buf.clear();
-            enc.push(op, &mut buf);
-            w.put(&buf)?;
-            count += 1;
-        }
-        buf.clear();
-        enc.finish(&mut buf);
-        buf.push(OP2_END);
-        w.put(&buf)?;
-        ops_per_core.push(count);
+        ops_per_core.push(put_stream(&mut w, trace, base_line)?);
         bytes_per_core.push(w.written - stream_start);
     }
 
@@ -163,8 +191,7 @@ pub fn workload_to_ltf_bytes_v2(workload: Workload) -> Result<Vec<u8>, TraceErro
 }
 
 impl Workload {
-    /// Serializes this workload to a `.ltf` file at `path`, consuming it
-    /// (the trace sources are drained).
+    /// Serializes this workload to a `.ltf` file at `path`, consuming it.
     ///
     /// # Errors
     ///
@@ -176,7 +203,7 @@ impl Workload {
     /// use lacc_sim::trace::{default_instr_base, VecTrace, Workload};
     /// let w = Workload {
     ///     name: "empty".into(),
-    ///     traces: vec![Box::new(VecTrace::new(vec![]))],
+    ///     traces: vec![VecTrace::new(vec![])],
     ///     regions: vec![],
     ///     instr_lines: 1,
     ///     instr_base: default_instr_base(),
@@ -201,11 +228,8 @@ mod tests {
         Workload {
             name: "tiny".into(),
             traces: vec![
-                Box::new(VecTrace::new(vec![
-                    TraceOp::Compute(2),
-                    TraceOp::Load { addr: Addr::new(0x80) },
-                ])),
-                Box::new(VecTrace::new(vec![TraceOp::Barrier { id: 0 }])),
+                VecTrace::new(vec![TraceOp::Compute(2), TraceOp::Load { addr: Addr::new(0x80) }]),
+                VecTrace::new(vec![TraceOp::Barrier { id: 0 }]),
             ],
             regions: vec![],
             instr_lines: 8,
@@ -271,5 +295,127 @@ mod tests {
         };
         let bytes = workload_to_ltf_bytes_v2(w).unwrap();
         assert_eq!(&bytes[..8], &MAGIC);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::ltf::v2::OP2_END;
+    use crate::trace::{default_instr_base, RegionDecl, TraceOp};
+    use lacc_model::{Addr, CoreId, LineAddr};
+    use proptest::prelude::*;
+
+    /// The writer the copying one replaced: drains every trace and
+    /// encodes each op against the file's base line.
+    fn write_workload_v2_per_op<W: Write + Seek>(
+        out: &mut W,
+        workload: Workload,
+    ) -> Result<LtfSummary, TraceError> {
+        write_container(out, workload, |w, mut trace, base_line| {
+            let mut enc = V2Encoder::new(base_line);
+            let mut buf = Vec::new();
+            let mut count = 0;
+            while let Some(op) = trace.next_op() {
+                enc.push(op, &mut buf);
+                count += 1;
+            }
+            enc.finish(&mut buf);
+            buf.push(OP2_END);
+            w.put(&buf)?;
+            Ok(count)
+        })
+    }
+
+    fn both_writers(make: impl Fn() -> Workload) -> Result<(), TestCaseError> {
+        let mut copied = std::io::Cursor::new(Vec::new());
+        let mut encoded = std::io::Cursor::new(Vec::new());
+        let a = write_workload_v2(&mut copied, make()).unwrap();
+        let b = write_workload_v2_per_op(&mut encoded, make()).unwrap();
+        prop_assert_eq!(a, b);
+        prop_assert!(copied.into_inner() == encoded.into_inner(), "the two writers' bytes differ");
+        Ok(())
+    }
+
+    fn arb_addr() -> impl Strategy<Value = Addr> {
+        prop_oneof![
+            (0x1000u64..0x1400).prop_map(Addr::new),
+            (0u64..(1 << 48)).prop_map(Addr::new),
+            Just(Addr::new((1 << 48) - 8)),
+        ]
+    }
+
+    fn arb_other() -> impl Strategy<Value = TraceOp> {
+        prop_oneof![
+            (0u32..12).prop_map(TraceOp::Compute),
+            Just(TraceOp::Compute(3)),
+            (0u32..1000).prop_map(|id| TraceOp::Barrier { id }),
+            (0u32..4).prop_map(|id| TraceOp::Acquire { id }),
+            (0u32..4).prop_map(|id| TraceOp::Release { id }),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = TraceOp> {
+        prop_oneof![
+            arb_other(),
+            arb_addr().prop_map(|addr| TraceOp::Load { addr }),
+            (arb_addr(), 0u64..u64::MAX).prop_map(|(addr, value)| TraceOp::Store { addr, value }),
+        ]
+    }
+
+    /// Streams with accesses anywhere (first op or not), and streams
+    /// with none at all.
+    fn arb_stream() -> impl Strategy<Value = Vec<TraceOp>> {
+        prop_oneof![
+            proptest::collection::vec(arb_op(), 0..40),
+            proptest::collection::vec(arb_other(), 0..8),
+        ]
+    }
+
+    /// Region tables whose base line is 0 (none, or only instruction
+    /// regions), near the accesses, or far from them.
+    fn arb_regions() -> impl Strategy<Value = Vec<RegionDecl>> {
+        let region = (prop_oneof![Just(0u64), 0x3Fu64..0x52, 0u64..(1 << 42)], 0u8..3).prop_map(
+            |(first, tag)| RegionDecl {
+                first_line: LineAddr::new(first),
+                lines: 64,
+                class: match tag {
+                    0 => RegionClass::Shared,
+                    1 => RegionClass::Instruction,
+                    _ => RegionClass::PrivateTo(CoreId::new(0)),
+                },
+            },
+        );
+        proptest::collection::vec(region, 0..3)
+    }
+
+    fn workload(streams: &[Vec<TraceOp>], regions: &[RegionDecl]) -> Workload {
+        Workload {
+            name: "w".into(),
+            traces: streams.iter().map(|ops| VecTrace::new(ops.clone())).collect(),
+            regions: regions.to_vec(),
+            instr_lines: 4,
+            instr_base: default_instr_base(),
+        }
+    }
+
+    proptest! {
+        /// Copying stream bytes, rebasing only the first access, writes
+        /// exactly what encoding every op did: for generated traces, and
+        /// for replayed ones written back under another region table.
+        #[test]
+        fn copying_writer_matches_per_op_encoding(
+            streams in proptest::collection::vec(arb_stream(), 0..5),
+            regions in arb_regions(),
+            other_regions in arb_regions(),
+        ) {
+            both_writers(|| workload(&streams, &regions))?;
+            let bytes = workload_to_ltf_bytes_v2(workload(&streams, &regions)).unwrap();
+            both_writers(|| {
+                let mut w = crate::ltf::workload_from_bytes(bytes.clone()).unwrap();
+                w.regions = other_regions.clone();
+                w
+            })?;
+        }
     }
 }

@@ -128,7 +128,7 @@ fn contended_workload(cores: usize, rounds: usize) -> Workload {
                 ops.push(TraceOp::Load { addr: Addr::new(0x8000 + (c as u64) * 64) });
                 ops.push(TraceOp::Compute(3));
             }
-            Box::new(VecTrace::new(ops)) as Box<dyn lacc_sim::TraceSource>
+            VecTrace::new(ops)
         })
         .collect();
     Workload {

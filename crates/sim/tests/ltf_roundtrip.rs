@@ -11,7 +11,6 @@ use lacc_core::rnuca::RegionClass;
 use lacc_model::{Addr, CoreId, LineAddr, TraceError};
 use lacc_sim::ltf::{self, varint};
 use lacc_sim::trace::{default_instr_base, RegionDecl, TraceOp, VecTrace, Workload};
-use lacc_sim::TraceSource;
 
 fn arb_op() -> impl Strategy<Value = TraceOp> {
     prop_oneof![
@@ -47,10 +46,7 @@ fn workload_from(
 ) -> Workload {
     Workload {
         name,
-        traces: cores
-            .iter()
-            .map(|ops| Box::new(VecTrace::new(ops.clone())) as Box<dyn TraceSource>)
-            .collect(),
+        traces: cores.iter().map(|ops| VecTrace::new(ops.clone())).collect(),
         regions,
         instr_lines,
         instr_base: default_instr_base(),
@@ -58,7 +54,7 @@ fn workload_from(
 }
 
 /// Every core's ops, in order.
-fn drain(traces: Vec<Box<dyn TraceSource>>) -> Vec<Vec<TraceOp>> {
+fn drain(traces: Vec<VecTrace>) -> Vec<Vec<TraceOp>> {
     traces.into_iter().map(|mut t| std::iter::from_fn(|| t.next_op()).collect()).collect()
 }
 

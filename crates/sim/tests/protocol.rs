@@ -18,7 +18,7 @@ fn shared_region(first: u64, lines: u64) -> RegionDecl {
 fn run(cfg: SystemConfig, traces: Vec<Vec<TraceOp>>, regions: Vec<RegionDecl>) -> SimReport {
     let w = Workload {
         name: "test".into(),
-        traces: traces.into_iter().map(|t| Box::new(VecTrace::new(t)) as _).collect(),
+        traces: traces.into_iter().map(VecTrace::new).collect(),
         regions,
         instr_lines: 0,
         instr_base: default_instr_base(),
@@ -304,7 +304,7 @@ fn word_misses_generate_less_network_traffic_than_line_misses() {
 fn instruction_fetch_models_icache() {
     let w = Workload {
         name: "ifetch".into(),
-        traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(1000)]))],
+        traces: vec![VecTrace::new(vec![TraceOp::Compute(1000)])],
         regions: vec![],
         instr_lines: 8, // footprint: 8 lines = 64 instructions
         instr_base: default_instr_base(),
@@ -322,7 +322,7 @@ fn instruction_footprint_larger_than_l1i_thrashes() {
     // small_for_tests L1I = 1 KB = 16 lines; footprint of 64 lines loops.
     let w = Workload {
         name: "ithrash".into(),
-        traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(2000)]))],
+        traces: vec![VecTrace::new(vec![TraceOp::Compute(2000)])],
         regions: vec![],
         instr_lines: 64,
         instr_base: default_instr_base(),

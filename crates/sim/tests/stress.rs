@@ -59,7 +59,7 @@ fn arb_cfg() -> impl Strategy<Value = SystemConfig> {
         })
 }
 
-fn build_traces(per_core: &[Vec<OpSpec>], with_sync: bool) -> Vec<Box<dyn lacc_sim::TraceSource>> {
+fn build_traces(per_core: &[Vec<OpSpec>], with_sync: bool) -> Vec<VecTrace> {
     per_core
         .iter()
         .enumerate()
@@ -89,7 +89,7 @@ fn build_traces(per_core: &[Vec<OpSpec>], with_sync: bool) -> Vec<Box<dyn lacc_s
             if with_sync {
                 ops.push(TraceOp::Barrier { id: 999 });
             }
-            Box::new(VecTrace::new(ops)) as Box<dyn lacc_sim::TraceSource>
+            VecTrace::new(ops)
         })
         .collect()
 }

@@ -1,6 +1,8 @@
 //! Coordinated multi-core trace generation.
 //!
-//! [`Phases`] owns one op buffer per core plus a deterministic RNG, and
+//! [`Phases`] owns one trace under construction per core (each op is
+//! LTF-encoded as it is generated, see [`TraceBuilder`]) plus a
+//! deterministic RNG, and
 //! offers the reusable access patterns from which the 21 benchmark presets
 //! are assembled (DESIGN.md §5): private streams with controllable spatial
 //! locality, hot working sets, shared read-mostly regions with rotating
@@ -15,14 +17,14 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use lacc_sim::trace::{default_instr_base, TraceOp, VecTrace, Workload};
+use lacc_sim::trace::{default_instr_base, TraceBuilder, TraceOp, Workload};
 use lacc_sim::RegionDecl;
 
 use crate::regions::Region;
 
 /// Multi-core trace builder.
 pub struct Phases {
-    ops: Vec<Vec<TraceOp>>,
+    traces: Vec<TraceBuilder>,
     rng: SmallRng,
     next_barrier: u32,
     /// Compute instructions inserted between memory accesses.
@@ -34,7 +36,7 @@ impl Phases {
     #[must_use]
     pub fn new(cores: usize, seed: u64) -> Self {
         Phases {
-            ops: vec![Vec::new(); cores],
+            traces: (0..cores).map(|_| TraceBuilder::new()).collect(),
             rng: SmallRng::seed_from_u64(seed ^ 0x5eed_1acc),
             next_barrier: 0,
             compute_per_access: 1,
@@ -44,33 +46,33 @@ impl Phases {
     /// Number of cores.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.ops.len()
+        self.traces.len()
     }
 
     /// Emits a global barrier (all cores).
     pub fn barrier(&mut self) {
         let id = self.next_barrier;
         self.next_barrier += 1;
-        for t in &mut self.ops {
+        for t in &mut self.traces {
             t.push(TraceOp::Barrier { id });
         }
     }
 
     fn pad(&mut self, core: usize) {
         if self.compute_per_access > 0 {
-            self.ops[core].push(TraceOp::Compute(self.compute_per_access));
+            self.traces[core].push(TraceOp::Compute(self.compute_per_access));
         }
     }
 
     fn load(&mut self, core: usize, region: &Region, idx: u64, word: u64) {
         self.pad(core);
-        self.ops[core].push(TraceOp::Load { addr: region.addr(idx, word) });
+        self.traces[core].push(TraceOp::Load { addr: region.addr(idx, word) });
     }
 
     fn store(&mut self, core: usize, region: &Region, idx: u64, word: u64) {
         self.pad(core);
         let value = self.rng.gen::<u64>();
-        self.ops[core].push(TraceOp::Store { addr: region.addr(idx, word), value });
+        self.traces[core].push(TraceOp::Store { addr: region.addr(idx, word), value });
     }
 
     fn maybe_store(&mut self, core: usize, region: &Region, idx: u64, word: u64, wf: f64) {
@@ -205,7 +207,7 @@ impl Phases {
         for round in 0..rounds {
             for core in 0..self.cores() {
                 let _ = round;
-                self.ops[core].push(TraceOp::Acquire { id: lock });
+                self.traces[core].push(TraceOp::Acquire { id: lock });
                 for l in 0..record_lines {
                     for w in 0..4 {
                         self.load(core, region, l, w);
@@ -214,7 +216,7 @@ impl Phases {
                         self.store(core, region, l, w);
                     }
                 }
-                self.ops[core].push(TraceOp::Release { id: lock });
+                self.traces[core].push(TraceOp::Release { id: lock });
             }
         }
     }
@@ -330,11 +332,7 @@ impl Phases {
         self.barrier();
         Workload {
             name: name.to_string(),
-            traces: self
-                .ops
-                .into_iter()
-                .map(|t| Box::new(VecTrace::new(t)) as Box<dyn lacc_sim::TraceSource>)
-                .collect(),
+            traces: self.traces.into_iter().map(TraceBuilder::finish).collect(),
             regions,
             instr_lines,
             instr_base: default_instr_base(),

@@ -30,10 +30,7 @@ fn victim_ops() -> Vec<Vec<TraceOp>> {
 fn victim_workload() -> Workload {
     Workload {
         name: "victim".into(),
-        traces: victim_ops()
-            .into_iter()
-            .map(|ops| Box::new(VecTrace::new(ops)) as Box<dyn TraceSource>)
-            .collect(),
+        traces: victim_ops().into_iter().map(VecTrace::new).collect(),
         regions: vec![
             RegionDecl { first_line: LineAddr::new(0x41), lines: 8, class: RegionClass::Shared },
             RegionDecl {
@@ -160,10 +157,10 @@ fn mid_op_eof_is_typed() {
     // unaligned, so it is carried as an operand rather than in the tag.
     let w = Workload {
         name: "cut".into(),
-        traces: vec![Box::new(VecTrace::new(vec![
+        traces: vec![VecTrace::new(vec![
             TraceOp::Store { addr: Addr::new(0x43), value: u64::MAX },
             TraceOp::Compute(1),
-        ]))],
+        ])],
         regions: vec![],
         instr_lines: 0,
         instr_base: default_instr_base(),
@@ -195,7 +192,7 @@ fn overlong_varint_is_typed() {
     // continuation bytes.
     let w = Workload {
         name: String::new(),
-        traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(1)]))],
+        traces: vec![VecTrace::new(vec![TraceOp::Compute(1)])],
         regions: vec![],
         instr_lines: 0,
         instr_base: default_instr_base(),
@@ -285,7 +282,7 @@ fn every_prefix_of_a_valid_v2_file_errors_not_panics() {
     // and a far jump across the address space.
     let w = Workload {
         name: "dense".into(),
-        traces: vec![Box::new(VecTrace::new(vec![
+        traces: vec![VecTrace::new(vec![
             TraceOp::Compute(40),
             TraceOp::Compute(40),
             TraceOp::Compute(40),
@@ -295,7 +292,7 @@ fn every_prefix_of_a_valid_v2_file_errors_not_panics() {
             TraceOp::Load { addr: Addr::new(0x1043) },
             TraceOp::Store { addr: Addr::new((1 << 48) - 8), value: u64::MAX },
             TraceOp::Load { addr: Addr::new(0) },
-        ]))],
+        ])],
         regions: vec![RegionDecl {
             first_line: LineAddr::new(0x41),
             lines: 8,
@@ -346,7 +343,7 @@ fn v2_corrupt_run_length_is_typed() {
     // legal 2..=MAX_RUN range.
     let w = Workload {
         name: "run".into(),
-        traces: vec![Box::new(VecTrace::new(vec![TraceOp::Compute(9)]))],
+        traces: vec![VecTrace::new(vec![TraceOp::Compute(9)])],
         regions: vec![],
         instr_lines: 0,
         instr_base: default_instr_base(),
@@ -366,10 +363,10 @@ fn v2_truncated_store_value_is_typed() {
     // marker is cut; shaving two bytes lands mid-value.
     let w = Workload {
         name: "cut2".into(),
-        traces: vec![Box::new(VecTrace::new(vec![TraceOp::Store {
+        traces: vec![VecTrace::new(vec![TraceOp::Store {
             addr: Addr::new(0x40),
             value: u64::MAX,
-        }]))],
+        }])],
         regions: vec![],
         instr_lines: 0,
         instr_base: default_instr_base(),
