@@ -24,39 +24,6 @@ use crate::trace::{TraceOp, VecTrace};
 // Core side
 // ---------------------------------------------------------------------------
 
-/// How many ops the engine pulls from a core's source per refill.
-const LOCAL_BATCH: usize = 64;
-
-/// A [`VecTrace`] wrapped with a small refill buffer, so the engine's
-/// per-op pull consumes batched decodes ([`VecTrace::next_ops`]) instead
-/// of paying a record decode call per op. Pure pass-through semantically:
-/// the op sequence is exactly the trace's.
-pub(crate) struct BatchedSource {
-    src: VecTrace,
-    buf: Vec<TraceOp>,
-    pos: usize,
-}
-
-impl BatchedSource {
-    pub fn new(src: VecTrace) -> Self {
-        BatchedSource { src, buf: Vec::with_capacity(LOCAL_BATCH), pos: 0 }
-    }
-
-    /// The next op, or `None` once the trace is exhausted.
-    pub fn next_op(&mut self) -> Option<TraceOp> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            if self.src.next_ops(&mut self.buf, LOCAL_BATCH) == 0 {
-                return None;
-            }
-        }
-        let op = self.buf[self.pos];
-        self.pos += 1;
-        Some(op)
-    }
-}
-
 /// Why a core is not executing its trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Blocked {
@@ -80,7 +47,7 @@ pub(crate) struct Outstanding {
 pub(crate) struct CoreState {
     /// The core's trace; `None` once exhausted (or if the core never had
     /// one).
-    pub trace: Option<BatchedSource>,
+    pub trace: Option<VecTrace>,
     pub clock: Cycle,
     pub finished: bool,
     pub breakdown: CompletionBreakdown,
@@ -94,10 +61,9 @@ pub(crate) struct CoreState {
     pub instr_pos: u64,
     pub instructions: u64,
     pub outstanding: Option<Outstanding>,
-    /// Ops pulled from the trace so far. The refill buffer in
-    /// [`BatchedSource`] makes the raw source position unobservable; this
-    /// counter is the architectural trace cursor the model checker
-    /// fingerprints.
+    /// Ops pulled from the trace so far: the trace cursor as one number,
+    /// which the model checker fingerprints (a decode position alone
+    /// cannot tell apart the ops of one compute-run record).
     pub ops_consumed: u64,
 }
 
@@ -105,7 +71,7 @@ impl CoreState {
     pub fn new(trace: Option<VecTrace>) -> Self {
         CoreState {
             finished: trace.is_none(),
-            trace: trace.map(BatchedSource::new),
+            trace,
             clock: 0,
             breakdown: CompletionBreakdown::default(),
             miss_class: MissClassifier::new(),

@@ -45,7 +45,8 @@
 //!
 //! Decoding is total: every malformed input — wrong magic, any version
 //! other than 2, truncation anywhere (including mid-op), over-long
-//! varints, undefined opcodes or class tags, offsets outside the file —
+//! varints, undefined opcodes or class tags, offsets outside the file,
+//! streams that do not exactly tile the bytes after the offset table —
 //! returns a typed [`TraceError`](lacc_model::TraceError) instead of
 //! panicking. [`read_workload`] validates the entire file in one pass
 //! before handing out per-core sources, so replay itself cannot trip over
@@ -106,3 +107,9 @@ pub const MAX_CORES: u64 = 1 << 16;
 pub const MAX_NAME_LEN: u64 = 4096;
 /// Decoder limit on the region-declaration count.
 pub const MAX_REGIONS: u64 = 1 << 20;
+
+/// The [`TraceError::Corrupt`](lacc_model::TraceError::Corrupt) reason
+/// for streams that leave a gap, overlap or run past one another: the
+/// first must start where the offset table ends, each must end where the
+/// next starts, and the last at the end of the file.
+pub(crate) const STREAMS_DO_NOT_TILE: &str = "core streams do not tile the stream area";

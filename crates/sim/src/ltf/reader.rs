@@ -6,14 +6,17 @@
 //! stream in a single pass over that buffer, then hands back a
 //! [`Workload`] whose per-core traces are [`VecTrace`]s — the same type
 //! generated traces use — that all share the one buffer and decode in
-//! place, one op (or one batch, via [`VecTrace::next_ops`]) per call.
-//! Nothing is copied out of the buffer and no per-core file handles
-//! exist. Because the buffer is owned and immutable, replay decodes
-//! exactly the bytes that were validated, whatever happens to the file
-//! afterwards.
+//! place, one op per call ([`VecTrace::next_op`], which the engine calls
+//! directly). Nothing is copied out of the buffer and no per-core file
+//! handles exist. Because the buffer is owned and immutable, replay
+//! decodes exactly the bytes that were validated, whatever happens to
+//! the file afterwards.
 //!
 //! Header, offset table and streams are all parsed straight off the byte
-//! slice with [`varint::take`].
+//! slice with [`varint::take`], and the streams must tile the area after
+//! the offset table exactly: stream 0 starts where the table ends, each
+//! stream's end marker is the last byte before the next stream, and the
+//! last one's is the file's last byte.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,7 +28,7 @@ use crate::trace::{RegionDecl, VecTrace, Workload};
 
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
-    MAX_REGIONS, VERSION,
+    MAX_REGIONS, STREAMS_DO_NOT_TILE, VERSION,
 };
 
 /// Everything an LTF header declares about its workload.
@@ -120,6 +123,13 @@ fn check_offsets(offsets: &[u64], streams_start: u64, len: u64) -> Result<(), Tr
             return Err(TraceError::Corrupt { what: "core offset outside stream area" });
         }
     }
+    // The streams tile the rest of the file, so the first starts where
+    // the table ends (and a file without streams ends with its table).
+    // That each stream ends where the next begins is checked as the
+    // streams are decoded (`VecTrace::open`).
+    if offsets.first().copied().unwrap_or(len) != streams_start {
+        return Err(TraceError::Corrupt { what: STREAMS_DO_NOT_TILE });
+    }
     Ok(())
 }
 
@@ -130,7 +140,8 @@ fn check_offsets(offsets: &[u64], streams_start: u64, len: u64) -> Result<(), Tr
 ///
 /// Any [`TraceError`]: I/O failures, bad magic, any version other than
 /// [`VERSION`], truncation anywhere, over-long varints, undefined opcodes
-/// or region classes, offsets outside the file.
+/// or region classes, offsets outside the file, streams that do not tile
+/// the bytes after the offset table.
 pub fn read_workload<P: AsRef<Path>>(path: P) -> Result<Workload, TraceError> {
     workload_from_bytes(std::fs::read(path)?)
 }
@@ -150,9 +161,13 @@ pub fn workload_from_bytes(bytes: Vec<u8>) -> Result<Workload, TraceError> {
     let (header, offsets) = read_header_bytes(&bytes)?;
     let buf = Arc::new(bytes);
     let base_line = super::v2::base_line(&header.regions);
+    // Stream i occupies the bytes up to stream i + 1, the last one the
+    // rest of the file.
+    let ends = offsets.iter().skip(1).map(|&end| end as usize).chain([buf.len()]);
     let traces = offsets
         .iter()
-        .map(|&offset| VecTrace::open(Arc::clone(&buf), offset as usize, base_line))
+        .zip(ends)
+        .map(|(&start, end)| VecTrace::open(Arc::clone(&buf), start as usize..end, base_line))
         .collect::<Result<_, _>>()?;
     Ok(Workload {
         name: header.name,
@@ -170,7 +185,8 @@ pub fn workload_from_bytes(bytes: Vec<u8>) -> Result<Workload, TraceError> {
 /// Any [`TraceError`] a malformed header can produce: wrong magic,
 /// unsupported version, truncation (including of the offset table),
 /// over-long varints, undefined region class tags, out-of-range counts,
-/// offsets outside the stream area.
+/// offsets outside the stream area, a first stream that does not start
+/// where the offset table ends.
 pub fn read_header_bytes(bytes: &[u8]) -> Result<(LtfHeader, Vec<u64>), TraceError> {
     let mut pos = 0;
     let header = take_header(bytes, &mut pos)?;

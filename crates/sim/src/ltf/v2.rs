@@ -327,83 +327,6 @@ impl V2Decoder {
         Ok(Some(op))
     }
 
-    /// Batched [`next`](Self::next): decodes up to `max` ops into `out`,
-    /// returning the number appended and whether the end marker was
-    /// reached. This is the decode loop behind the trace cursors'
-    /// `next_ops` — it lives here so the cursor position stays in a
-    /// local across the whole batch instead of bouncing through a
-    /// field on every op.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`next`](Self::next).
-    #[inline]
-    pub fn next_batch(
-        &mut self,
-        bytes: &[u8],
-        pos: &mut usize,
-        out: &mut Vec<TraceOp>,
-        max: usize,
-    ) -> Result<(usize, bool), TraceError> {
-        // Decode against a local copy of the delta state: a stack-local
-        // decoder is scalarized into registers, where the `&mut self`
-        // fields would be re-loaded around every `out` write.
-        let mut dec = V2Decoder { ..*self };
-        let mut p = *pos;
-        let mut appended = 0;
-        let mut end = false;
-        let mut err = None;
-        // Ops land in `out`'s spare capacity a chunk at a time, with the
-        // length committed once per chunk, so the hot loop carries no
-        // per-op length store or growth branch.
-        const CHUNK: usize = 64;
-        while appended < max && !end && err.is_none() {
-            let want = (max - appended).min(CHUNK);
-            out.reserve(want);
-            let len = out.len();
-            // Slicing to `want` up front turns the per-op indexing into a
-            // check the optimizer can hoist out of the loop.
-            let spare = &mut out.spare_capacity_mut()[..want];
-            let mut filled = 0;
-            while filled < want {
-                // Immediate-compute tags are half of a typical stream and
-                // touch no decoder state (no delta, no pending run), so
-                // emit them straight from the peeked tag byte.
-                if dec.run.is_none() {
-                    if let Some(&tag @ OP2_COMPUTE_IMM..=IMM_COMPUTE_LAST) = bytes.get(p) {
-                        p += 1;
-                        spare[filled].write(TraceOp::Compute(u32::from(tag - OP2_COMPUTE_IMM) + 1));
-                        filled += 1;
-                        continue;
-                    }
-                }
-                match dec.next(bytes, &mut p) {
-                    Ok(Some(op)) => {
-                        spare[filled].write(op);
-                        filled += 1;
-                    }
-                    Ok(None) => {
-                        end = true;
-                        break;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            // SAFETY: the first `filled` spare slots were just written.
-            unsafe { out.set_len(len + filled) };
-            appended += filled;
-        }
-        *self = dec;
-        *pos = p;
-        match err {
-            Some(e) => Err(e),
-            None => Ok((appended, end)),
-        }
-    }
-
     fn take_addr(
         &mut self,
         bytes: &[u8],

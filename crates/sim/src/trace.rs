@@ -7,12 +7,14 @@
 //! the R-NUCA region declarations (the placement oracle, see DESIGN.md)
 //! and the instruction-footprint parameters.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use lacc_core::rnuca::RegionClass;
 use lacc_model::{Addr, LineAddr, TraceError};
 
 use crate::ltf::v2::{V2Decoder, V2Encoder, OP2_END};
+use crate::ltf::STREAMS_DO_NOT_TILE;
 
 /// One trace operation for an in-order core.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,6 +64,10 @@ pub enum TraceOp {
 /// length, and writing it to a file ([`crate::ltf::write_workload_v2`])
 /// copies the bytes instead of re-encoding them.
 ///
+/// Ops come out one per call to [`next_op`](Self::next_op), decoded in
+/// place by [`V2Decoder::next`], the one decode walk in the workspace;
+/// the engine pulls each op a core executes straight from here.
+///
 /// The stream is valid by construction (encoded here) or validated when
 /// its file is opened, so decoding cannot fail. Cloning a trace shares
 /// its bytes and copies the cursor. A trace is `Send`: the experiment
@@ -99,27 +105,30 @@ impl VecTrace {
         builder.finish()
     }
 
-    /// Opens the stream starting at byte `start` of `buf`, whose first
-    /// address delta is relative to `base_line`: decodes it to its end
-    /// marker once (catching every malformation), then starts the cursor
-    /// at its first op.
+    /// Opens the stream occupying `buf[stream]`, whose first address
+    /// delta is relative to `base_line`: decodes it to its end marker
+    /// once (catching every malformation, and an end marker that is not
+    /// the range's last byte), then starts the cursor at its first op.
     pub(crate) fn open(
         buf: Arc<Vec<u8>>,
-        start: usize,
+        stream: Range<usize>,
         base_line: u64,
     ) -> Result<Self, TraceError> {
         let mut dec = V2Decoder::new(base_line);
-        let (mut pos, mut ops) = (start, 0);
+        let (mut pos, mut ops) = (stream.start, 0);
         while dec.next(&buf, &mut pos)?.is_some() {
             ops += 1;
         }
+        if pos != stream.end {
+            return Err(TraceError::Corrupt { what: STREAMS_DO_NOT_TILE });
+        }
         Ok(VecTrace {
             buf,
-            start,
+            start: stream.start,
             end: pos,
             base_line,
             ops,
-            pos: start,
+            pos: stream.start,
             dec: V2Decoder::new(base_line),
             finished: false,
         })
@@ -156,21 +165,16 @@ impl VecTrace {
     /// Appends up to `max` further operations to `out`, returning how
     /// many were appended. Appending fewer than `max` means the stream
     /// ended (and stays ended: later calls return 0), so consumers detect
-    /// exhaustion without a separate probe.
-    ///
-    /// This is the amortization point of the trace plane: one call
-    /// decodes a whole batch with the cursor in registers
-    /// ([`V2Decoder::next_batch`]), which is what the engine's per-core
-    /// pull consumes.
-    #[inline]
+    /// exhaustion without a separate probe. A plain loop over
+    /// [`next_op`](Self::next_op), for callers that drain a trace in
+    /// chunks.
     pub fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
-        if self.finished {
-            return 0;
+        let mut appended = 0;
+        while appended < max {
+            let Some(op) = self.next_op() else { break };
+            out.push(op);
+            appended += 1;
         }
-        let mut pos = self.pos;
-        let (appended, end) = self.dec.next_batch(&self.buf, &mut pos, out, max).expect(VALID);
-        self.pos = pos;
-        self.finished = end;
         appended
     }
 }

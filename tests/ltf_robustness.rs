@@ -252,6 +252,71 @@ fn corrupt_counts_and_offsets_are_typed() {
     assert!(matches!(decode(&bytes).unwrap_err(), TraceError::Corrupt { .. }));
 }
 
+/// The error for streams that do not exactly tile the bytes after the
+/// offset table.
+const NOT_TILED: TraceError =
+    TraceError::Corrupt { what: "core streams do not tile the stream area" };
+
+#[test]
+fn a_stream_running_into_the_next_is_corrupt() {
+    // Core 0's end marker retagged as a one-byte Compute(1): core 0 would
+    // decode on through core 1's ops and end at core 1's marker.
+    let valid = valid_bytes();
+    let (_, offsets) = ltf::read_header_bytes(&valid).unwrap();
+    let marker = offsets[1] as usize - 1;
+    let mut bytes = valid;
+    assert_eq!(bytes[marker], ltf::v2::OP2_END);
+    bytes[marker] = ltf::v2::OP2_COMPUTE_IMM;
+    assert_eq!(decode(&bytes).unwrap_err(), NOT_TILED);
+}
+
+#[test]
+fn a_duplicated_offset_is_corrupt() {
+    // Both cores pointing at core 0's stream: two valid streams, but core
+    // 1's bytes belong to nobody.
+    let valid = valid_bytes();
+    let (_, offsets) = ltf::read_header_bytes(&valid).unwrap();
+    let second_entry = offsets[0] as usize - 8;
+    let mut bytes = valid;
+    bytes[second_entry..second_entry + 8].copy_from_slice(&offsets[0].to_le_bytes());
+    assert_eq!(decode(&bytes).unwrap_err(), NOT_TILED);
+}
+
+#[test]
+fn bytes_outside_the_streams_are_corrupt() {
+    // One trailing byte after the last stream's end marker.
+    let mut bytes = valid_bytes();
+    bytes.push(ltf::v2::OP2_END);
+    assert_eq!(decode(&bytes).unwrap_err(), NOT_TILED);
+
+    // One byte between the offset table and stream 0, with both offsets
+    // moved past it: every stream still decodes.
+    let valid = valid_bytes();
+    let (_, offsets) = ltf::read_header_bytes(&valid).unwrap();
+    let table_at = offsets[0] as usize - 16;
+    let mut bytes = valid[..offsets[0] as usize].to_vec();
+    for (i, offset) in offsets.iter().enumerate() {
+        let entry = table_at + 8 * i;
+        bytes[entry..entry + 8].copy_from_slice(&(offset + 1).to_le_bytes());
+    }
+    bytes.push(ltf::v2::OP2_END);
+    bytes.extend_from_slice(&valid[offsets[0] as usize..]);
+    assert_eq!(decode(&bytes).unwrap_err(), NOT_TILED);
+
+    // A file with no streams ends with its (empty) offset table.
+    let w = Workload {
+        name: "none".into(),
+        traces: vec![],
+        regions: vec![],
+        instr_lines: 0,
+        instr_base: default_instr_base(),
+    };
+    let mut bytes = ltf::workload_to_ltf_bytes_v2(w).unwrap();
+    assert!(decode(&bytes).is_ok());
+    bytes.push(ltf::v2::OP2_END);
+    assert_eq!(decode(&bytes).unwrap_err(), NOT_TILED);
+}
+
 #[test]
 fn invalid_name_utf8_is_typed() {
     let mut bytes = Vec::new();
