@@ -1,10 +1,11 @@
 //! The locality classifier: private/remote modes, utilization counters,
 //! Timestamp check, RAT levels, Limited_k tracking and the one-way variant.
 //!
-//! One [`LocalityClassifier`] lives in each directory entry and answers the
-//! question at the center of the paper: *when core C misses on this line,
-//! should it receive a private copy, or be served a single word at the
-//! shared L2?* (§3.2, Figure 4.)
+//! One [`LocalityClassifier`] lives in each directory entry, under the
+//! machine's one [`ClassifierPolicy`], and answers the question at the
+//! center of the paper: *when core C misses on this line, should it
+//! receive a private copy, or be served a single word at the shared L2?*
+//! (§3.2, Figure 4.)
 //!
 //! State machine per (line, core), from Figure 4:
 //!
@@ -24,7 +25,7 @@
 //! the ideal Timestamp mechanism (§3.2) and the current RAT level under the
 //! cost-efficient approximation (§3.3).
 
-use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
+use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind, MAX_RAT_LEVELS};
 use lacc_model::{CoreId, Cycle};
 
 /// Whether a core is a private or remote sharer of a line (Figure 4).
@@ -80,7 +81,6 @@ pub struct ClassifyOutcome {
 const FLAG_PRIVATE: u8 = 1;
 const FLAG_ACTIVE: u8 = 2;
 const FLAG_STICKY_REMOTE: u8 = 4;
-const FLAG_TOUCHED: u8 = 8;
 
 /// Locality record for one core: mode bit, remote utilization counter and
 /// RAT level (Figures 6 and 7), plus the active bit §3.4 uses to pick
@@ -94,24 +94,15 @@ struct CoreInfo {
 }
 
 impl CoreInfo {
-    fn fresh(core: CoreId, mode: SharerMode) -> Self {
-        CoreInfo {
-            core: core.index() as u16,
-            flags: if mode == SharerMode::Private { FLAG_PRIVATE } else { 0 },
-            remote_util: 0,
-            rat_level: 0,
-        }
-    }
-
-    fn fresh_one_way(core: CoreId, mode: SharerMode, one_way: bool) -> Self {
-        let mut info = Self::fresh(core, mode);
+    fn fresh(core: CoreId, mode: SharerMode, one_way: bool) -> Self {
+        let mut flags = if mode == SharerMode::Private { FLAG_PRIVATE } else { 0 };
         // Under Adapt1-way (§3.7) remote is absorbing: a core that *enters*
         // remote mode — whether by its own demotion or by majority-vote
         // initialization — can never be promoted.
         if one_way && mode == SharerMode::Remote {
-            info.flags |= FLAG_STICKY_REMOTE;
+            flags |= FLAG_STICKY_REMOTE;
         }
-        info
+        CoreInfo { core: core.index() as u16, flags, remote_util: 0, rat_level: 0 }
     }
 
     fn mode(&self) -> SharerMode {
@@ -144,132 +135,103 @@ impl CoreInfo {
     fn sticky_remote(&self) -> bool {
         self.flags & FLAG_STICKY_REMOTE != 0
     }
-
-    fn touched(&self) -> bool {
-        self.flags & FLAG_TOUCHED != 0
-    }
 }
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Storage {
-    /// Locality info for every core, indexed by core id (§3.2, Figure 6).
-    Complete(Vec<CoreInfo>),
-    /// Locality info for at most `k` cores (§3.4, Figure 7).
-    Limited(Vec<CoreInfo>),
-}
-
-/// Upper bound on `nRATlevels` (the paper evaluates up to 8, Figure 12).
-pub const MAX_RAT_LEVELS: usize = 8;
-
-/// The per-directory-entry locality classifier.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LocalityClassifier {
+/// The classifier settings of one machine, shared by all its directory
+/// entries: PCT, the RAT ladder and the tracking width are machine-wide
+/// parameters (§3.6), not per-line state.
+///
+/// Complete tracking is Limited_k with `k = num_cores` (the caption of
+/// Figure 13: Limited_64 is identical to Complete): a list that can hold
+/// every core never replaces an entry nor leaves a core untracked.
+#[derive(PartialEq, Eq, Debug)]
+pub struct ClassifierPolicy {
     pct: u32,
     one_way: bool,
-    shortcut: bool,
     timestamp_mech: bool,
+    /// §5.3's suggested extension for the Complete classifier: "the
+    /// Complete locality classifier can also be equipped with such a
+    /// learning short-cut" — a core's first classification is the majority
+    /// vote of the cores already tracked, instead of Private.
+    infer_first: bool,
     /// Promotion thresholds indexed by RAT level (single entry = PCT for
     /// the Timestamp mechanism and for nRATlevels = 1).
-    ladder: [u32; MAX_RAT_LEVELS],
-    ladder_len: usize,
+    ladder: Vec<u32>,
     util_cap: u8,
-    limit: Option<usize>,
-    storage: Storage,
+    /// Number of cores whose locality one entry tracks.
+    k: usize,
 }
 
-impl LocalityClassifier {
-    /// Creates the classifier for one directory entry.
+impl ClassifierPolicy {
+    /// Builds the policy for a machine of `num_cores` cores.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (zero PCT, `k` of zero).
+    /// Panics if the configuration is invalid (zero PCT, `k` of zero, more
+    /// than [`MAX_RAT_LEVELS`] RAT levels).
     #[must_use]
     pub fn new(cfg: &ClassifierConfig, num_cores: usize) -> Self {
         assert!(cfg.pct >= 1, "pct must be at least 1");
-        let mut ladder = [0u32; MAX_RAT_LEVELS];
-        let mut ladder_len = 0;
-        for rat in cfg.mechanism.rat_ladder(cfg.pct) {
-            assert!(ladder_len < MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
-            ladder[ladder_len] = rat;
-            ladder_len += 1;
-        }
-        let util_cap = ladder[ladder_len - 1].max(cfg.pct).min(255) as u8;
-        let (limit, storage) = match cfg.tracking {
-            TrackingKind::Complete => (
-                None,
-                Storage::Complete(
-                    (0..num_cores)
-                        .map(|i| CoreInfo::fresh(CoreId::new(i), SharerMode::Private))
-                        .collect(),
-                ),
-            ),
-            TrackingKind::Limited { k } => {
-                assert!(k >= 1, "Limited_k needs k >= 1");
-                (Some(k), Storage::Limited(Vec::with_capacity(k)))
-            }
+        let ladder: Vec<u32> = cfg.mechanism.rat_ladder(cfg.pct).collect();
+        assert!(ladder.len() <= MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
+        let util_cap = ladder[ladder.len() - 1].max(cfg.pct).min(255) as u8;
+        let k = match cfg.tracking {
+            TrackingKind::Complete => num_cores,
+            TrackingKind::Limited { k } => k,
         };
-        LocalityClassifier {
+        assert!(k >= 1, "Limited_k needs k >= 1");
+        ClassifierPolicy {
             pct: cfg.pct,
             one_way: cfg.one_way,
-            shortcut: cfg.shortcut,
             timestamp_mech: matches!(cfg.mechanism, MechanismKind::Timestamp),
+            infer_first: cfg.shortcut && cfg.tracking == TrackingKind::Complete,
             ladder,
-            ladder_len,
             util_cap,
-            limit,
-            storage,
+            k,
         }
     }
+}
 
+/// The per-directory-entry locality classifier: the locality records of
+/// the tracked cores, in list order. It starts empty and allocates on the
+/// first tracked core, so an L2 install allocates nothing.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct LocalityClassifier {
+    infos: Vec<CoreInfo>,
+}
+
+impl LocalityClassifier {
     /// The mode this entry would use for `core` right now, without updating
     /// any state (untracked cores report the majority vote).
     #[cfg(test)]
     fn mode_of(&self, core: CoreId) -> SharerMode {
-        match &self.storage {
-            Storage::Complete(v) => v[core.index()].mode(),
-            Storage::Limited(v) => v
-                .iter()
-                .find(|i| i.core as usize == core.index())
-                .map_or_else(|| self.majority_vote(), |i| i.mode()),
-        }
+        self.infos
+            .iter()
+            .find(|i| i.core as usize == core.index())
+            .map_or_else(|| self.majority_vote(), |i| i.mode())
     }
 
     /// Number of cores currently tracked.
     #[cfg(test)]
     fn tracked_count(&self) -> usize {
-        match &self.storage {
-            Storage::Complete(v) => v.len(),
-            Storage::Limited(v) => v.len(),
-        }
+        self.infos.len()
     }
 
     /// Appends a canonical encoding of the classifier's mutable state to
     /// `out`, remapping core indices through `map` (the model checker's
     /// symmetry-reduction hook; identity for an unpermuted fingerprint).
     ///
-    /// Complete storage is order-insensitive, so entries are emitted sorted
-    /// by mapped core id. Limited_k storage emits entries in *list order*:
-    /// the list position feeds the §3.4 replacement policy, so two states
-    /// whose lists differ only in order are behaviorally distinct.
+    /// Entries are emitted in *list order*: the list position feeds the
+    /// §3.4 replacement policy, so two states whose lists differ only in
+    /// order are behaviorally distinct.
     pub fn encode_state(&self, out: &mut Vec<u64>, map: &mut dyn FnMut(usize) -> usize) {
-        let encode_info = |info: &CoreInfo, map: &mut dyn FnMut(usize) -> usize| {
-            let mapped = map(info.core as usize) as u64;
-            (mapped << 24)
+        out.push(self.infos.len() as u64);
+        out.extend(self.infos.iter().map(|info| {
+            ((map(info.core as usize) as u64) << 24)
                 | (u64::from(info.flags) << 16)
                 | (u64::from(info.remote_util) << 8)
                 | u64::from(info.rat_level)
-        };
-        match &self.storage {
-            Storage::Complete(v) => {
-                let mut entries: Vec<u64> = v.iter().map(|i| encode_info(i, map)).collect();
-                entries.sort_unstable();
-                out.extend(entries);
-            }
-            Storage::Limited(v) => {
-                out.push(v.len() as u64);
-                out.extend(v.iter().map(|i| encode_info(i, map)));
-            }
-        }
+        }));
     }
 
     /// Classifies a miss request from `core` and updates utilization
@@ -281,33 +243,24 @@ impl LocalityClassifier {
     /// write, and hand out a line or word according to the returned mode.
     pub fn classify_request(
         &mut self,
+        policy: &ClassifierPolicy,
         core: CoreId,
         hints: RequestHints,
         line_last_access: Cycle,
     ) -> ClassifyOutcome {
-        let pct = self.pct;
-        let one_way = self.one_way;
-        let timestamp_mech = self.timestamp_mech;
-        let util_cap = self.util_cap;
-        let ladder = self.ladder;
-        let ladder_len = self.ladder_len;
-        let default_mode = self.majority_or_initial();
-        let (info, tracked) = match self.lookup_or_allocate(core, default_mode) {
-            Some(info) => (info, true),
-            None => {
-                // Limited_k list full of active sharers: classify by
-                // majority vote, leave the list unchanged (§3.4).
-                return ClassifyOutcome { mode: default_mode, promoted: false, tracked: false };
-            }
+        let Some(info) = self.lookup_or_allocate(policy, core) else {
+            // Limited_k list full of active sharers: classify by majority
+            // vote, leave the list unchanged (§3.4).
+            return ClassifyOutcome { mode: self.majority_vote(), promoted: false, tracked: false };
         };
 
         if info.mode() == SharerMode::Private {
             info.set_active(true);
-            return ClassifyOutcome { mode: SharerMode::Private, promoted: false, tracked };
+            return ClassifyOutcome { mode: SharerMode::Private, promoted: false, tracked: true };
         }
 
         // Remote sharer: update the remote utilization counter.
-        if timestamp_mech {
+        if policy.timestamp_mech {
             // Timestamp check (§3.2): count the access only if the line at
             // the L2 is more recent than the coldest line of the
             // requester's L1 set (trivially true with an invalid way).
@@ -318,26 +271,26 @@ impl LocalityClassifier {
                 info.remote_util = 1;
             }
         } else {
-            info.remote_util = info.remote_util.saturating_add(1).min(util_cap);
+            info.remote_util = info.remote_util.saturating_add(1).min(policy.util_cap);
         }
 
         // Promotion threshold: PCT under Timestamp; the RAT ladder under
         // the approximation, with the §3.3 shortcut that an invalid way in
         // the requester's set lowers the bar back to PCT (promotion cannot
         // pollute the cache).
-        let threshold = if timestamp_mech || hints.set_has_invalid {
-            pct
+        let threshold = if policy.timestamp_mech || hints.set_has_invalid {
+            policy.pct
         } else {
-            ladder[(info.rat_level as usize).min(ladder_len - 1)]
+            policy.ladder[(info.rat_level as usize).min(policy.ladder.len() - 1)]
         };
 
-        if info.remote_util as u32 >= threshold && !(one_way && info.sticky_remote()) {
+        if info.remote_util as u32 >= threshold && !(policy.one_way && info.sticky_remote()) {
             info.set_mode(SharerMode::Private);
             info.set_active(true);
-            ClassifyOutcome { mode: SharerMode::Private, promoted: true, tracked }
+            ClassifyOutcome { mode: SharerMode::Private, promoted: true, tracked: true }
         } else {
             info.set_active(true);
-            ClassifyOutcome { mode: SharerMode::Remote, promoted: false, tracked }
+            ClassifyOutcome { mode: SharerMode::Remote, promoted: false, tracked: true }
         }
     }
 
@@ -346,11 +299,7 @@ impl LocalityClassifier {
     /// and those sharers become inactive (§3.2, §3.4 — "a remote sharer
     /// becomes inactive on a write by another core").
     pub fn on_write(&mut self, writer: CoreId) {
-        let infos: &mut [CoreInfo] = match &mut self.storage {
-            Storage::Complete(v) => v,
-            Storage::Limited(v) => v,
-        };
-        for info in infos.iter_mut() {
+        for info in &mut self.infos {
             if info.core as usize != writer.index() && info.mode() == SharerMode::Remote {
                 info.remote_util = 0;
                 info.set_active(false);
@@ -364,15 +313,13 @@ impl LocalityClassifier {
     /// the §3.3 RAT adjustment. Returns the core's new mode.
     pub fn on_sharer_removed(
         &mut self,
+        policy: &ClassifierPolicy,
         core: CoreId,
         private_util: u32,
         reason: RemovalReason,
     ) -> SharerMode {
-        let one_way = self.one_way;
-        let pct = self.pct;
-        let max_level = (self.ladder_len - 1) as u8;
-        let default_mode = self.majority_or_initial();
-        let Some(info) = self.lookup_or_allocate(core, default_mode) else {
+        let pct = policy.pct;
+        let Some(info) = self.lookup_or_allocate(policy, core) else {
             // Untracked and unallocatable: the classification cannot be
             // stored. Compute it against a zero remote counter anyway so
             // the caller can at least report it.
@@ -380,7 +327,7 @@ impl LocalityClassifier {
         };
 
         let total = private_util + info.remote_util as u32;
-        let new_mode = if total >= pct && !(one_way && info.sticky_remote()) {
+        let new_mode = if total >= pct && !(policy.one_way && info.sticky_remote()) {
             SharerMode::Private
         } else {
             SharerMode::Remote
@@ -395,10 +342,11 @@ impl LocalityClassifier {
             SharerMode::Remote => {
                 if reason == RemovalReason::Eviction {
                     // Eviction signals set pressure: harder to re-promote.
+                    let max_level = (policy.ladder.len() - 1) as u8;
                     info.rat_level = (info.rat_level + 1).min(max_level);
                 }
                 info.set_mode(SharerMode::Remote);
-                if one_way {
+                if policy.one_way {
                     info.flags |= FLAG_STICKY_REMOTE;
                 }
             }
@@ -412,91 +360,94 @@ impl LocalityClassifier {
     /// Majority vote over tracked modes; ties and an empty list report
     /// `Private`, the §3.2 initial mode.
     fn majority_vote(&self) -> SharerMode {
-        let infos: &[CoreInfo] = match &self.storage {
-            Storage::Complete(v) => v,
-            Storage::Limited(v) => v,
-        };
-        let private = infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
-        if 2 * private >= infos.len() {
+        let private = self.infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
+        if 2 * private >= self.infos.len() {
             SharerMode::Private
         } else {
             SharerMode::Remote
         }
     }
 
-    /// Initial mode for a core that is about to be (re)allocated: majority
-    /// vote when inferring from existing sharers (§3.4), or the §3.2
-    /// Private default when the list is empty / tracking is complete.
-    fn majority_or_initial(&self) -> SharerMode {
-        match &self.storage {
-            Storage::Complete(_) => SharerMode::Private, // always tracked
-            Storage::Limited(v) if v.is_empty() => SharerMode::Private,
-            Storage::Limited(_) => self.majority_vote(),
+    /// Finds the record for `core`, allocating a free entry or replacing
+    /// an inactive sharer. Returns `None` when the list holds `k` active
+    /// sharers.
+    fn lookup_or_allocate(
+        &mut self,
+        policy: &ClassifierPolicy,
+        core: CoreId,
+    ) -> Option<&mut CoreInfo> {
+        if let Some(pos) = self.infos.iter().position(|i| i.core as usize == core.index()) {
+            return Some(&mut self.infos[pos]);
         }
-    }
-
-    /// Finds the record for `core`, allocating (or replacing an inactive
-    /// sharer) in Limited_k mode. Returns `None` when the list is full of
-    /// active sharers.
-    fn lookup_or_allocate(&mut self, core: CoreId, init_mode: SharerMode) -> Option<&mut CoreInfo> {
-        let one_way = self.one_way;
-        let shortcut = self.shortcut;
-        match &mut self.storage {
-            Storage::Complete(v) => {
-                // §5.3's suggested extension: "the Complete locality
-                // classifier can also be equipped with such a learning
-                // short-cut" — a core's first classification is inferred
-                // from the cores that have already demonstrated a mode.
-                if shortcut && !v[core.index()].touched() {
-                    let touched: Vec<&CoreInfo> = v.iter().filter(|i| i.touched()).collect();
-                    let private =
-                        touched.iter().filter(|i| i.mode() == SharerMode::Private).count();
-                    let mode = if 2 * private >= touched.len() {
-                        SharerMode::Private
-                    } else {
-                        SharerMode::Remote
-                    };
-                    let info = &mut v[core.index()];
-                    info.set_mode(mode);
-                    if one_way && mode == SharerMode::Remote {
-                        info.flags |= FLAG_STICKY_REMOTE;
-                    }
-                }
-                let info = &mut v[core.index()];
-                info.flags |= FLAG_TOUCHED;
-                Some(info)
-            }
-            Storage::Limited(v) => {
-                if let Some(pos) = v.iter().position(|i| i.core as usize == core.index()) {
-                    return Some(&mut v[pos]);
-                }
-                let k = self.limit.expect("limited storage has a limit");
-                if v.len() < k {
-                    // Free entry: "it allocates the entry to the core and
-                    // the actions described in Section 3.2 are carried out"
-                    // — i.e. the §3.2 initial mode, Private. (This is what
-                    // makes Limited_64 identical to Complete, per the
-                    // caption of Figure 13.)
-                    v.push(CoreInfo::fresh(core, SharerMode::Private));
-                    let pos = v.len() - 1;
-                    return Some(&mut v[pos]);
-                }
-                // Replace an inactive sharer if one exists (§3.4): an ideal
-                // candidate "is a core that is currently not using the
-                // cache line".
-                if let Some(pos) = v.iter().position(|i| !i.active()) {
-                    v[pos] = CoreInfo::fresh_one_way(core, init_mode, one_way);
-                    return Some(&mut v[pos]);
-                }
-                None
-            }
+        if self.infos.len() < policy.k {
+            // Free entry: "it allocates the entry to the core and the
+            // actions described in Section 3.2 are carried out" — i.e. the
+            // §3.2 initial mode, Private, unless the §5.3 shortcut infers
+            // it from the cores already tracked.
+            let mode = if policy.infer_first { self.majority_vote() } else { SharerMode::Private };
+            self.infos.push(CoreInfo::fresh(core, mode, policy.one_way));
+            return self.infos.last_mut();
         }
+        // Replace an inactive sharer if one exists (§3.4): an ideal
+        // candidate "is a core that is currently not using the cache
+        // line". It starts in the majority mode of the tracked cores.
+        let mode = self.majority_vote();
+        let pos = self.infos.iter().position(|i| !i.active())?;
+        self.infos[pos] = CoreInfo::fresh(core, mode, policy.one_way);
+        Some(&mut self.infos[pos])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A classifier and its machine's policy, as one directory entry sees
+    /// them.
+    pub(super) struct Cl {
+        policy: ClassifierPolicy,
+        state: LocalityClassifier,
+    }
+
+    impl Cl {
+        pub(super) fn new(cfg: &ClassifierConfig, num_cores: usize) -> Self {
+            Cl {
+                policy: ClassifierPolicy::new(cfg, num_cores),
+                state: LocalityClassifier::default(),
+            }
+        }
+
+        pub(super) fn classify_request(
+            &mut self,
+            core: CoreId,
+            hints: RequestHints,
+            line_last_access: Cycle,
+        ) -> ClassifyOutcome {
+            self.state.classify_request(&self.policy, core, hints, line_last_access)
+        }
+
+        pub(super) fn on_sharer_removed(
+            &mut self,
+            core: CoreId,
+            private_util: u32,
+            reason: RemovalReason,
+        ) -> SharerMode {
+            self.state.on_sharer_removed(&self.policy, core, private_util, reason)
+        }
+    }
+
+    impl std::ops::Deref for Cl {
+        type Target = LocalityClassifier;
+        fn deref(&self) -> &LocalityClassifier {
+            &self.state
+        }
+    }
+
+    impl std::ops::DerefMut for Cl {
+        fn deref_mut(&mut self) -> &mut LocalityClassifier {
+            &mut self.state
+        }
+    }
 
     fn cfg(pct: u32) -> ClassifierConfig {
         ClassifierConfig {
@@ -518,7 +469,7 @@ mod tests {
 
     #[test]
     fn cores_start_private() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         let out = cl.classify_request(c(3), NO_HINT, 0);
         assert_eq!(out.mode, SharerMode::Private);
         assert!(!out.promoted);
@@ -526,7 +477,7 @@ mod tests {
 
     #[test]
     fn demotion_below_pct_and_stay_at_pct() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         assert_eq!(cl.on_sharer_removed(c(0), 3, RemovalReason::Eviction), SharerMode::Remote);
         assert_eq!(cl.on_sharer_removed(c(1), 4, RemovalReason::Eviction), SharerMode::Private);
         assert_eq!(cl.mode_of(c(0)), SharerMode::Remote);
@@ -535,7 +486,7 @@ mod tests {
 
     #[test]
     fn remote_utilization_promotes_at_pct_with_invalid_way() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
         // Even though the eviction raised the RAT to 16, an invalid way in
         // the requester's set applies the §3.3 shortcut: threshold = PCT.
@@ -550,7 +501,7 @@ mod tests {
 
     #[test]
     fn eviction_demotion_raises_rat() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction); // RAT -> 16
 
         // Under set pressure (no invalid way), promotion now needs 16.
@@ -569,7 +520,7 @@ mod tests {
         // stored level: further demotions must not store a level the
         // hardware cannot hold, nor tell apart states it cannot.
         let demoted = |evictions: usize| {
-            let mut cl = LocalityClassifier::new(&cfg(4), 8);
+            let mut cl = Cl::new(&cfg(4), 8);
             for _ in 0..evictions {
                 cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
             }
@@ -583,7 +534,7 @@ mod tests {
 
     #[test]
     fn invalidation_demotion_keeps_rat() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Invalidation); // RAT stays at PCT
         for _ in 0..3 {
             assert_eq!(cl.classify_request(c(0), PRESSURE, 0).mode, SharerMode::Remote);
@@ -593,7 +544,7 @@ mod tests {
 
     #[test]
     fn back_invalidation_behaves_like_invalidation_for_rat() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::BackInvalidation);
         for _ in 0..3 {
             assert_eq!(cl.classify_request(c(0), PRESSURE, 0).mode, SharerMode::Remote);
@@ -603,7 +554,7 @@ mod tests {
 
     #[test]
     fn reclassification_as_private_resets_rat() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction); // RAT -> 16
 
         // Build 16 remote accesses to promote under pressure.
@@ -627,7 +578,7 @@ mod tests {
     #[test]
     fn remote_util_counts_toward_removal_classification() {
         // §3.2: classification on removal uses private + remote utilization.
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Invalidation); // remote
 
         // Two remote accesses (remote_util = 2), then promoted? no: stays
@@ -646,7 +597,7 @@ mod tests {
 
     #[test]
     fn write_resets_other_remote_sharers() {
-        let mut cl = LocalityClassifier::new(&cfg(4), 8);
+        let mut cl = Cl::new(&cfg(4), 8);
         for core in [0, 1, 2] {
             cl.on_sharer_removed(c(core), 1, RemovalReason::Invalidation);
         }
@@ -674,7 +625,7 @@ mod tests {
             one_way: false,
             shortcut: false,
         };
-        let mut cl = LocalityClassifier::new(&cfg, 8);
+        let mut cl = Cl::new(&cfg, 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
         // Line last accessed at t=10; the requester's set min is 50 and no
         // invalid way: check fails -> counter resets to 1 every time, so
@@ -695,7 +646,7 @@ mod tests {
     #[test]
     fn one_way_protocol_never_promotes() {
         let cfg = ClassifierConfig { one_way: true, ..cfg(4) };
-        let mut cl = LocalityClassifier::new(&cfg, 8);
+        let mut cl = Cl::new(&cfg, 8);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
         for _ in 0..100 {
             let out = cl.classify_request(c(0), NO_HINT, 0);
@@ -705,7 +656,7 @@ mod tests {
 
     #[test]
     fn pct_one_never_demotes() {
-        let mut cl = LocalityClassifier::new(&cfg(1), 8);
+        let mut cl = Cl::new(&cfg(1), 8);
         // Any removal carries utilization >= 1 (the install itself).
         assert_eq!(cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction), SharerMode::Private);
         assert_eq!(cl.mode_of(c(0)), SharerMode::Private);
@@ -719,7 +670,7 @@ mod tests {
 
     #[test]
     fn limited_allocates_free_entries_private() {
-        let mut cl = LocalityClassifier::new(&limited_cfg(3), 64);
+        let mut cl = Cl::new(&limited_cfg(3), 64);
         let out = cl.classify_request(c(0), NO_HINT, 0);
         assert_eq!(out.mode, SharerMode::Private);
         assert!(out.tracked);
@@ -728,7 +679,7 @@ mod tests {
 
     #[test]
     fn limited_majority_vote_for_untracked() {
-        let mut cl = LocalityClassifier::new(&limited_cfg(3), 64);
+        let mut cl = Cl::new(&limited_cfg(3), 64);
         // Fill the list with three ACTIVE remote sharers.
         for core in 0..3 {
             cl.on_sharer_removed(c(core), 1, RemovalReason::Invalidation);
@@ -745,7 +696,7 @@ mod tests {
 
     #[test]
     fn limited_replaces_inactive_sharer() {
-        let mut cl = LocalityClassifier::new(&limited_cfg(2), 64);
+        let mut cl = Cl::new(&limited_cfg(2), 64);
         cl.classify_request(c(0), NO_HINT, 0); // private, active
         cl.classify_request(c(1), NO_HINT, 0); // private, active
 
@@ -765,7 +716,7 @@ mod tests {
     fn limited_majority_vote_starts_new_sharers_remote() {
         // The streamcluster/dijkstra-ss effect (§5.3): once tracked sharers
         // are remote, new sharers skip the private classification phase.
-        let mut cl = LocalityClassifier::new(&limited_cfg(3), 64);
+        let mut cl = Cl::new(&limited_cfg(3), 64);
         for core in 0..3 {
             cl.on_sharer_removed(c(core), 1, RemovalReason::Invalidation); // remote, inactive
         }
@@ -778,7 +729,7 @@ mod tests {
     fn limited_one_tracks_first_sharer_pathology() {
         // §5.3: with k=1 the first sharer's mode decides everyone's fate —
         // the radix/bodytrack pathologies.
-        let mut cl = LocalityClassifier::new(&limited_cfg(1), 64);
+        let mut cl = Cl::new(&limited_cfg(1), 64);
         cl.on_sharer_removed(c(0), 1, RemovalReason::Invalidation); // remote, inactive
 
         // Core 1 replaces it, inheriting Remote by majority vote even
@@ -789,7 +740,7 @@ mod tests {
 
     #[test]
     fn limited_tie_votes_private() {
-        let mut cl = LocalityClassifier::new(&limited_cfg(2), 64);
+        let mut cl = Cl::new(&limited_cfg(2), 64);
         cl.classify_request(c(0), NO_HINT, 0); // private active
         cl.on_sharer_removed(c(1), 1, RemovalReason::Invalidation); // remote inactive
 
@@ -802,7 +753,7 @@ mod tests {
         // §5.3's suggested extension: once the demonstrated modes lean
         // remote, a fresh core skips the private classification phase.
         let sc_cfg = ClassifierConfig { shortcut: true, ..cfg(4) };
-        let mut cl = LocalityClassifier::new(&sc_cfg, 8);
+        let mut cl = Cl::new(&sc_cfg, 8);
         for core in 0..3 {
             // Touch + demote three cores.
             cl.classify_request(c(core), NO_HINT, 0);
@@ -811,7 +762,7 @@ mod tests {
         let out = cl.classify_request(c(7), NO_HINT, 0);
         assert_eq!(out.mode, SharerMode::Remote, "inferred from the demonstrated majority");
         // Without the shortcut, the same history yields Private.
-        let mut plain = LocalityClassifier::new(&cfg(4), 8);
+        let mut plain = Cl::new(&cfg(4), 8);
         for core in 0..3 {
             plain.classify_request(c(core), NO_HINT, 0);
             plain.on_sharer_removed(c(core), 1, RemovalReason::Invalidation);
@@ -822,14 +773,14 @@ mod tests {
     #[test]
     fn complete_shortcut_with_no_history_stays_private() {
         let sc_cfg = ClassifierConfig { shortcut: true, ..cfg(4) };
-        let mut cl = LocalityClassifier::new(&sc_cfg, 8);
+        let mut cl = Cl::new(&sc_cfg, 8);
         assert_eq!(cl.classify_request(c(0), NO_HINT, 0).mode, SharerMode::Private);
     }
 
     #[test]
     fn complete_shortcut_private_majority_stays_private() {
         let sc_cfg = ClassifierConfig { shortcut: true, ..cfg(4) };
-        let mut cl = LocalityClassifier::new(&sc_cfg, 8);
+        let mut cl = Cl::new(&sc_cfg, 8);
         // Two well-behaved sharers, one demoted: majority private.
         cl.classify_request(c(0), NO_HINT, 0);
         cl.on_sharer_removed(c(0), 6, RemovalReason::Eviction);
@@ -842,25 +793,28 @@ mod tests {
 
     #[test]
     fn complete_equals_limited_n() {
-        // Limited_64 on a 64-core machine must behave like Complete.
-        let mut complete = LocalityClassifier::new(&cfg(4), 64);
-        let mut limited = LocalityClassifier::new(&limited_cfg(64), 64);
-        let script: Vec<(usize, u32)> = vec![(0, 1), (1, 5), (2, 2), (0, 4), (3, 1)];
-        for (core, util) in script {
-            let a = complete.on_sharer_removed(c(core), util, RemovalReason::Eviction);
-            let b = limited.on_sharer_removed(c(core), util, RemovalReason::Eviction);
-            assert_eq!(a, b);
-            for probe in 0..4 {
-                let oa = complete.classify_request(c(probe), NO_HINT, 0);
-                let ob = limited.classify_request(c(probe), NO_HINT, 0);
-                assert_eq!(oa.mode, ob.mode, "core {probe} diverged");
-            }
+        // The caption of Figure 13: Limited_64 is identical to Complete.
+        assert_eq!(ClassifierPolicy::new(&cfg(4), 64), ClassifierPolicy::new(&limited_cfg(64), 64));
+        assert_ne!(ClassifierPolicy::new(&cfg(4), 64), ClassifierPolicy::new(&limited_cfg(63), 64));
+        // The §5.3 shortcut is what tells Complete apart from Limited_n.
+        let sc_cfg = ClassifierConfig { shortcut: true, ..cfg(4) };
+        assert_ne!(ClassifierPolicy::new(&sc_cfg, 64), ClassifierPolicy::new(&limited_cfg(64), 64));
+    }
+
+    #[test]
+    fn shortcut_leaves_limited_k_unchanged() {
+        // Limited_k infers new sharers' modes through its replacement
+        // policy already; the flag only retrofits that to Complete.
+        for k in [1, 3, 8] {
+            let sc = ClassifierConfig { shortcut: true, ..limited_cfg(k) };
+            assert_eq!(ClassifierPolicy::new(&sc, 8), ClassifierPolicy::new(&limited_cfg(k), 8));
         }
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::Cl;
     use super::*;
     use proptest::prelude::*;
 
@@ -885,7 +839,7 @@ mod proptests {
             cfg in arb_cfg(),
             events in proptest::collection::vec((0usize..8, 0u8..3, 0u32..8, proptest::bool::ANY), 1..200),
         ) {
-            let mut cl = LocalityClassifier::new(&cfg, 8);
+            let mut cl = Cl::new(&cfg, 8);
             let k = match cfg.tracking {
                 TrackingKind::Complete => 8,
                 TrackingKind::Limited { k } => k,
@@ -926,7 +880,7 @@ mod proptests {
                 one_way: true,
                 shortcut: false,
             };
-            let mut cl = LocalityClassifier::new(&cfg, 2);
+            let mut cl = Cl::new(&cfg, 2);
             let core = CoreId::new(0);
             let mut demoted = false;
             for (ev, util) in events {

@@ -20,11 +20,13 @@
 //!   utilization counter inside the header flit (42-bit line address +
 //!   12-bit core ids + 2-bit counter + 8-bit type fit in 64 bits).
 
+use std::sync::Arc;
+
 use lacc_model::config::ClassifierConfig;
 use lacc_model::{CoreId, Cycle};
 
 use crate::classifier::{
-    ClassifyOutcome, LocalityClassifier, RemovalReason, RequestHints, SharerMode,
+    ClassifierPolicy, ClassifyOutcome, LocalityClassifier, RemovalReason, RequestHints, SharerMode,
 };
 use crate::mesi::DirState;
 use crate::sharer::{InvalidationPlan, SharerTracker};
@@ -97,29 +99,73 @@ pub struct HomeDecision {
     pub outcome: ClassifyOutcome,
 }
 
+/// The directory settings of one machine, shared by all its entries: the
+/// sharer pointer budget and the classifier policy.
+#[derive(PartialEq, Eq, Debug)]
+pub struct DirectoryPolicy {
+    /// ACKwise pointers per entry: `p` for ACKwise_p, `num_cores` for a
+    /// full map (ACKwise_n never overflows).
+    pointers: usize,
+    classifier: ClassifierPolicy,
+}
+
+impl DirectoryPolicy {
+    /// Builds the policy for a machine of `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a classifier configuration [`ClassifierPolicy::new`]
+    /// rejects.
+    #[must_use]
+    pub fn new(dir: DirectoryKind, classifier: &ClassifierConfig, num_cores: usize) -> Self {
+        let pointers = match dir {
+            DirectoryKind::FullMap => num_cores,
+            DirectoryKind::AckWise { pointers } => pointers,
+        };
+        DirectoryPolicy { pointers, classifier: ClassifierPolicy::new(classifier, num_cores) }
+    }
+}
+
 /// Directory entry: MESI summary + sharer tracker + locality classifier +
-/// the line's L2 last-access time (used by the Timestamp check).
+/// the line's L2 last-access time (used by the Timestamp check). The
+/// entry holds only its line's state; the settings live in the machine's
+/// one [`DirectoryPolicy`], which every entry shares.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DirectoryEntry {
     /// Coherence state summary of the L1 copies.
     pub state: DirState,
-    /// Private-sharer tracking (full-map or ACKwise_p).
+    /// Private-sharer tracking (ACKwise_p; a full map is ACKwise_n).
     pub sharers: SharerTracker,
     /// The §3 locality classifier.
     pub classifier: LocalityClassifier,
     /// Last cycle at which any core accessed this line at the L2.
     pub last_access: Cycle,
+    policy: Arc<DirectoryPolicy>,
 }
 
 impl DirectoryEntry {
-    /// Creates the entry for a line just installed in an L2 slice.
+    /// Creates the entry for a line just installed in an L2 slice, with
+    /// a policy of its own. A simulator builds the policy once and calls
+    /// [`DirectoryEntry::with_policy`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`DirectoryPolicy::new`].
     #[must_use]
     pub fn new(dir: DirectoryKind, classifier: &ClassifierConfig, num_cores: usize) -> Self {
+        Self::with_policy(Arc::new(DirectoryPolicy::new(dir, classifier, num_cores)))
+    }
+
+    /// Creates the entry for a line just installed in an L2 slice, under
+    /// the machine's shared `policy`.
+    #[must_use]
+    pub fn with_policy(policy: Arc<DirectoryPolicy>) -> Self {
         DirectoryEntry {
             state: DirState::Uncached,
-            sharers: SharerTracker::new(dir),
-            classifier: LocalityClassifier::new(classifier, num_cores),
+            sharers: SharerTracker::default(),
+            classifier: LocalityClassifier::default(),
             last_access: 0,
+            policy,
         }
     }
 
@@ -137,7 +183,12 @@ impl DirectoryEntry {
             assert!(req.kind == AccessKind::Read, "instruction lines are read-only");
             ClassifyOutcome { mode: SharerMode::Private, promoted: false, tracked: false }
         } else {
-            self.classifier.classify_request(req.core, req.hints, self.last_access)
+            self.classifier.classify_request(
+                &self.policy.classifier,
+                req.core,
+                req.hints,
+                self.last_access,
+            )
         };
         self.last_access = now;
 
@@ -203,7 +254,8 @@ impl DirectoryEntry {
         if !removed {
             return None;
         }
-        let mode = self.classifier.on_sharer_removed(core, private_util, reason);
+        let mode =
+            self.classifier.on_sharer_removed(&self.policy.classifier, core, private_util, reason);
         if self.state.owner() == Some(core) || self.sharers.is_empty() {
             self.state =
                 if self.sharers.is_empty() { DirState::Uncached } else { DirState::Shared };
@@ -227,14 +279,15 @@ impl DirectoryEntry {
     /// Panics (debug) if invariants are violated, e.g. granting M while
     /// sharers remain.
     pub fn complete_grant(&mut self, core: CoreId, grant: Grant) {
+        let pointers = self.policy.pointers;
         match grant {
             Grant::LineShared => {
-                self.sharers.add(core);
+                self.sharers.add(core, pointers);
                 self.state = DirState::Shared;
             }
             Grant::LineExclusive => {
                 debug_assert!(self.sharers.is_empty());
-                self.sharers.add(core);
+                self.sharers.add(core, pointers);
                 self.state = DirState::Exclusive(core);
             }
             Grant::LineModified => {
@@ -243,7 +296,7 @@ impl DirectoryEntry {
                     "M grant with live sharers: {:?}",
                     self.sharers
                 );
-                self.sharers.add(core);
+                self.sharers.add(core, pointers);
                 self.state = DirState::Exclusive(core);
             }
             Grant::Upgrade => {
@@ -285,6 +338,11 @@ mod tests {
 
     fn c(n: usize) -> CoreId {
         CoreId::new(n)
+    }
+
+    /// Demotes `core` as an eviction with utilization 1 would.
+    fn demote(e: &mut DirectoryEntry, core: CoreId) {
+        e.classifier.on_sharer_removed(&e.policy.classifier, core, 1, RemovalReason::Eviction);
     }
 
     fn read(core: usize) -> HomeRequest {
@@ -413,7 +471,7 @@ mod tests {
         e.complete_grant(c(1), d.grant); // M owner: core 1
 
         // Demote core 0 first so its read is remote.
-        e.classifier.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
+        demote(&mut e, c(0));
         let d = e.begin_request(&read(0), 5);
         assert_eq!(d.grant, Grant::WordRead);
         assert_eq!(d.fetch_from_owner, Some(c(1)), "synchronous write-back required");
@@ -432,7 +490,7 @@ mod tests {
             }
             e.complete_grant(c(core), d.grant);
         }
-        e.classifier.on_sharer_removed(c(0), 1, RemovalReason::Eviction); // core 0 remote
+        demote(&mut e, c(0)); // core 0 remote
         let d = e.begin_request(&write(0), 9);
         assert_eq!(d.grant, Grant::WordWrite);
         assert_eq!(d.invalidate.as_ref().unwrap().expected_acks(), 2);
@@ -463,7 +521,7 @@ mod tests {
     fn instruction_requests_bypass_classifier() {
         let mut e = entry();
         // Demote core 0 for data; instruction read must still grant a line.
-        e.classifier.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
+        demote(&mut e, c(0));
         let req = HomeRequest { instruction: true, ..read(0) };
         let d = e.begin_request(&req, 0);
         assert!(matches!(d.grant, Grant::LineShared | Grant::LineExclusive));
@@ -488,6 +546,20 @@ mod tests {
             e.complete_grant(c(core), d.grant);
         }
         assert_eq!(e.back_invalidation_plan().unwrap().expected_acks(), 2);
+    }
+
+    #[test]
+    fn full_map_equals_ackwise_n() {
+        let ccfg = ClassifierConfig::isca13_default();
+        let policy = |dir| DirectoryPolicy::new(dir, &ccfg, 8);
+        assert_eq!(policy(DirectoryKind::FullMap), policy(DirectoryKind::AckWise { pointers: 8 }));
+        assert_ne!(policy(DirectoryKind::FullMap), policy(DirectoryKind::ackwise4()));
+        // Every core of the machine shares the line: still exact.
+        let mut e = DirectoryEntry::new(DirectoryKind::FullMap, &ccfg, 8);
+        for core in 0..8 {
+            e.complete_grant(c(core), Grant::LineShared);
+        }
+        assert_eq!(e.sharers.known_sharers().map(|s| s.len()), Some(8));
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! The pieces, bottom-up:
 //!
 //! * [`mesi`] — MESI line states and the directory's state summary;
-//! * [`sharer`] — full-map and ACKwise_p sharer tracking with
-//!   broadcast-invalidation plans (§3.1);
+//! * [`sharer`] — ACKwise_p sharer tracking with broadcast-invalidation
+//!   plans (§3.1); a full map runs as ACKwise_n;
 //! * [`classifier`] — private/remote modes, utilization counters, the
-//!   Timestamp check (§3.2), RAT levels (§3.3), Limited_k tracking (§3.4)
-//!   and the one-way variant (§3.7);
+//!   Timestamp check (§3.2), RAT levels (§3.3), Limited_k tracking (§3.4;
+//!   Complete runs as Limited_n) and the one-way variant (§3.7), under a
+//!   machine-wide [`ClassifierPolicy`];
 //! * [`l1`] — the private L1 with the Figure-5 tag extensions;
 //! * [`home`] — the directory-entry decision kernel tying the above
-//!   together;
+//!   together; every entry of a machine shares one [`DirectoryPolicy`];
 //! * [`miss_class`] — the five-way miss taxonomy of §4.4;
 //! * [`rnuca`] — Reactive-NUCA placement of the shared L2;
 //! * [`overheads`] — the §3.6 storage arithmetic.
@@ -76,9 +77,9 @@ pub mod rnuca;
 pub mod sharer;
 
 pub use classifier::{
-    ClassifyOutcome, LocalityClassifier, RemovalReason, RequestHints, SharerMode,
+    ClassifierPolicy, ClassifyOutcome, LocalityClassifier, RemovalReason, RequestHints, SharerMode,
 };
-pub use home::{AccessKind, DirectoryEntry, Grant, HomeDecision, HomeRequest};
+pub use home::{AccessKind, DirectoryEntry, DirectoryPolicy, Grant, HomeDecision, HomeRequest};
 pub use l1::{EvictedL1Line, L1Cache, L1Line, StoreOutcome};
 pub use mesi::{DirState, MesiState};
 pub use miss_class::MissClassifier;

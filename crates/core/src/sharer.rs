@@ -1,4 +1,4 @@
-//! Directory sharer tracking: full-map and ACKwise_p.
+//! Directory sharer tracking: ACKwise_p, and the full map as ACKwise_n.
 //!
 //! ACKwise_p (§3.1) keeps up to `p` exact sharer pointers. When a line
 //! gains a sharer beyond `p`, the identities are dropped and only a count
@@ -11,8 +11,6 @@
 //! invalidation rounds therefore visit sharers in ascending core order.
 
 use lacc_model::{CoreId, CoreSet};
-
-use crate::DirectoryKind;
 
 /// How an invalidation round must be delivered, produced by
 /// [`SharerTracker::invalidation_plan`].
@@ -41,55 +39,35 @@ impl InvalidationPlan {
     }
 }
 
-/// Internal ACKwise representation: exact pointers until overflow, then a
-/// bare count (identities dropped, §3.1).
+/// Sharer-set representation for one directory entry: ACKwise_p (§3.1),
+/// exact pointers until overflow, then a bare count (identities dropped).
+///
+/// The pointer budget `p` is a machine-wide setting passed to
+/// [`SharerTracker::add`]. A full map is ACKwise_n on an n-core machine:
+/// a core outside a set of n sharers does not exist, so n pointers never
+/// overflow.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AckWiseState {
+pub enum SharerTracker {
     /// Exact sharer pointers (count <= p).
     Exact(CoreSet),
     /// Sharer count only, after pointer overflow.
     CountOnly(usize),
 }
 
-/// Sharer-set representation for one directory entry.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SharerTracker {
-    /// One presence bit per core.
-    FullMap {
-        /// Presence bitmap with cached population count.
-        set: CoreSet,
-    },
-    /// ACKwise_p limited pointers.
-    AckWise {
-        /// Pointer budget `p`.
-        pointers: usize,
-        /// Exact pointers, or just a count after overflow.
-        state: AckWiseState,
-    },
+impl Default for SharerTracker {
+    fn default() -> Self {
+        SharerTracker::Exact(CoreSet::new())
+    }
 }
 
 impl SharerTracker {
-    /// Creates an empty tracker of the configured kind.
-    #[must_use]
-    pub fn new(kind: DirectoryKind) -> Self {
-        match kind {
-            DirectoryKind::FullMap => SharerTracker::FullMap { set: CoreSet::new() },
-            DirectoryKind::AckWise { pointers } => {
-                SharerTracker::AckWise { pointers, state: AckWiseState::Exact(CoreSet::new()) }
-            }
-        }
-    }
-
-    /// Number of sharers (exact in all representations — ACKwise always
+    /// Number of sharers (exact in both representations — ACKwise always
     /// knows the count, just not always the identities).
     #[must_use]
     pub fn count(&self) -> usize {
         match self {
-            SharerTracker::FullMap { set } => set.len(),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => s.len(),
-                AckWiseState::CountOnly(n) => *n,
-            },
+            SharerTracker::Exact(s) => s.len(),
+            SharerTracker::CountOnly(n) => *n,
         }
     }
 
@@ -100,65 +78,55 @@ impl SharerTracker {
     }
 
     /// Whether `core` is a sharer: `Some(bool)` when the representation
-    /// knows, `None` after ACKwise overflow (identities dropped).
+    /// knows, `None` after overflow (identities dropped).
     #[must_use]
     pub fn contains(&self, core: CoreId) -> Option<bool> {
         match self {
-            SharerTracker::FullMap { set } => Some(set.contains(core)),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => Some(s.contains(core)),
-                AckWiseState::CountOnly(_) => None,
-            },
+            SharerTracker::Exact(s) => Some(s.contains(core)),
+            SharerTracker::CountOnly(_) => None,
         }
     }
 
-    /// Records that `core` received a private copy.
+    /// Records that `core` received a private copy, with `pointers` the
+    /// ACKwise pointer budget.
     ///
-    /// Adding a core that is already tracked is a no-op for the full map
-    /// and for exact ACKwise pointers; after ACKwise overflow the caller
-    /// must only add genuinely new sharers (the protocol guarantees this:
-    /// a core with a valid copy never re-requests the line).
-    pub fn add(&mut self, core: CoreId) {
+    /// Adding a core that is already tracked is a no-op for exact
+    /// pointers; after overflow the caller must only add genuinely new
+    /// sharers (the protocol guarantees this: a core with a valid copy
+    /// never re-requests the line).
+    pub fn add(&mut self, core: CoreId, pointers: usize) {
         match self {
-            SharerTracker::FullMap { set } => {
-                set.insert(core);
-            }
-            SharerTracker::AckWise { pointers, state } => match state {
-                AckWiseState::Exact(s) => {
-                    if !s.contains(core) {
-                        if s.len() == *pointers {
-                            // Overflow: drop identities, keep the count.
-                            *state = AckWiseState::CountOnly(s.len() + 1);
-                        } else {
-                            s.insert(core);
-                        }
+            SharerTracker::Exact(s) => {
+                if !s.contains(core) {
+                    if s.len() == pointers {
+                        // Overflow: drop identities, keep the count.
+                        *self = SharerTracker::CountOnly(s.len() + 1);
+                    } else {
+                        s.insert(core);
                     }
                 }
-                AckWiseState::CountOnly(n) => *n += 1,
-            },
+            }
+            SharerTracker::CountOnly(n) => *n += 1,
         }
     }
 
     /// Records that `core` no longer holds a copy (eviction notify or
     /// invalidation ack). Returns `true` if the count changed.
     ///
-    /// After ACKwise overflow the identity is unknown, so any removal
-    /// decrements the count; when it reaches zero the tracker returns to
-    /// exact (empty) mode.
+    /// After overflow the identity is unknown, so any removal decrements
+    /// the count; when it reaches zero the tracker returns to exact
+    /// (empty) mode.
     pub fn remove(&mut self, core: CoreId) -> bool {
         match self {
-            SharerTracker::FullMap { set } => set.remove(core),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => s.remove(core),
-                AckWiseState::CountOnly(n) => {
-                    debug_assert!(*n > 0, "removing sharer from empty overflow set");
-                    *n = n.saturating_sub(1);
-                    if *n == 0 {
-                        *state = AckWiseState::Exact(CoreSet::new());
-                    }
-                    true
+            SharerTracker::Exact(s) => s.remove(core),
+            SharerTracker::CountOnly(n) => {
+                debug_assert!(*n > 0, "removing sharer from empty overflow set");
+                *n = n.saturating_sub(1);
+                if *n == 0 {
+                    *self = SharerTracker::default();
                 }
-            },
+                true
+            }
         }
     }
 
@@ -166,11 +134,8 @@ impl SharerTracker {
     #[must_use]
     pub fn known_sharers(&self) -> Option<CoreSet> {
         match self {
-            SharerTracker::FullMap { set } => Some(*set),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => Some(*s),
-                AckWiseState::CountOnly(_) => None,
-            },
+            SharerTracker::Exact(s) => Some(*s),
+            SharerTracker::CountOnly(_) => None,
         }
     }
 
@@ -214,12 +179,15 @@ mod tests {
         cores.iter().map(|&n| c(n)).collect()
     }
 
+    /// The pointer budget of a full map on the largest machine.
+    const FULL: usize = lacc_model::coreset::MAX_CORES;
+
     #[test]
     fn full_map_add_remove() {
-        let mut t = SharerTracker::new(DirectoryKind::FullMap);
-        t.add(c(0));
-        t.add(c(127));
-        t.add(c(127)); // idempotent
+        let mut t = SharerTracker::default();
+        t.add(c(0), FULL);
+        t.add(c(127), FULL);
+        t.add(c(127), FULL); // idempotent
         assert_eq!(t.count(), 2);
         assert_eq!(t.contains(c(127)), Some(true));
         assert_eq!(t.contains(c(3)), Some(false));
@@ -231,11 +199,11 @@ mod tests {
 
     #[test]
     fn ackwise_exact_until_overflow() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 2 });
-        t.add(c(1));
-        t.add(c(2));
+        let mut t = SharerTracker::default();
+        t.add(c(1), 2);
+        t.add(c(2), 2);
         assert_eq!(t.known_sharers(), Some(set(&[1, 2])));
-        t.add(c(3)); // overflow: identities dropped
+        t.add(c(3), 2); // overflow: identities dropped
         assert_eq!(t.count(), 3);
         assert_eq!(t.known_sharers(), None);
         assert_eq!(t.contains(c(1)), None);
@@ -243,30 +211,30 @@ mod tests {
 
     #[test]
     fn ackwise_overflow_recovers_at_zero() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 1 });
-        t.add(c(1));
-        t.add(c(2));
+        let mut t = SharerTracker::default();
+        t.add(c(1), 1);
+        t.add(c(2), 1);
         assert_eq!(t.known_sharers(), None);
         t.remove(c(1));
         t.remove(c(2));
         assert!(t.is_empty());
         // Back to exact mode.
-        t.add(c(5));
+        t.add(c(5), 1);
         assert_eq!(t.known_sharers(), Some(set(&[5])));
     }
 
     #[test]
     fn invalidation_plans() {
-        let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: 4 });
+        let mut t = SharerTracker::default();
         assert_eq!(t.invalidation_plan(None), None);
-        t.add(c(1));
-        t.add(c(2));
+        t.add(c(1), 4);
+        t.add(c(2), 4);
         assert_eq!(t.invalidation_plan(None), Some(InvalidationPlan::Unicast(set(&[1, 2]))));
         // Skip the requester during an upgrade.
         assert_eq!(t.invalidation_plan(Some(c(1))), Some(InvalidationPlan::Unicast(set(&[2]))));
         assert_eq!(t.invalidation_plan(Some(c(9))).unwrap().expected_acks(), 2);
         for i in 3..=5 {
-            t.add(c(i));
+            t.add(c(i), 4);
         }
         assert_eq!(
             t.invalidation_plan(None),
@@ -289,13 +257,13 @@ mod proptests {
             ops in proptest::collection::vec((0usize..16, proptest::bool::ANY), 1..100),
             p in 1usize..6,
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: p });
+            let mut t = SharerTracker::default();
             let mut model = std::collections::BTreeSet::new();
             for (core, add) in ops {
                 if add {
                     if !model.contains(&core) {
                         model.insert(core);
-                        t.add(CoreId::new(core));
+                        t.add(CoreId::new(core), p);
                     }
                 } else if model.remove(&core) {
                     t.remove(CoreId::new(core));
@@ -304,17 +272,17 @@ mod proptests {
             }
         }
 
-        /// Full map tracks identities exactly.
+        /// A full map (ACKwise_n, here n = 80) tracks identities exactly.
         #[test]
         fn full_map_matches_set(
             ops in proptest::collection::vec((0usize..80, proptest::bool::ANY), 1..100)
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::FullMap);
+            let mut t = SharerTracker::default();
             let mut model = std::collections::BTreeSet::new();
             for (core, add) in ops {
                 if add {
                     model.insert(core);
-                    t.add(CoreId::new(core));
+                    t.add(CoreId::new(core), 80);
                 } else {
                     model.remove(&core);
                     t.remove(CoreId::new(core));

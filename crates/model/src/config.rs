@@ -52,7 +52,8 @@ impl CacheConfig {
 /// Sharer-tracking organization of the coherence directory.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DirectoryKind {
-    /// One presence bit per core: exact sharer sets, no broadcasts.
+    /// One presence bit per core: exact sharer sets, no broadcasts. Runs
+    /// as ACKwise_n on an n-core machine: n pointers never overflow.
     FullMap,
     /// ACKwise_p limited directory (Kurian et al., PACT 2010): up to
     /// `pointers` sharers are tracked exactly; beyond that only the sharer
@@ -76,6 +77,9 @@ impl DirectoryKind {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TrackingKind {
     /// The *Complete* classifier: locality information for every core.
+    /// Runs as Limited_n on an n-core machine (the caption of Figure 13:
+    /// Limited_64 is identical to Complete), plus the §5.3 learning
+    /// shortcut when [`ClassifierConfig::shortcut`] is set.
     Complete,
     /// The *Limited_k* classifier: locality information for at most `k`
     /// cores; untracked cores are classified by a majority vote of the
@@ -85,6 +89,12 @@ pub enum TrackingKind {
         k: usize,
     },
 }
+
+/// Upper bound on `nRATlevels` (the paper evaluates up to 8, Figure 12).
+pub const MAX_RAT_LEVELS: usize = 8;
+
+/// Largest PCT or RATmax a remote utilization counter (8 bits) can reach.
+const MAX_UTIL: u32 = u8::MAX as u32;
 
 /// Mechanism used to decide remote→private promotions (§3.2 vs §3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -114,8 +124,7 @@ impl MechanismKind {
     }
 
     /// The threshold ladder for a RAT mechanism given `pct`, lowest rung
-    /// first. Lazy, so a directory entry fills its fixed-size ladder
-    /// without a heap allocation.
+    /// first. The classifier collects it once per machine.
     ///
     /// §3.3: "RAT is additively increased in equal steps from PCT to RATmax,
     /// the number of steps being equal to (nRATlevels − 1)". With a single
@@ -301,9 +310,10 @@ impl SystemConfig {
     ///
     /// Returns a [`ConfigError`] describing the first violated constraint
     /// (zero cores, a line size other than 64 bytes, non-power-of-two
-    /// geometry, a PCT of zero, RAT settings inconsistent with the PCT, an
-    /// oversubscribed Limited_k classifier, or more memory controllers than
-    /// tiles).
+    /// geometry, a PCT of zero, a PCT or RATmax above 255 (the width of a
+    /// remote utilization counter), RAT settings inconsistent with the PCT,
+    /// more than [`MAX_RAT_LEVELS`] RAT levels, an oversubscribed Limited_k
+    /// classifier, or more memory controllers than tiles).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_cores == 0 {
             return Err(ConfigError::new("num_cores must be at least 1"));
@@ -339,12 +349,20 @@ impl SystemConfig {
         if self.classifier.pct == 0 {
             return Err(ConfigError::new("pct must be at least 1"));
         }
+        if self.classifier.pct > MAX_UTIL {
+            return Err(ConfigError::new(format!("pct must be at most {MAX_UTIL}")));
+        }
         if let MechanismKind::RatLevels { levels, rat_max } = self.classifier.mechanism {
-            if levels == 0 {
-                return Err(ConfigError::new("nRATlevels must be at least 1"));
+            if levels == 0 || levels > MAX_RAT_LEVELS {
+                return Err(ConfigError::new(format!(
+                    "nRATlevels must be in 1..={MAX_RAT_LEVELS}"
+                )));
             }
             if rat_max < self.classifier.pct {
                 return Err(ConfigError::new("RATmax must be >= PCT"));
+            }
+            if rat_max > MAX_UTIL {
+                return Err(ConfigError::new(format!("RATmax must be at most {MAX_UTIL}")));
             }
         }
         if let TrackingKind::Limited { k } = self.classifier.tracking {
@@ -410,6 +428,26 @@ mod tests {
         let mut c = base.clone();
         c.classifier.tracking = TrackingKind::Limited { k: 0 };
         assert!(c.validate().is_err());
+
+        // Settings a directory entry cannot hold: a ninth RAT level, and a
+        // threshold the 8-bit remote utilization counter never reaches.
+        let mut c = base.clone();
+        c.classifier.mechanism =
+            MechanismKind::RatLevels { levels: MAX_RAT_LEVELS + 1, rat_max: 16 };
+        let e = c.validate().unwrap_err();
+        assert!(e.to_string().contains("nRATlevels"), "{e}");
+        let mut c = base.clone();
+        c.classifier.mechanism = MechanismKind::RatLevels { levels: MAX_RAT_LEVELS, rat_max: 16 };
+        c.validate().unwrap();
+        for pct in [256, 300] {
+            let e = base.clone().with_pct(pct).validate().unwrap_err();
+            assert!(e.to_string().contains("pct must be at most 255"), "{pct}: {e}");
+        }
+        base.clone().with_pct(255).validate().unwrap();
+        let mut c = base.clone();
+        c.classifier.mechanism = MechanismKind::RatLevels { levels: 2, rat_max: 256 };
+        let e = c.validate().unwrap_err();
+        assert!(e.to_string().contains("RATmax must be at most 255"), "{e}");
 
         let mut c = base.clone();
         c.num_mem_ctrls = 100;

@@ -18,6 +18,7 @@
 //! controller. A clean L2 eviction is a pure release.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use lacc_cache::{DataRef, DataSlab, LineData};
 use lacc_core::classifier::{RemovalReason, SharerMode};
@@ -146,8 +147,7 @@ impl Simulator {
         data: DataRef,
         now: Cycle,
     ) -> Result<(), DataRef> {
-        let entry =
-            DirectoryEntry::new(self.cfg.directory, &self.cfg.classifier, self.cfg.num_cores);
+        let entry = DirectoryEntry::with_policy(Arc::clone(&self.dir_policy));
         let fresh = L2Line { dirty: false, data, entry };
         // A victim must not be busy. Query the busy map per candidate
         // (O(1) each) instead of materializing every busy line per install.

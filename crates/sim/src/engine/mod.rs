@@ -37,8 +37,11 @@ mod home_side;
 mod l1_side;
 mod state;
 
+use std::sync::Arc;
+
 use lacc_cache::{DataRef, DataSlab, LineData, SetAssocCache};
 use lacc_core::classifier::RemovalReason;
+use lacc_core::home::DirectoryPolicy;
 use lacc_core::l1::L1Cache;
 use lacc_core::rnuca::{RegionClass, Rnuca};
 use lacc_dram::DramSystem;
@@ -144,6 +147,9 @@ impl EventPlane {
 /// [`Simulator::with_options`]), then call [`Simulator::run`].
 pub struct Simulator {
     pub(crate) cfg: SystemConfig,
+    /// The directory settings built once from `cfg`; every L2 line's
+    /// entry shares them.
+    pub(crate) dir_policy: Arc<DirectoryPolicy>,
     pub(crate) workload_name: String,
     pub(crate) instr_lines: u64,
     pub(crate) instr_base: LineAddr,
@@ -296,7 +302,10 @@ impl Simulator {
             })
             .collect();
 
+        let dir_policy =
+            Arc::new(DirectoryPolicy::new(cfg.directory, &cfg.classifier, cfg.num_cores));
         let mut sim = Simulator {
+            dir_policy,
             workload_name: workload.name,
             instr_lines: workload.instr_lines,
             instr_base: workload.instr_base,
@@ -623,5 +632,32 @@ mod tests {
             assert_eq!(tile.l1d.allocated_sets(), 0);
             assert_eq!(tile.l1i.allocated_sets(), 0);
         }
+    }
+
+    /// Classifier settings a directory entry cannot hold fail at
+    /// construction, not at the first L2 install.
+    #[test]
+    fn unholdable_classifier_settings_are_rejected() {
+        use lacc_model::config::{MechanismKind, MAX_RAT_LEVELS};
+        let idle = || Workload {
+            name: "idle".into(),
+            traces: vec![VecTrace::new(vec![TraceOp::Compute(1)])],
+            regions: vec![],
+            instr_lines: 0,
+            instr_base: default_instr_base(),
+        };
+        let base = SystemConfig::small_for_tests(2);
+        let mut levels = base.clone();
+        levels.classifier.mechanism =
+            MechanismKind::RatLevels { levels: MAX_RAT_LEVELS + 1, rat_max: 16 };
+        let mut rat_max = base.clone();
+        rat_max.classifier.mechanism = MechanismKind::RatLevels { levels: 2, rat_max: 256 };
+        for (cfg, what) in
+            [(levels, "nRATlevels"), (base.clone().with_pct(300), "pct"), (rat_max, "RATmax")]
+        {
+            let e = Simulator::new(cfg, idle()).err().expect("rejected");
+            assert!(e.to_string().contains(what), "{what}: {e}");
+        }
+        Simulator::new(base.with_pct(255), idle()).unwrap().run();
     }
 }

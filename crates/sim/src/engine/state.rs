@@ -104,6 +104,11 @@ pub(crate) struct L2Line {
     pub entry: DirectoryEntry,
 }
 
+// A Table-1 machine holds 64 × 4096 L2 ways, so each byte here is up to
+// 256 KiB of resident memory. The entry keeps only its line's state (the
+// settings live in the shared `DirectoryPolicy`); this pins the bound.
+const _: () = assert!(std::mem::size_of::<L2Line>() <= 208);
+
 /// The responses a home transaction still waits for: exact identities
 /// (unicast rounds) or a bare count (ACKwise broadcast rounds).
 #[derive(Clone, Copy, PartialEq, Debug)]
