@@ -29,7 +29,7 @@ use crate::classifier::{
     ClassifierPolicy, ClassifyOutcome, LocalityClassifier, RemovalReason, RequestHints, SharerMode,
 };
 use crate::mesi::DirState;
-use crate::sharer::{InvalidationPlan, SharerTracker};
+use crate::sharer::SharerTracker;
 use crate::DirectoryKind;
 
 /// Load or store.
@@ -91,8 +91,10 @@ pub struct HomeDecision {
     /// (synchronous write-back, read paths only).
     pub fetch_from_owner: Option<CoreId>,
     /// Invalidate these private sharers and collect one response each
-    /// (write paths only). A dirty owner's data rides its ack.
-    pub invalidate: Option<InvalidationPlan>,
+    /// (write paths only): unicast to an `Exact` set, or broadcast and
+    /// await `count()` responses after ACKwise overflow. A dirty owner's
+    /// data rides its ack.
+    pub invalidate: Option<SharerTracker>,
     /// What to send the requester afterwards.
     pub grant: Grant,
     /// The classifier's verdict (for statistics).
@@ -311,13 +313,6 @@ impl DirectoryEntry {
             }
         }
     }
-
-    /// Plan for tearing the entry down (inclusive-L2 eviction): invalidate
-    /// every remaining private copy.
-    #[must_use]
-    pub fn back_invalidation_plan(&self) -> Option<InvalidationPlan> {
-        self.sharers.invalidation_plan(None)
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +392,7 @@ mod tests {
         let d = e.begin_request(&write(5), 10);
         assert_eq!(d.grant, Grant::LineModified);
         let plan = d.invalidate.expect("three sharers to invalidate");
-        assert_eq!(plan.expected_acks(), 3);
+        assert_eq!(plan.count(), 3);
         // Acks arrive carrying utilization 1 (low locality): all demoted.
         for core in 0..3 {
             let m = e.sharer_response(c(core), 1, RemovalReason::Invalidation);
@@ -419,7 +414,7 @@ mod tests {
         let d = e.begin_request(&write(1), 2);
         assert_eq!(d.grant, Grant::Upgrade, "requester holds an S copy");
         let plan = d.invalidate.unwrap();
-        assert_eq!(plan.expected_acks(), 1, "only the other sharer");
+        assert_eq!(plan.count(), 1, "only the other sharer");
         e.sharer_response(c(0), 1, RemovalReason::Invalidation);
         e.complete_grant(c(1), d.grant);
         assert_eq!(e.state, DirState::Exclusive(c(1)));
@@ -440,7 +435,7 @@ mod tests {
         // broadcasts to all 6 and grants a full M line.
         let d = e.begin_request(&write(2), 10);
         assert_eq!(d.grant, Grant::LineModified);
-        assert_eq!(d.invalidate, Some(InvalidationPlan::Broadcast { expected_acks: 6 }));
+        assert_eq!(d.invalidate, Some(SharerTracker::CountOnly(6)));
         for core in 0..6 {
             e.sharer_response(c(core), 1, RemovalReason::Invalidation);
         }
@@ -493,7 +488,7 @@ mod tests {
         demote(&mut e, c(0)); // core 0 remote
         let d = e.begin_request(&write(0), 9);
         assert_eq!(d.grant, Grant::WordWrite);
-        assert_eq!(d.invalidate.as_ref().unwrap().expected_acks(), 2);
+        assert_eq!(d.invalidate.as_ref().unwrap().count(), 2);
         e.sharer_response(c(1), 1, RemovalReason::Invalidation);
         e.sharer_response(c(2), 1, RemovalReason::Invalidation);
         e.complete_grant(c(0), d.grant);
@@ -545,7 +540,8 @@ mod tests {
             }
             e.complete_grant(c(core), d.grant);
         }
-        assert_eq!(e.back_invalidation_plan().unwrap().expected_acks(), 2);
+        // An L2 eviction invalidates the entry's sharers themselves.
+        assert_eq!(e.sharers.count(), 2);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! The pieces, bottom-up:
 //!
 //! * [`mesi`] — MESI line states and the directory's state summary;
-//! * [`sharer`] — ACKwise_p sharer tracking with broadcast-invalidation
-//!   plans (§3.1); a full map runs as ACKwise_n;
+//! * [`sharer`] — ACKwise_p sharer tracking (§3.1), one type for an
+//!   entry's sharers, an invalidation round and the acks a home awaits;
+//!   a full map runs as ACKwise_n;
 //! * [`classifier`] — private/remote modes, utilization counters, the
 //!   Timestamp check (§3.2), RAT levels (§3.3), Limited_k tracking (§3.4;
 //!   Complete runs as Limited_n) and the one-way variant (§3.7), under a
@@ -85,7 +86,7 @@ pub use mesi::{DirState, MesiState};
 pub use miss_class::MissClassifier;
 pub use overheads::{storage_report, StorageReport};
 pub use rnuca::{RegionClass, Rnuca};
-pub use sharer::{InvalidationPlan, SharerTracker};
+pub use sharer::SharerTracker;
 
 // Re-exported so protocol code can name the directory kind without
 // depending on `lacc-model` directly.

@@ -6,41 +6,20 @@
 //! acknowledgements are expected "from only the actual sharers of the
 //! data", which is exactly the count the directory kept.
 //!
+//! [`SharerTracker`] is the one sharer-set type: a directory entry's
+//! sharers, the set an invalidation round must reach (an `Exact` set is a
+//! unicast round, a `CountOnly` count a broadcast), and the responses a
+//! home still awaits, drained by [`SharerTracker::remove`].
+//!
 //! Sharer identities are stored as [`CoreSet`] bitmaps — fixed-width,
 //! allocation-free, O(1) membership — rather than heap vectors; unicast
 //! invalidation rounds therefore visit sharers in ascending core order.
 
 use lacc_model::{CoreId, CoreSet};
 
-/// How an invalidation round must be delivered, produced by
-/// [`SharerTracker::invalidation_plan`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InvalidationPlan {
-    /// Send a unicast invalidation to each listed sharer (ascending core
-    /// order) and await one response (inv-ack or racing evict-notify) per
-    /// core.
-    Unicast(CoreSet),
-    /// Broadcast the invalidation (single network injection) and await
-    /// `expected_acks` responses from the actual sharers.
-    Broadcast {
-        /// Number of responses to await.
-        expected_acks: usize,
-    },
-}
-
-impl InvalidationPlan {
-    /// Number of responses the home must collect before proceeding.
-    #[must_use]
-    pub fn expected_acks(&self) -> usize {
-        match self {
-            InvalidationPlan::Unicast(s) => s.len(),
-            InvalidationPlan::Broadcast { expected_acks } => *expected_acks,
-        }
-    }
-}
-
 /// Sharer-set representation for one directory entry: ACKwise_p (§3.1),
 /// exact pointers until overflow, then a bare count (identities dropped).
+/// The same type carries an invalidation round and the acks it awaits.
 ///
 /// The pointer budget `p` is a machine-wide setting passed to
 /// [`SharerTracker::add`]. A full map is ACKwise_n on an n-core machine:
@@ -115,7 +94,8 @@ impl SharerTracker {
     ///
     /// After overflow the identity is unknown, so any removal decrements
     /// the count; when it reaches zero the tracker returns to exact
-    /// (empty) mode.
+    /// (empty) mode, and later removals count nothing. A home drains the
+    /// responses it awaits the same way.
     pub fn remove(&mut self, core: CoreId) -> bool {
         match self {
             SharerTracker::Exact(s) => s.remove(core),
@@ -139,31 +119,21 @@ impl SharerTracker {
         }
     }
 
-    /// How to invalidate every sharer except `skip` (the requester itself
-    /// during an upgrade). Returns `None` when there is nothing to do.
+    /// The sharers to invalidate: every sharer except `skip` (the
+    /// requester itself during an upgrade), or `None` when there is
+    /// nothing to do. An `Exact` set is a unicast round; a `CountOnly`
+    /// count is a broadcast awaiting that many responses.
     #[must_use]
-    pub fn invalidation_plan(&self, skip: Option<CoreId>) -> Option<InvalidationPlan> {
-        match self.known_sharers() {
-            Some(mut set) => {
-                if let Some(s) = skip {
-                    set.remove(s);
-                }
-                if set.is_empty() {
-                    None
-                } else {
-                    Some(InvalidationPlan::Unicast(set))
-                }
-            }
-            None => {
-                // Overflowed ACKwise: broadcast to all `count()` sharers.
-                // The directory cannot tell whether a writer is among them,
-                // so no `skip` applies: `begin_request` plans with `None`,
-                // the writer's own copy is invalidated and acked with the
-                // rest, and the writer gets a full M line.
-                let n = self.count();
-                (n > 0).then_some(InvalidationPlan::Broadcast { expected_acks: n })
-            }
+    pub fn invalidation_plan(&self, skip: Option<CoreId>) -> Option<SharerTracker> {
+        let mut plan = *self;
+        if let (SharerTracker::Exact(set), Some(s)) = (&mut plan, skip) {
+            set.remove(s);
         }
+        // Overflowed ACKwise keeps no identities, so no `skip` applies:
+        // `begin_request` plans with `None`, the writer's own copy is
+        // invalidated and acked with the rest, and the writer gets a full
+        // M line.
+        (!plan.is_empty()).then_some(plan)
     }
 }
 
@@ -229,17 +199,41 @@ mod tests {
         assert_eq!(t.invalidation_plan(None), None);
         t.add(c(1), 4);
         t.add(c(2), 4);
-        assert_eq!(t.invalidation_plan(None), Some(InvalidationPlan::Unicast(set(&[1, 2]))));
+        assert_eq!(t.invalidation_plan(None), Some(SharerTracker::Exact(set(&[1, 2]))));
         // Skip the requester during an upgrade.
-        assert_eq!(t.invalidation_plan(Some(c(1))), Some(InvalidationPlan::Unicast(set(&[2]))));
-        assert_eq!(t.invalidation_plan(Some(c(9))).unwrap().expected_acks(), 2);
-        for i in 3..=5 {
+        assert_eq!(t.invalidation_plan(Some(c(1))), Some(SharerTracker::Exact(set(&[2]))));
+        assert_eq!(t.invalidation_plan(Some(c(9))).unwrap().count(), 2);
+        t.remove(c(2));
+        assert_eq!(t.invalidation_plan(Some(c(1))), None, "only the requester holds it");
+        for i in 2..=5 {
             t.add(c(i), 4);
         }
-        assert_eq!(
-            t.invalidation_plan(None),
-            Some(InvalidationPlan::Broadcast { expected_acks: 5 })
-        );
+        assert_eq!(t.invalidation_plan(None), Some(SharerTracker::CountOnly(5)));
+        // A broadcast cannot skip anyone.
+        assert_eq!(t.invalidation_plan(Some(c(1))), Some(SharerTracker::CountOnly(5)));
+    }
+
+    /// A home awaiting a unicast round counts each awaited core once.
+    #[test]
+    fn exact_remove_tracks_identities() {
+        let mut a = SharerTracker::Exact(set(&[1, 4]));
+        assert!(!a.is_empty());
+        assert!(a.remove(c(4)));
+        assert!(!a.remove(c(4)), "double response not awaited");
+        assert!(!a.remove(c(9)), "stranger not awaited");
+        assert!(a.remove(c(1)));
+        assert!(a.is_empty());
+    }
+
+    /// A home awaiting a broadcast round counts responses, not cores.
+    #[test]
+    fn count_only_remove_saturates() {
+        let mut a = SharerTracker::CountOnly(2);
+        assert!(a.remove(c(0)));
+        assert!(a.remove(c(0)), "count mode ignores identities");
+        assert!(a.is_empty());
+        assert!(!a.remove(c(1)), "nothing more is counted at zero");
+        assert!(a.is_empty());
     }
 }
 

@@ -29,14 +29,14 @@ use lacc_cache::DataSlab;
 use lacc_core::home::DirectoryEntry;
 use lacc_core::l1::L1Cache;
 use lacc_core::mesi::{DirState, MesiState};
-use lacc_core::sharer::InvalidationPlan;
-use lacc_model::{ConfigError, CoreId, CoreSet, Cycle, LineAddr, SystemConfig};
+use lacc_core::sharer::SharerTracker;
+use lacc_model::{ConfigError, CoreId, Cycle, LineAddr, SystemConfig};
 
 use crate::msg::{Message, Payload};
 use crate::report::ProtocolStats;
 use crate::trace::{TraceOp, Workload};
 
-use super::state::{Awaiting, Blocked, HomeTxn, Phase};
+use super::state::{Blocked, HomeTxn, Phase};
 use super::{Event, EventPlane, SimOptions, Simulator};
 
 /// The pending-event set of an exploration-mode simulator: every
@@ -295,7 +295,6 @@ impl Simulator {
         // Shared L2 slices and their directory state, in *physical* tile
         // order: under the exploration conventions a line's home tile is
         // a pure function of the address, unaffected by role permutation.
-        let mut map = |c: usize| perm[c];
         for tile in &self.tiles {
             for set in 0..tile.l2.num_sets() {
                 let mut ways: Vec<_> = tile.l2.iter_set(set).collect();
@@ -305,7 +304,7 @@ impl Simulator {
                     out.push(line.raw());
                     out.push(u64::from(l2line.dirty));
                     out.extend_from_slice(self.slab.get(l2line.data).words());
-                    encode_dir_entry(&l2line.entry, &mut out, &mut map);
+                    encode_dir_entry(&l2line.entry, &mut out, perm);
                 }
             }
         }
@@ -342,13 +341,9 @@ impl Simulator {
                                 }
                                 match &d.invalidate {
                                     None => out.push(0),
-                                    Some(InvalidationPlan::Unicast(set)) => {
+                                    Some(plan) => {
                                         out.push(1);
-                                        encode_coreset(set, &mut out, perm);
-                                    }
-                                    Some(InvalidationPlan::Broadcast { expected_acks }) => {
-                                        out.push(2);
-                                        out.push(*expected_acks as u64);
+                                        encode_sharers(plan, &mut out, perm);
                                     }
                                 }
                                 out.push(d.outcome.mode as u64);
@@ -356,14 +351,13 @@ impl Simulator {
                                 out.push(u64::from(d.outcome.tracked));
                             }
                         }
-                        encode_awaiting(&t.awaiting, &mut out, perm);
+                        encode_sharers(&t.awaiting, &mut out, perm);
                     }
                     HomeTxn::Evict(t) => {
                         out.push(2);
-                        encode_dir_entry(&t.entry, &mut out, &mut map);
+                        encode_dir_entry(&t.entry, &mut out, perm);
                         out.push(u64::from(t.dirty));
                         out.extend_from_slice(self.slab.get(t.data).words());
-                        encode_awaiting(&t.awaiting, &mut out, perm);
                     }
                 }
                 out.push(busy.queued.len() as u64);
@@ -383,7 +377,7 @@ impl Simulator {
         }
 
         // Synchronization and the shadow-memory oracle.
-        self.sync.encode_state(&mut out, &mut map);
+        self.sync.encode_state(&mut out, &mut |c| perm[c]);
         self.monitor.encode_shadow(&mut out);
 
         // Pending events: non-deliveries as a sorted multiset, deliveries
@@ -697,53 +691,36 @@ fn encode_l1(l1: &L1Cache, slab: &DataSlab, out: &mut Vec<u64>) {
     }
 }
 
-fn encode_coreset(set: &CoreSet, out: &mut Vec<u64>, perm: &[usize]) {
-    let mut mapped: Vec<u64> = set.iter().map(|c| perm[c.index()] as u64).collect();
-    mapped.sort_unstable();
-    out.push(mapped.len() as u64);
-    out.extend(mapped);
-}
-
-fn encode_awaiting(a: &Awaiting, out: &mut Vec<u64>, perm: &[usize]) {
-    match a {
-        Awaiting::Set(set) => {
+/// Encodes a sharer set (a directory entry's sharers, an invalidation
+/// plan or the acks a home awaits): the remapped identities, sorted, or
+/// the bare count after ACKwise overflow.
+fn encode_sharers(sharers: &SharerTracker, out: &mut Vec<u64>, perm: &[usize]) {
+    match sharers {
+        SharerTracker::Exact(set) => {
             out.push(0);
-            encode_coreset(set, out, perm);
+            let mut mapped: Vec<u64> = set.iter().map(|c| perm[c.index()] as u64).collect();
+            mapped.sort_unstable();
+            out.push(mapped.len() as u64);
+            out.extend(mapped);
         }
-        Awaiting::Count(n) => {
+        SharerTracker::CountOnly(n) => {
             out.push(1);
             out.push(*n as u64);
         }
     }
 }
 
-fn encode_dir_entry(
-    entry: &DirectoryEntry,
-    out: &mut Vec<u64>,
-    map: &mut dyn FnMut(usize) -> usize,
-) {
+fn encode_dir_entry(entry: &DirectoryEntry, out: &mut Vec<u64>, perm: &[usize]) {
     match entry.state {
         DirState::Uncached => out.push(0),
         DirState::Shared => out.push(1),
         DirState::Exclusive(c) => {
             out.push(2);
-            out.push(map(c.index()) as u64);
+            out.push(perm[c.index()] as u64);
         }
     }
-    match entry.sharers.known_sharers() {
-        Some(set) => {
-            out.push(0);
-            let mut mapped: Vec<u64> = set.iter().map(|c| map(c.index()) as u64).collect();
-            mapped.sort_unstable();
-            out.push(mapped.len() as u64);
-            out.extend(mapped);
-        }
-        None => {
-            out.push(1);
-            out.push(entry.sharers.count() as u64);
-        }
-    }
-    entry.classifier.encode_state(out, map);
+    encode_sharers(&entry.sharers, out, perm);
+    entry.classifier.encode_state(out, &mut |c| perm[c]);
 }
 
 /// Remaps a message's endpoints for the fingerprint: the *core-played*

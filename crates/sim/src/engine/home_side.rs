@@ -24,13 +24,13 @@ use lacc_cache::{DataRef, DataSlab, LineData};
 use lacc_core::classifier::{RemovalReason, SharerMode};
 use lacc_core::home::{AccessKind, DirectoryEntry, Grant, HomeRequest};
 use lacc_core::mesi::MesiState;
-use lacc_core::sharer::InvalidationPlan;
+use lacc_core::sharer::SharerTracker;
 use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
 
 use crate::msg::{Message, Payload};
 
 use super::explore::FaultInjection;
-use super::state::{Awaiting, BusyLine, EvictTxn, HomeTxn, L2Line, Phase, RequestTxn};
+use super::state::{BusyLine, EvictTxn, HomeTxn, L2Line, Phase, RequestTxn};
 use super::{Event, Simulator, INSTALL_RETRY_CYCLES};
 
 impl Simulator {
@@ -74,7 +74,7 @@ impl Simulator {
             phase: Phase::Lookup,
             phase_start: now,
             decision: None,
-            awaiting: Awaiting::Count(0),
+            awaiting: SharerTracker::default(),
         };
         let busy = BusyLine { txn: HomeTxn::Request(txn), queued };
         let prev = self.tiles[tile].busy.insert(msg.line, busy);
@@ -170,50 +170,56 @@ impl Simulator {
 
     fn spawn_l2_eviction(&mut self, tile: usize, vline: LineAddr, vmeta: L2Line, now: Cycle) {
         self.protocol.l2_evictions += 1;
-        let home = CoreId::new(tile);
-        match vmeta.entry.back_invalidation_plan() {
-            None => {
-                if vmeta.dirty {
-                    // Handle transfer: the victim's resident slot rides the
-                    // write-back message to the memory controller.
-                    let ctrl_tile = self.dram.tile_of(self.dram.ctrl_for_line(vline));
-                    self.send(
-                        home,
-                        ctrl_tile,
-                        vline,
-                        Payload::DramWriteBack { data: vmeta.data },
-                        now,
-                    );
-                } else {
-                    // Clean eviction: drop the L2's reference, nothing else.
-                    self.slab.release(vmeta.data);
+        if vmeta.entry.sharers.is_empty() {
+            if vmeta.dirty {
+                // Handle transfer: the victim's resident slot rides the
+                // write-back message to the memory controller.
+                let home = CoreId::new(tile);
+                let ctrl_tile = self.dram.tile_of(self.dram.ctrl_for_line(vline));
+                self.send(home, ctrl_tile, vline, Payload::DramWriteBack { data: vmeta.data }, now);
+            } else {
+                // Clean eviction: drop the L2's reference, nothing else.
+                self.slab.release(vmeta.data);
+            }
+        } else {
+            // Back-invalidate every private copy; the eviction finishes
+            // when its entry has no sharers left.
+            self.send_invalidations(tile, vline, &vmeta.entry.sharers, true, now);
+            let txn = HomeTxn::Evict(EvictTxn {
+                entry: vmeta.entry,
+                data: vmeta.data,
+                dirty: vmeta.dirty,
+            });
+            let prev =
+                self.tiles[tile].busy.insert(vline, BusyLine { txn, queued: VecDeque::new() });
+            debug_assert!(prev.is_none(), "victim {vline} was busy");
+        }
+    }
+
+    /// Sends one invalidation round for `line` to `sharers`: an `Inv` to
+    /// each core of an `Exact` set, in ascending core order, or one
+    /// broadcast after ACKwise overflow. `back` marks an L2 eviction's
+    /// back-invalidation.
+    fn send_invalidations(
+        &mut self,
+        tile: usize,
+        line: LineAddr,
+        sharers: &SharerTracker,
+        back: bool,
+        now: Cycle,
+    ) {
+        match sharers {
+            SharerTracker::Exact(cores) => {
+                let home = CoreId::new(tile);
+                for c in cores {
+                    self.protocol.invalidations_sent += 1;
+                    self.send(home, c, line, Payload::Inv { back }, now);
                 }
             }
-            Some(plan) => {
-                let awaiting = match plan {
-                    InvalidationPlan::Unicast(cores) => {
-                        for c in &cores {
-                            self.protocol.invalidations_sent += 1;
-                            self.send(home, c, vline, Payload::Inv { back: true }, now);
-                        }
-                        Awaiting::Set(cores)
-                    }
-                    InvalidationPlan::Broadcast { expected_acks } => {
-                        self.protocol.broadcasts += 1;
-                        self.protocol.invalidations_sent += 1;
-                        self.broadcast_inv(tile, vline, true, now);
-                        Awaiting::Count(expected_acks)
-                    }
-                };
-                let txn = HomeTxn::Evict(EvictTxn {
-                    entry: vmeta.entry,
-                    data: vmeta.data,
-                    dirty: vmeta.dirty,
-                    awaiting,
-                });
-                let prev =
-                    self.tiles[tile].busy.insert(vline, BusyLine { txn, queued: VecDeque::new() });
-                debug_assert!(prev.is_none(), "victim {vline} was busy");
+            SharerTracker::CountOnly(_) => {
+                self.protocol.broadcasts += 1;
+                self.protocol.invalidations_sent += 1;
+                self.broadcast_inv(tile, line, back, now);
             }
         }
     }
@@ -276,33 +282,22 @@ impl Simulator {
                 _ => None,
             }
         };
-        match plan {
-            Some(InvalidationPlan::Unicast(mut cores)) => {
-                // Seeded bug (mutation testing): silently drop one of the
-                // planned invalidations — neither sent nor awaited.
-                if self.fault == Some(FaultInjection::DropInvalidation) {
-                    if let Some(victim) = (&cores).into_iter().next() {
-                        cores.remove(victim);
-                    }
-                }
-                let home = CoreId::new(tile);
-                for c in &cores {
-                    self.protocol.invalidations_sent += 1;
-                    self.send(home, c, line, Payload::Inv { back: false }, now);
-                }
-                if let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) {
-                    txn.awaiting = Awaiting::Set(cores);
+        let Some(mut plan) = plan else {
+            self.home_grant(tile, line, now);
+            return;
+        };
+        // Seeded bug (mutation testing): silently drop one of the planned
+        // unicast invalidations — neither sent nor awaited.
+        if self.fault == Some(FaultInjection::DropInvalidation) {
+            if let SharerTracker::Exact(cores) = &mut plan {
+                if let Some(victim) = cores.iter().next() {
+                    cores.remove(victim);
                 }
             }
-            Some(InvalidationPlan::Broadcast { expected_acks }) => {
-                self.protocol.broadcasts += 1;
-                self.protocol.invalidations_sent += 1;
-                self.broadcast_inv(tile, line, false, now);
-                if let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) {
-                    txn.awaiting = Awaiting::Count(expected_acks);
-                }
-            }
-            None => self.home_grant(tile, line, now),
+        }
+        self.send_invalidations(tile, line, &plan, false, now);
+        if let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) {
+            txn.awaiting = plan;
         }
     }
 
@@ -342,8 +337,7 @@ impl Simulator {
             Some(HomeTxn::Evict(et)) => {
                 et.entry.sharer_response(from, util, reason);
                 adopt_dirty(&mut self.slab, &mut et.data, &mut et.dirty, data);
-                et.awaiting.note_response(from);
-                if et.awaiting.done() {
+                if et.entry.sharers.is_empty() {
                     self.finish_l2_eviction(tile, line, now);
                 }
                 return;
@@ -355,10 +349,10 @@ impl Simulator {
                     if invalidation && self.fault == Some(FaultInjection::SkippedAckDecrement) {
                         true
                     } else {
-                        txn.awaiting.note_response(from)
+                        txn.awaiting.remove(from)
                     };
                 debug_assert!(counted || !invalidation, "uncounted inv-ack from {from}");
-                Some(counted && txn.awaiting.done())
+                Some(counted && txn.awaiting.is_empty())
             }
             _ => {
                 debug_assert!(!invalidation, "inv-ack for {line} with no transaction awaiting it");
@@ -587,7 +581,7 @@ mod tests {
             phase: Phase::Lookup,
             phase_start: 0,
             decision: None,
-            awaiting: Awaiting::Count(0),
+            awaiting: SharerTracker::default(),
         };
         BusyLine { txn: HomeTxn::Request(txn), queued: VecDeque::new() }
     }

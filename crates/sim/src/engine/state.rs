@@ -15,7 +15,8 @@ use lacc_core::classifier::RequestHints;
 use lacc_core::home::{AccessKind, DirectoryEntry, HomeDecision};
 use lacc_core::l1::L1Cache;
 use lacc_core::miss_class::MissClassifier;
-use lacc_model::{CompletionBreakdown, CoreId, CoreSet, Cycle, LineAddr, LineMap, MissStats};
+use lacc_core::sharer::SharerTracker;
+use lacc_model::{CompletionBreakdown, CoreId, Cycle, LineAddr, LineMap, MissStats};
 
 use crate::msg::Message;
 use crate::trace::{TraceOp, VecTrace};
@@ -109,40 +110,6 @@ pub(crate) struct L2Line {
 // settings live in the shared `DirectoryPolicy`); this pins the bound.
 const _: () = assert!(std::mem::size_of::<L2Line>() <= 208);
 
-/// The responses a home transaction still waits for: exact identities
-/// (unicast rounds) or a bare count (ACKwise broadcast rounds).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub(crate) enum Awaiting {
-    Set(CoreSet),
-    Count(usize),
-}
-
-impl Awaiting {
-    /// Consumes one expected response from `core`; `false` if the response
-    /// was not awaited (stale/over-approximated).
-    pub fn note_response(&mut self, core: CoreId) -> bool {
-        match self {
-            Awaiting::Set(s) => s.remove(core),
-            Awaiting::Count(n) => {
-                if *n > 0 {
-                    *n -= 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// `true` when every expected response has arrived.
-    pub fn done(&self) -> bool {
-        match self {
-            Awaiting::Set(s) => s.is_empty(),
-            Awaiting::Count(n) => *n == 0,
-        }
-    }
-}
-
 /// Phase of an in-flight request transaction (for latency attribution).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Phase {
@@ -167,17 +134,19 @@ pub(crate) struct RequestTxn {
     pub phase: Phase,
     pub phase_start: Cycle,
     pub decision: Option<HomeDecision>,
-    pub awaiting: Awaiting,
+    /// The responses the invalidation round still awaits: exact
+    /// identities for a unicast round, a bare count for a broadcast.
+    pub awaiting: SharerTracker,
 }
 
-/// An L2 eviction collecting back-invalidation acks. Holds the evicted
-/// line's data handle until the acks resolve its fate (DRAM write-back
-/// transfer when dirty, release when clean).
+/// An L2 eviction collecting back-invalidation acks. It awaits its
+/// entry's own sharers, which each response removes, and holds the
+/// evicted line's data handle until the acks resolve its fate (DRAM
+/// write-back transfer when dirty, release when clean).
 pub(crate) struct EvictTxn {
     pub entry: DirectoryEntry,
     pub data: DataRef,
     pub dirty: bool,
-    pub awaiting: Awaiting,
 }
 
 pub(crate) enum HomeTxn {
@@ -210,34 +179,5 @@ impl TileState {
     /// The in-flight transaction on `line`, if any.
     pub fn txn_mut(&mut self, line: LineAddr) -> Option<&mut HomeTxn> {
         self.busy.get_mut(&line).map(|b| &mut b.txn)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(n: usize) -> CoreId {
-        CoreId::new(n)
-    }
-
-    #[test]
-    fn awaiting_set_tracks_identities() {
-        let mut a = Awaiting::Set([1, 4].into_iter().map(c).collect());
-        assert!(!a.done());
-        assert!(a.note_response(c(4)));
-        assert!(!a.note_response(c(4)), "double response not awaited");
-        assert!(!a.note_response(c(9)), "stranger not awaited");
-        assert!(a.note_response(c(1)));
-        assert!(a.done());
-    }
-
-    #[test]
-    fn awaiting_count_saturates() {
-        let mut a = Awaiting::Count(2);
-        assert!(a.note_response(c(0)));
-        assert!(a.note_response(c(0)), "count mode ignores identities");
-        assert!(a.done());
-        assert!(!a.note_response(c(1)));
     }
 }

@@ -2,7 +2,7 @@
 //! public simulator API, with the coherence monitor as a standing oracle.
 
 use lacc_core::rnuca::RegionClass;
-use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
+use lacc_model::config::{ClassifierConfig, DirectoryKind, MechanismKind, TrackingKind};
 use lacc_model::{Addr, LineAddr, MissClass, SystemConfig};
 use lacc_sim::trace::default_instr_base;
 use lacc_sim::{RegionDecl, SimReport, Simulator, TraceOp, VecTrace, Workload};
@@ -219,6 +219,39 @@ fn l2_eviction_back_invalidates_l1_copies() {
     assert_eq!(r.monitor.violations, 0);
     assert!(r.protocol.l2_evictions > 0, "inclusive L2 must evict");
     assert!(r.dram.accesses >= 256, "misses go off-chip");
+}
+
+#[test]
+fn l2_eviction_of_an_overflowed_line_broadcasts_back_invalidation() {
+    // Six readers overflow ACKwise_4 on one line and keep their copies;
+    // a seventh core then streams past the whole shared L2, evicting the
+    // line from its slice. The entry knows only a count, so the
+    // back-invalidation is a broadcast, and the eviction retires once its
+    // entry has no sharers left. The workload has no stores, so every
+    // broadcast is a back-invalidation.
+    let n = 8;
+    let line = 2u64;
+    let streamed = 4096u64; // 4x the 8 x 128-line shared L2
+    let mut traces: Vec<Vec<TraceOp>> = vec![];
+    for c in 0..n {
+        let mut t = vec![];
+        if c < 6 {
+            t.push(TraceOp::Load { addr: addr(line, c as u64) });
+        }
+        t.push(TraceOp::Barrier { id: 0 });
+        if c == 7 {
+            t.extend((line + 1..line + 1 + streamed).map(|l| TraceOp::Load { addr: addr(l, 0) }));
+        }
+        traces.push(t);
+    }
+    let cfg =
+        SystemConfig::small_for_tests(n).with_pct(1).with_directory(DirectoryKind::ackwise4());
+    // `run` returns only after `finish` has audited the data slab and
+    // found no home transaction left busy.
+    let r = run(cfg, traces, vec![shared_region(0, line + 1 + streamed)]);
+    assert_eq!(r.monitor.violations, 0);
+    assert!(r.protocol.l2_evictions > 0, "the stream must evict from the L2");
+    assert!(r.protocol.broadcasts >= 1, "an overflowed line is back-invalidated by broadcast");
 }
 
 #[test]

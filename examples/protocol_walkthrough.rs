@@ -5,6 +5,7 @@
 //! cargo run --example protocol_walkthrough
 //! ```
 
+use lacc::core::SharerTracker;
 use lacc::prelude::*;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
 
     println!("\n== 2. A writer invalidates; utilization 1 < PCT=4 demotes ==");
     let d = entry.begin_request(&write(writer), 10);
-    println!("core2 write -> {:?}, invalidating {:?}", d.grant, d.invalidate);
+    println!("core2 write -> {:?}, invalidating {}", d.grant, cores(d.invalidate));
     let mode = entry.sharer_response(reader, 1, RemovalReason::Invalidation);
     println!("core1 inv-ack with utilization 1 -> demoted to {mode:?}");
     entry.complete_grant(writer, d.grant);
@@ -59,4 +60,15 @@ fn main() {
         r.classifier_kb,
         (100.0 * r.overhead_vs_baseline).round()
     );
+}
+
+/// The cores an invalidation round reaches, in words.
+fn cores(plan: Option<SharerTracker>) -> String {
+    match plan {
+        None => "no one".into(),
+        Some(SharerTracker::Exact(set)) => {
+            set.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(", ")
+        }
+        Some(SharerTracker::CountOnly(n)) => format!("all cores by broadcast ({n} sharers)"),
+    }
 }
