@@ -320,42 +320,17 @@ impl Simulator {
                 match &busy.txn {
                     HomeTxn::Request(t) => {
                         out.push(1);
-                        out.push(perm[t.requester.index()] as u64);
-                        out.push(t.kind as u64);
+                        out.push(perm[t.req.core.index()] as u64);
+                        out.push(t.req.kind as u64);
                         out.push(t.word as u64);
                         out.push(t.value);
-                        out.push(u64::from(t.instr));
-                        out.push(u64::from(t.hints.set_has_invalid));
-                        out.push(phase_tag(t.phase));
-                        match &t.decision {
-                            None => out.push(0),
-                            Some(d) => {
-                                out.push(1);
-                                out.push(d.grant as u64);
-                                match d.fetch_from_owner {
-                                    None => out.push(0),
-                                    Some(c) => {
-                                        out.push(1);
-                                        out.push(perm[c.index()] as u64);
-                                    }
-                                }
-                                match &d.invalidate {
-                                    None => out.push(0),
-                                    Some(plan) => {
-                                        out.push(1);
-                                        encode_sharers(plan, &mut out, perm);
-                                    }
-                                }
-                                out.push(d.outcome.mode as u64);
-                                out.push(u64::from(d.outcome.promoted));
-                                out.push(u64::from(d.outcome.tracked));
-                            }
-                        }
-                        encode_sharers(&t.awaiting, &mut out, perm);
+                        out.push(u64::from(t.req.instruction));
+                        out.push(u64::from(t.req.hints.set_has_invalid));
+                        encode_phase(&t.phase, &mut out, perm);
                     }
                     HomeTxn::Evict(t) => {
                         out.push(2);
-                        encode_dir_entry(&t.entry, &mut out, perm);
+                        encode_sharers(&t.sharers, &mut out, perm);
                         out.push(u64::from(t.dirty));
                         out.extend_from_slice(self.slab.get(t.data).words());
                     }
@@ -627,13 +602,20 @@ fn blocked_tag(b: Blocked) -> u64 {
     }
 }
 
-fn phase_tag(p: Phase) -> u64 {
-    match p {
-        Phase::Lookup => 0,
-        Phase::AwaitDram => 1,
-        Phase::Installing => 2,
-        Phase::AwaitWb => 3,
-        Phase::AwaitAcks => 4,
+/// Encodes a request's phase with what it holds: the grant and
+/// promotion flag once decided, and the acks still awaited.
+fn encode_phase(phase: &Phase, out: &mut Vec<u64>, perm: &[usize]) {
+    match phase {
+        Phase::Lookup => out.push(0),
+        Phase::AwaitDram => out.push(1),
+        Phase::Installing => out.push(2),
+        Phase::AwaitWb { grant, promoted } => {
+            out.extend([3, *grant as u64, u64::from(*promoted)]);
+        }
+        Phase::AwaitAcks { grant, promoted, awaiting } => {
+            out.extend([4, *grant as u64, u64::from(*promoted)]);
+            encode_sharers(awaiting, out, perm);
+        }
     }
 }
 
@@ -691,8 +673,8 @@ fn encode_l1(l1: &L1Cache, slab: &DataSlab, out: &mut Vec<u64>) {
     }
 }
 
-/// Encodes a sharer set (a directory entry's sharers, an invalidation
-/// plan or the acks a home awaits): the remapped identities, sorted, or
+/// Encodes a sharer set (a directory entry's sharers, or the acks a
+/// request or an L2 eviction awaits): the remapped identities, sorted, or
 /// the bare count after ACKwise overflow.
 fn encode_sharers(sharers: &SharerTracker, out: &mut Vec<u64>, perm: &[usize]) {
     match sharers {

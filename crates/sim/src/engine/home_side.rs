@@ -52,7 +52,7 @@ impl Simulator {
         queued: VecDeque<(Message, Cycle)>,
         now: Cycle,
     ) {
-        let (kind, hints, word, value, instr) = match msg.payload {
+        let (kind, hints, word, value, instruction) = match msg.payload {
             Payload::ReadReq { hints, word, instr } => (AccessKind::Read, hints, word, 0, instr),
             Payload::WriteReq { hints, word, value } => {
                 (AccessKind::Write, hints, word, value, false)
@@ -62,19 +62,14 @@ impl Simulator {
         self.counts.l2_tag_probes += 1;
         self.counts.dir_reads += 1;
         let txn = RequestTxn {
-            requester: msg.src,
-            kind,
-            hints,
+            req: HomeRequest { core: msg.src, kind, hints, instruction },
             word,
             value,
-            instr,
             wait: now - arrival,
             offchip: 0,
             sharers_lat: 0,
             phase: Phase::Lookup,
             phase_start: now,
-            decision: None,
-            awaiting: SharerTracker::default(),
         };
         let busy = BusyLine { txn: HomeTxn::Request(txn), queued };
         let prev = self.tiles[tile].busy.insert(msg.line, busy);
@@ -87,13 +82,7 @@ impl Simulator {
             self.home_decide(tile, line, now);
         } else {
             let home = CoreId::new(tile);
-            {
-                let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                    unreachable!("lookup without transaction");
-                };
-                txn.phase = Phase::AwaitDram;
-                txn.phase_start = now;
-            }
+            self.tiles[tile].request_mut(line, "lookup").enter(Phase::AwaitDram, now);
             let ctrl = self.dram.ctrl_for_line(line);
             let ctrl_tile = self.dram.tile_of(ctrl);
             self.send(home, ctrl_tile, line, Payload::DramFetch, now);
@@ -107,14 +96,10 @@ impl Simulator {
         data: DataRef,
         now: Cycle,
     ) {
-        {
-            let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                unreachable!("DRAM data without transaction");
-            };
-            if txn.phase == Phase::AwaitDram {
-                txn.offchip += now - txn.phase_start;
-                txn.phase = Phase::Installing;
-            }
+        let txn = self.tiles[tile].request_mut(line, "DRAM data");
+        if matches!(txn.phase, Phase::AwaitDram) {
+            txn.offchip += now - txn.phase_start;
+            txn.phase = Phase::Installing;
         }
         if let Err(data) = self.install_l2_line(tile, line, data, now) {
             // Every way in the set is protocol-busy; retry shortly. The
@@ -183,10 +168,12 @@ impl Simulator {
             }
         } else {
             // Back-invalidate every private copy; the eviction finishes
-            // when its entry has no sharers left.
+            // when none of its sharers is left.
             self.send_invalidations(tile, vline, &vmeta.entry.sharers, true, now);
+            // Only the sharers travel on: the evicted entry, classifier
+            // records included, is dropped here.
             let txn = HomeTxn::Evict(EvictTxn {
-                entry: vmeta.entry,
+                sharers: vmeta.entry.sharers,
                 data: vmeta.data,
                 dirty: vmeta.dirty,
             });
@@ -224,20 +211,14 @@ impl Simulator {
         }
     }
 
+    /// Asks the directory how to serve the transaction's request and
+    /// starts the one step it needs before the grant: a fetch from the
+    /// exclusive owner, an invalidation round, or neither.
     fn home_decide(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        let mut decision;
-        {
-            let (requester, kind, hints, instr) = {
-                let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                    unreachable!("decide without transaction");
-                };
-                (txn.requester, txn.kind, txn.hints, txn.instr)
-            };
-            let l2line = self.tiles[tile].l2.get_mut(line).expect("decide on resident line");
-            let req = HomeRequest { core: requester, kind, hints, instruction: instr };
-            decision = l2line.entry.begin_request(&req, now);
-            self.counts.dir_updates += 1;
-        }
+        let req = self.tiles[tile].request_mut(line, "decide").req;
+        let l2line = self.tiles[tile].l2.get_mut(line).expect("decide on resident line");
+        let mut decision = l2line.entry.begin_request(&req, now);
+        self.counts.dir_updates += 1;
         // Seeded bug (mutation testing): serve a remote word read from the
         // L2 copy without first fetching the exclusive owner's data.
         if self.fault == Some(FaultInjection::WordReadSkipsOwnerFetch)
@@ -245,59 +226,40 @@ impl Simulator {
         {
             decision.fetch_from_owner = None;
         }
-        let fetch_from = decision.fetch_from_owner;
-        {
-            let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                unreachable!();
-            };
-            txn.decision = Some(decision);
-            if let Some(owner) = fetch_from {
-                txn.phase = Phase::AwaitWb;
-                txn.phase_start = now;
-                self.protocol.write_backs += 1;
-                let home = CoreId::new(tile);
-                self.send(home, owner, line, Payload::WbReq, now);
-                // Seeded bug (mutation testing): retire the transaction
-                // while its write-back is still in flight.
-                if self.fault == Some(FaultInjection::PrematureTxnRetire) {
-                    self.tiles[tile].busy.remove(&line);
-                }
-                return;
+        // Read arms may fetch from an owner but never invalidate; write
+        // arms invalidate but never fetch. So a write-back response grants
+        // at once.
+        debug_assert!(
+            decision.fetch_from_owner.is_none() || decision.invalidate.is_none(),
+            "a decision both fetches and invalidates"
+        );
+        let (grant, promoted) = (decision.grant, decision.outcome.promoted);
+        if let Some(owner) = decision.fetch_from_owner {
+            self.tiles[tile]
+                .request_mut(line, "decide")
+                .enter(Phase::AwaitWb { grant, promoted }, now);
+            self.protocol.write_backs += 1;
+            self.send(CoreId::new(tile), owner, line, Payload::WbReq, now);
+            // Seeded bug (mutation testing): retire the transaction
+            // while its write-back is still in flight.
+            if self.fault == Some(FaultInjection::PrematureTxnRetire) {
+                self.tiles[tile].busy.remove(&line);
             }
-        }
-        self.home_proceed_invalidate(tile, line, now);
-    }
-
-    fn home_proceed_invalidate(&mut self, tile: usize, line: LineAddr, now: Cycle) {
-        let plan = {
-            let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                unreachable!();
-            };
-            match &txn.decision.as_ref().expect("decision made").invalidate {
-                Some(plan) if txn.phase != Phase::AwaitAcks => {
-                    txn.phase = Phase::AwaitAcks;
-                    txn.phase_start = now;
-                    Some(*plan)
-                }
-                _ => None,
-            }
-        };
-        let Some(mut plan) = plan else {
-            self.home_grant(tile, line, now);
-            return;
-        };
-        // Seeded bug (mutation testing): silently drop one of the planned
-        // unicast invalidations — neither sent nor awaited.
-        if self.fault == Some(FaultInjection::DropInvalidation) {
-            if let SharerTracker::Exact(cores) = &mut plan {
-                if let Some(victim) = cores.iter().next() {
-                    cores.remove(victim);
+        } else if let Some(mut awaiting) = decision.invalidate {
+            // Seeded bug (mutation testing): silently drop one of the
+            // planned unicast invalidations — neither sent nor awaited.
+            if self.fault == Some(FaultInjection::DropInvalidation) {
+                if let SharerTracker::Exact(cores) = &mut awaiting {
+                    if let Some(victim) = cores.iter().next() {
+                        cores.remove(victim);
+                    }
                 }
             }
-        }
-        self.send_invalidations(tile, line, &plan, false, now);
-        if let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) {
-            txn.awaiting = plan;
+            self.send_invalidations(tile, line, &awaiting, false, now);
+            let phase = Phase::AwaitAcks { grant, promoted, awaiting };
+            self.tiles[tile].request_mut(line, "decide").enter(phase, now);
+        } else {
+            self.home_grant(tile, line, grant, promoted, now);
         }
     }
 
@@ -307,11 +269,13 @@ impl Simulator {
     /// `Some` when the copy was dirty; its handle is adopted as the line's
     /// data, so the content never moves by value.
     ///
-    /// An L2 eviction in progress collects the response into its own
-    /// record. Otherwise the resident line's directory entry drops the
-    /// sharer, and a request transaction collecting responses grants once
-    /// the last one arrives. A notify that no transaction awaits is plain
-    /// directory bookkeeping.
+    /// An L2 eviction in progress removes the responder from the sharers
+    /// it awaits, and finishes once none is left; the evicted line has no
+    /// directory entry or classifier state to update. Otherwise the
+    /// resident line's directory entry drops the sharer, and a request
+    /// transaction in `AwaitAcks` counts the response down in its phase
+    /// and grants once the last one arrives. A notify that no transaction
+    /// awaits is plain directory bookkeeping.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn home_sharer_gone(
         &mut self,
@@ -335,24 +299,26 @@ impl Simulator {
         // `Some(done)` while a request transaction collects responses.
         let collecting = match self.tiles[tile].txn_mut(line) {
             Some(HomeTxn::Evict(et)) => {
-                et.entry.sharer_response(from, util, reason);
+                et.sharers.remove(from);
                 adopt_dirty(&mut self.slab, &mut et.data, &mut et.dirty, data);
-                if et.entry.sharers.is_empty() {
+                if et.sharers.is_empty() {
                     self.finish_l2_eviction(tile, line, now);
                 }
                 return;
             }
-            Some(HomeTxn::Request(txn)) if txn.phase == Phase::AwaitAcks => {
+            Some(HomeTxn::Request(RequestTxn {
+                phase: Phase::AwaitAcks { awaiting, .. }, ..
+            })) => {
                 // Seeded bug (mutation testing): claim the ack was counted
                 // without decrementing the awaited set/count.
                 let counted =
                     if invalidation && self.fault == Some(FaultInjection::SkippedAckDecrement) {
                         true
                     } else {
-                        txn.awaiting.remove(from)
+                        awaiting.remove(from)
                     };
                 debug_assert!(counted || !invalidation, "uncounted inv-ack from {from}");
-                Some(counted && txn.awaiting.is_empty())
+                Some(counted && awaiting.is_empty())
             }
             _ => {
                 debug_assert!(!invalidation, "inv-ack for {line} with no transaction awaiting it");
@@ -383,11 +349,12 @@ impl Simulator {
         }
         match collecting {
             Some(true) => {
-                let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                    unreachable!();
-                };
+                let txn = self.tiles[tile].request_mut(line, "last ack");
                 txn.sharers_lat += now - txn.phase_start;
-                self.home_grant(tile, line, now);
+                let Phase::AwaitAcks { grant, promoted, .. } = txn.phase else {
+                    unreachable!("acks collected outside AwaitAcks");
+                };
+                self.home_grant(tile, line, grant, promoted, now);
             }
             Some(false) => {}
             None => self.counts.dir_updates += 1,
@@ -421,51 +388,59 @@ impl Simulator {
         response: Option<Option<DataRef>>,
         now: Cycle,
     ) {
-        {
-            let Some(HomeTxn::Request(txn)) = self.tiles[tile].txn_mut(line) else {
-                unreachable!("write-back response without transaction");
-            };
-            debug_assert_eq!(txn.phase, Phase::AwaitWb);
-            txn.sharers_lat += now - txn.phase_start;
-            let l2line = self.tiles[tile].l2.peek_mut(line).expect("resident during txn");
-            match response {
-                Some(data) => {
-                    l2line.entry.owner_downgraded(owner);
-                    if adopt_dirty(&mut self.slab, &mut l2line.data, &mut l2line.dirty, data) {
-                        self.counts.l2_line_writes += 1;
-                    }
-                }
-                None => {
-                    // Owner evicted; its notify (FIFO-ordered ahead of the
-                    // nack) already removed it from the sharer set.
-                    debug_assert_ne!(l2line.entry.state.owner(), Some(owner));
+        let txn = self.tiles[tile].request_mut(line, "write-back response");
+        let Phase::AwaitWb { grant, promoted } = txn.phase else {
+            unreachable!("write-back response in {:?}", txn.phase);
+        };
+        txn.sharers_lat += now - txn.phase_start;
+        let l2line = self.tiles[tile].l2.peek_mut(line).expect("resident during txn");
+        match response {
+            Some(data) => {
+                l2line.entry.owner_downgraded(owner);
+                if adopt_dirty(&mut self.slab, &mut l2line.data, &mut l2line.dirty, data) {
+                    self.counts.l2_line_writes += 1;
                 }
             }
+            None => {
+                // Owner evicted; its notify (FIFO-ordered ahead of the
+                // nack) already removed it from the sharer set.
+                debug_assert_ne!(l2line.entry.state.owner(), Some(owner));
+            }
         }
-        self.home_proceed_invalidate(tile, line, now);
+        // A decision that fetches never invalidates (see `home_decide`).
+        self.home_grant(tile, line, grant, promoted, now);
     }
 
-    fn home_grant(&mut self, tile: usize, line: LineAddr, now: Cycle) {
+    /// Sends the requester `grant` and retires the transaction;
+    /// `promoted` is the decision's promotion flag.
+    fn home_grant(
+        &mut self,
+        tile: usize,
+        line: LineAddr,
+        grant: Grant,
+        promoted: bool,
+        now: Cycle,
+    ) {
         let Some(BusyLine { txn: HomeTxn::Request(txn), queued }) =
             self.tiles[tile].busy.remove(&line)
         else {
             unreachable!("grant without transaction");
         };
-        let decision = txn.decision.expect("granting after decision");
+        let requester = txn.req.core;
         let ann =
             LatencyAnnotation { waiting: txn.wait, sharers: txn.sharers_lat, offchip: txn.offchip };
         let home = CoreId::new(tile);
-        if decision.outcome.promoted {
+        if promoted {
             self.protocol.promotions += 1;
         }
         let payload = {
             let l2line = self.tiles[tile].l2.get_mut(line).expect("resident during txn");
-            match decision.grant {
+            match grant {
                 Grant::LineShared | Grant::LineExclusive | Grant::LineModified => {
                     self.counts.l2_line_reads += 1;
                     self.protocol.line_grants += 1;
-                    l2line.entry.complete_grant(txn.requester, decision.grant);
-                    let mesi = match decision.grant {
+                    l2line.entry.complete_grant(requester, grant);
+                    let mesi = match grant {
                         Grant::LineShared => MesiState::Shared,
                         Grant::LineExclusive => MesiState::Exclusive,
                         _ => MesiState::Modified,
@@ -486,16 +461,16 @@ impl Simulator {
                 Grant::Upgrade => {
                     self.counts.dir_updates += 1;
                     self.protocol.upgrades += 1;
-                    l2line.entry.complete_grant(txn.requester, decision.grant);
+                    l2line.entry.complete_grant(requester, grant);
                     Payload::GrantUpgrade { ann }
                 }
                 Grant::WordRead => {
                     self.counts.l2_word_reads += 1;
                     self.counts.dir_updates += 1;
                     self.protocol.word_reads += 1;
-                    l2line.entry.complete_grant(txn.requester, decision.grant);
+                    l2line.entry.complete_grant(requester, grant);
                     let value = self.slab.get(l2line.data).word(txn.word);
-                    self.monitor.on_read(txn.requester, line, txn.word, value, now);
+                    self.monitor.on_read(requester, line, txn.word, value, now);
                     Payload::WordReadReply { value, ann }
                 }
                 Grant::WordWrite => {
@@ -507,13 +482,13 @@ impl Simulator {
                     l2line.data = self.slab.make_mut(l2line.data);
                     self.slab.get_mut(l2line.data).set_word(txn.word, txn.value);
                     l2line.dirty = true;
-                    l2line.entry.complete_grant(txn.requester, decision.grant);
-                    self.monitor.on_write(txn.requester, line, txn.word, txn.value, now);
+                    l2line.entry.complete_grant(requester, grant);
+                    self.monitor.on_write(requester, line, txn.word, txn.value, now);
                     Payload::WordWriteAck { ann }
                 }
             }
         };
-        self.send(home, txn.requester, line, payload, now);
+        self.send(home, requester, line, payload, now);
         self.start_next_queued(tile, queued, now);
     }
 
@@ -569,19 +544,19 @@ mod tests {
     /// line busy without touching the slab.
     fn lookup_in_progress() -> BusyLine {
         let txn = RequestTxn {
-            requester: CoreId::new(1),
-            kind: AccessKind::Read,
-            hints: RequestHints::default(),
+            req: HomeRequest {
+                core: CoreId::new(1),
+                kind: AccessKind::Read,
+                hints: RequestHints::default(),
+                instruction: false,
+            },
             word: 0,
             value: 0,
-            instr: false,
             wait: 0,
             offchip: 0,
             sharers_lat: 0,
             phase: Phase::Lookup,
             phase_start: 0,
-            decision: None,
-            awaiting: SharerTracker::default(),
         };
         BusyLine { txn: HomeTxn::Request(txn), queued: VecDeque::new() }
     }
@@ -589,7 +564,7 @@ mod tests {
     /// The request transaction `line` is serving, as `(requester, wait)`.
     fn serving(sim: &Simulator, line: LineAddr) -> Option<(CoreId, Cycle)> {
         sim.tiles.iter().find_map(|t| match &t.busy.get(&line)?.txn {
-            HomeTxn::Request(r) => Some((r.requester, r.wait)),
+            HomeTxn::Request(r) => Some((r.req.core, r.wait)),
             HomeTxn::Evict(_) => None,
         })
     }

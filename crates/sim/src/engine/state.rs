@@ -11,12 +11,11 @@
 use std::collections::VecDeque;
 
 use lacc_cache::{DataRef, SetAssocCache};
-use lacc_core::classifier::RequestHints;
-use lacc_core::home::{AccessKind, DirectoryEntry, HomeDecision};
+use lacc_core::home::{DirectoryEntry, Grant, HomeRequest};
 use lacc_core::l1::L1Cache;
 use lacc_core::miss_class::MissClassifier;
 use lacc_core::sharer::SharerTracker;
-use lacc_model::{CompletionBreakdown, CoreId, Cycle, LineAddr, LineMap, MissStats};
+use lacc_model::{CompletionBreakdown, Cycle, LineAddr, LineMap, MissStats};
 
 use crate::msg::Message;
 use crate::trace::{TraceOp, VecTrace};
@@ -110,41 +109,54 @@ pub(crate) struct L2Line {
 // settings live in the shared `DirectoryPolicy`); this pins the bound.
 const _: () = assert!(std::mem::size_of::<L2Line>() <= 208);
 
-/// Phase of an in-flight request transaction (for latency attribution).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Where an in-flight request transaction stands, with what that step
+/// still needs: the grant and promotion flag once the directory has
+/// decided, and during an invalidation round the responses it awaits.
+#[derive(Debug)]
 pub(crate) enum Phase {
     Lookup,
     AwaitDram,
     Installing,
-    AwaitWb,
-    AwaitAcks,
+    /// Waiting for the exclusive owner's write-back.
+    AwaitWb {
+        grant: Grant,
+        promoted: bool,
+    },
+    /// Waiting for the invalidation round's responses: exact identities
+    /// for a unicast round, a bare count for a broadcast.
+    AwaitAcks {
+        grant: Grant,
+        promoted: bool,
+        awaiting: SharerTracker,
+    },
 }
 
 /// A miss request being served by the home tile.
 pub(crate) struct RequestTxn {
-    pub requester: CoreId,
-    pub kind: AccessKind,
-    pub hints: RequestHints,
+    pub req: HomeRequest,
     pub word: usize,
     pub value: u64,
-    pub instr: bool,
     pub wait: Cycle,
     pub offchip: Cycle,
     pub sharers_lat: Cycle,
     pub phase: Phase,
     pub phase_start: Cycle,
-    pub decision: Option<HomeDecision>,
-    /// The responses the invalidation round still awaits: exact
-    /// identities for a unicast round, a bare count for a broadcast.
-    pub awaiting: SharerTracker,
 }
 
-/// An L2 eviction collecting back-invalidation acks. It awaits its
-/// entry's own sharers, which each response removes, and holds the
-/// evicted line's data handle until the acks resolve its fate (DRAM
-/// write-back transfer when dirty, release when clean).
+impl RequestTxn {
+    /// Moves to `phase`, which starts at `now`.
+    pub fn enter(&mut self, phase: Phase, now: Cycle) {
+        self.phase = phase;
+        self.phase_start = now;
+    }
+}
+
+/// An L2 eviction collecting back-invalidation acks. It awaits the
+/// evicted entry's sharers, which each response removes, and holds the
+/// line's data handle until the acks resolve its fate (DRAM write-back
+/// transfer when dirty, release when clean).
 pub(crate) struct EvictTxn {
-    pub entry: DirectoryEntry,
+    pub sharers: SharerTracker,
     pub data: DataRef,
     pub dirty: bool,
 }
@@ -165,6 +177,10 @@ pub(crate) struct BusyLine {
     pub queued: VecDeque<(Message, Cycle)>,
 }
 
+// A request keeps only what its phase needs, and an eviction only the
+// sharers it awaits; this pins the bound.
+const _: () = assert!(std::mem::size_of::<BusyLine>() <= 256);
+
 /// One tile: the private L1 pair and the local shared-L2 slice with its
 /// busy lines.
 pub(crate) struct TileState {
@@ -179,5 +195,15 @@ impl TileState {
     /// The in-flight transaction on `line`, if any.
     pub fn txn_mut(&mut self, line: LineAddr) -> Option<&mut HomeTxn> {
         self.busy.get_mut(&line).map(|b| &mut b.txn)
+    }
+
+    /// The request transaction `line` is serving; panics, naming the
+    /// caller's `step`, when there is none.
+    #[track_caller]
+    pub fn request_mut(&mut self, line: LineAddr, step: &str) -> &mut RequestTxn {
+        match self.txn_mut(line) {
+            Some(HomeTxn::Request(txn)) => txn,
+            _ => unreachable!("{step} without transaction"),
+        }
     }
 }

@@ -31,7 +31,8 @@ pub struct ProtocolStats {
     pub write_backs: u64,
     /// L1 eviction notifies processed.
     pub evictions: u64,
-    /// Inclusive-L2 back-invalidation rounds.
+    /// Lines evicted from the L2, whether or not a private copy was
+    /// left; only a victim with sharers starts a back-invalidation round.
     pub l2_evictions: u64,
 }
 

@@ -205,20 +205,31 @@ fn ackwise_overflow_broadcasts_once() {
 
 #[test]
 fn l2_eviction_back_invalidates_l1_copies() {
-    // small_for_tests L2 = 8 KB (128 lines, 32 sets x 4 ways). One core
-    // touches 8 lines that map to the same L2 set spacing... easier: touch
-    // far more lines than L2 capacity and re-read the first ones.
-    let mut ops = vec![];
-    for l in 0..256 {
-        ops.push(TraceOp::Load { addr: addr(l, 0) });
-    }
-    for l in 0..4 {
-        ops.push(TraceOp::Load { addr: addr(l, 0) });
-    }
-    let r = run(SystemConfig::small_for_tests(2).with_pct(1), vec![ops], vec![]);
+    // Core 1 writes line 0 and then idles, so its L1 keeps the only copy,
+    // dirty. Core 0 then streams 1024 lines through the 2 x 128-line
+    // shared L2, which evicts line 0 from its home slice: the eviction
+    // unicasts one back-invalidation to core 1, whose ack carries the
+    // dirty data into the eviction and on to DRAM. Core 0's final load
+    // must read that value back (the monitor checks it).
+    let streamed = 1024u64;
+    let writer = vec![
+        TraceOp::Store { addr: addr(0, 3), value: 0xfeed },
+        TraceOp::Barrier { id: 0 },
+        TraceOp::Barrier { id: 1 },
+    ];
+    let mut reader = vec![TraceOp::Barrier { id: 0 }];
+    reader.extend((1..=streamed).map(|l| TraceOp::Load { addr: addr(l, 0) }));
+    reader.push(TraceOp::Barrier { id: 1 });
+    reader.push(TraceOp::Load { addr: addr(0, 3) });
+    let r = run(
+        SystemConfig::small_for_tests(2),
+        vec![reader, writer],
+        vec![shared_region(0, streamed + 1)],
+    );
     assert_eq!(r.monitor.violations, 0);
-    assert!(r.protocol.l2_evictions > 0, "inclusive L2 must evict");
-    assert!(r.dram.accesses >= 256, "misses go off-chip");
+    assert!(r.protocol.l2_evictions > 0, "the stream must evict from the L2");
+    assert_eq!(r.protocol.invalidations_sent, 1, "one back-invalidation, to core 1");
+    assert_eq!(r.protocol.broadcasts, 0, "the writer is tracked exactly");
 }
 
 #[test]
