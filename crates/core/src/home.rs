@@ -142,6 +142,9 @@ pub struct DirectoryEntry {
     pub classifier: LocalityClassifier,
     /// Last cycle at which any core accessed this line at the L2.
     pub last_access: Cycle,
+    /// The line has served an instruction fetch: it is always private, so
+    /// the classifier never sees its requests or its removals.
+    instruction: bool,
     policy: Arc<DirectoryPolicy>,
 }
 
@@ -167,6 +170,7 @@ impl DirectoryEntry {
             sharers: SharerTracker::default(),
             classifier: LocalityClassifier::default(),
             last_access: 0,
+            instruction: false,
             policy,
         }
     }
@@ -183,6 +187,7 @@ impl DirectoryEntry {
     pub fn begin_request(&mut self, req: &HomeRequest, now: Cycle) -> HomeDecision {
         let outcome = if req.instruction {
             assert!(req.kind == AccessKind::Read, "instruction lines are read-only");
+            self.instruction = true;
             ClassifyOutcome { mode: SharerMode::Private, promoted: false, tracked: false }
         } else {
             self.classifier.classify_request(
@@ -245,7 +250,8 @@ impl DirectoryEntry {
     /// counter (§3.2 "Evictions and Invalidations"). Removes the core from
     /// the sharer set, runs the demotion classification, and fixes the
     /// MESI summary. Returns the core's new mode, or `None` if the core
-    /// contributed no sharer slot (a stale response — ignored).
+    /// contributed no sharer slot (a stale response — ignored). An
+    /// instruction line's sharers stay private and skip the classifier.
     pub fn sharer_response(
         &mut self,
         core: CoreId,
@@ -256,8 +262,11 @@ impl DirectoryEntry {
         if !removed {
             return None;
         }
-        let mode =
-            self.classifier.on_sharer_removed(&self.policy.classifier, core, private_util, reason);
+        let mode = if self.instruction {
+            SharerMode::Private
+        } else {
+            self.classifier.on_sharer_removed(&self.policy.classifier, core, private_util, reason)
+        };
         if self.state.owner() == Some(core) || self.sharers.is_empty() {
             self.state =
                 if self.sharers.is_empty() { DirState::Uncached } else { DirState::Shared };
@@ -520,6 +529,19 @@ mod tests {
         let req = HomeRequest { instruction: true, ..read(0) };
         let d = e.begin_request(&req, 0);
         assert!(matches!(d.grant, Grant::LineShared | Grant::LineExclusive));
+    }
+
+    /// An instruction line's removal, even at a utilization that demotes
+    /// a data sharer, leaves its classifier empty and the sharer private.
+    #[test]
+    fn instruction_removals_bypass_classifier() {
+        let mut e = entry();
+        let d = e.begin_request(&HomeRequest { instruction: true, ..read(0) }, 0);
+        e.complete_grant(c(0), d.grant);
+        let m = e.sharer_response(c(0), 1, RemovalReason::Eviction);
+        assert_eq!(m, Some(SharerMode::Private));
+        assert_eq!(e.classifier, LocalityClassifier::default());
+        assert_eq!(e.state, DirState::Uncached);
     }
 
     #[test]

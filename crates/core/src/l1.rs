@@ -21,7 +21,7 @@
 //! owner.
 
 use lacc_cache::{DataRef, DataSlab, SetAssocCache};
-use lacc_model::{CacheConfig, CoreId, Cycle, LineAddr};
+use lacc_model::{CacheConfig, Cycle, LineAddr};
 
 use crate::classifier::RequestHints;
 use crate::mesi::MesiState;
@@ -73,20 +73,13 @@ pub enum StoreOutcome {
 #[derive(Clone, Debug)]
 pub struct L1Cache {
     tags: SetAssocCache<L1Line>,
-    owner: CoreId,
 }
 
 impl L1Cache {
-    /// Creates an L1 of the given geometry for `owner`.
+    /// Creates an L1 of the given geometry.
     #[must_use]
-    pub fn new(cfg: &CacheConfig, line_bytes: usize, owner: CoreId) -> Self {
-        L1Cache { tags: SetAssocCache::new(cfg.num_sets(line_bytes), cfg.associativity), owner }
-    }
-
-    /// The core this cache belongs to.
-    #[must_use]
-    pub fn owner(&self) -> CoreId {
-        self.owner
+    pub fn new(cfg: &CacheConfig, line_bytes: usize) -> Self {
+        L1Cache { tags: SetAssocCache::new(cfg.num_sets(line_bytes), cfg.associativity) }
     }
 
     /// Number of valid lines (tests).
@@ -286,7 +279,7 @@ mod tests {
 
     fn cache() -> L1Cache {
         // 2 sets x 2 ways.
-        L1Cache::new(&CacheConfig::new(256, 2, 1), 64, CoreId::new(0))
+        L1Cache::new(&CacheConfig::new(256, 2, 1), 64)
     }
 
     fn line(n: u64) -> LineAddr {

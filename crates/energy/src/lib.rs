@@ -161,27 +161,6 @@ pub struct EnergyCounts {
     pub link_flits: u64,
 }
 
-impl EnergyCounts {
-    /// Element-wise accumulation (used to merge per-tile ledgers).
-    pub fn add(&mut self, other: &EnergyCounts) {
-        self.l1i_reads += other.l1i_reads;
-        self.l1i_fills += other.l1i_fills;
-        self.l1d_reads += other.l1d_reads;
-        self.l1d_writes += other.l1d_writes;
-        self.l1d_tag_probes += other.l1d_tag_probes;
-        self.l1d_fills += other.l1d_fills;
-        self.l2_line_reads += other.l2_line_reads;
-        self.l2_line_writes += other.l2_line_writes;
-        self.l2_word_reads += other.l2_word_reads;
-        self.l2_word_writes += other.l2_word_writes;
-        self.l2_tag_probes += other.l2_tag_probes;
-        self.dir_reads += other.dir_reads;
-        self.dir_updates += other.dir_updates;
-        self.router_flits += other.router_flits;
-        self.link_flits += other.link_flits;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,15 +218,5 @@ mod tests {
         assert!((e.router - 11.0 * p.router_flit).abs() < 1e-9);
         assert!((e.link - 13.0 * p.link_flit).abs() < 1e-9);
         assert_eq!(e.l1d, 0.0);
-    }
-
-    #[test]
-    fn add_merges_ledgers() {
-        let mut a = EnergyCounts { l1d_reads: 1, link_flits: 2, ..Default::default() };
-        let b = EnergyCounts { l1d_reads: 10, dir_reads: 5, ..Default::default() };
-        a.add(&b);
-        assert_eq!(a.l1d_reads, 11);
-        assert_eq!(a.link_flits, 2);
-        assert_eq!(a.dir_reads, 5);
     }
 }

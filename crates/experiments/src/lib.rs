@@ -325,7 +325,7 @@ impl Cli {
     #[must_use]
     pub fn run_jobs(&self, jobs: Vec<(String, Benchmark, SystemConfig)>) -> SweepResults {
         let (scale, quiet) = (self.scale, self.quiet);
-        let opts = SimOptions { monitor: !self.no_monitor, ..SimOptions::default() };
+        let opts = SimOptions { monitor: !self.no_monitor };
         let n = jobs.len();
         // Reject key collisions before dispatch: a duplicate would silently
         // shadow a result, and a full-scale sweep is far too expensive to run

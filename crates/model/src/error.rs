@@ -27,12 +27,6 @@ impl ConfigError {
     pub fn new(message: impl Into<String>) -> Self {
         ConfigError { message: message.into() }
     }
-
-    /// The human-readable description of the violated constraint.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -220,7 +214,6 @@ mod tests {
     fn display_includes_message() {
         let e = ConfigError::new("pct must be at least 1");
         assert_eq!(e.to_string(), "invalid configuration: pct must be at least 1");
-        assert_eq!(e.message(), "pct must be at least 1");
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl MeshNetwork {
         }
     }
 
-    /// The static geometry.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Traffic counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> NetStats {

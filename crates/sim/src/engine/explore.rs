@@ -20,7 +20,8 @@
 //! encoding with symmetry reduction over core permutations),
 //! [`Simulator::check_invariants`] (SWMR, data value, directory
 //! agreement, slab refcount audit) and [`Simulator::check_quiescent`]
-//! — see DESIGN.md §8.
+//! — see DESIGN.md §8. A serial run's end-of-run checks are the last
+//! two: the quiescence check and the slab audit.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -32,12 +33,13 @@ use lacc_core::mesi::{DirState, MesiState};
 use lacc_core::sharer::SharerTracker;
 use lacc_model::{ConfigError, CoreId, Cycle, LineAddr, SystemConfig};
 
-use crate::msg::{Message, Payload};
+use crate::monitor::CoherenceMonitor;
+use crate::msg::{Message, Payload, Reply};
 use crate::report::ProtocolStats;
 use crate::trace::{TraceOp, Workload};
 
 use super::state::{Blocked, HomeTxn, Phase};
-use super::{Event, EventPlane, SimOptions, Simulator};
+use super::{Event, EventPlane, Simulator};
 
 /// The pending-event set of an exploration-mode simulator: every
 /// scheduled event sits in an inspectable list tagged with its cycle and
@@ -107,8 +109,8 @@ impl Simulator {
         workload: Workload,
         fault: Option<FaultInjection>,
     ) -> Result<Self, ConfigError> {
-        let opts = SimOptions { monitor: true, panic_on_violation: false };
-        let mut sim = Self::with_options(cfg, workload, opts)?;
+        let mut sim = Self::new(cfg, workload)?;
+        sim.monitor = CoherenceMonitor::new(true, false);
         let mut plane = ChoicePlane::new();
         while let Some((at, ev)) = sim.events.pop() {
             plane.push(at, ev);
@@ -264,7 +266,6 @@ impl Simulator {
             out.push(core.ops_consumed);
             out.push(u64::from(core.finished));
             out.push(blocked_tag(core.blocked));
-            out.push(u64::from(core.pending_compute));
             match core.replay {
                 None => out.push(0),
                 Some(op) => {
@@ -279,8 +280,8 @@ impl Simulator {
                     out.push(1);
                     out.push(o.line.raw());
                     out.push(o.word as u64);
-                    out.push(u64::from(o.is_store));
-                    out.push(o.value);
+                    out.push(u64::from(o.store.is_some()));
+                    out.push(o.store.unwrap_or(0));
                     out.push(u64::from(o.instr));
                 }
             }
@@ -531,15 +532,22 @@ impl Simulator {
         })
     }
 
-    /// The at-every-state version of the end-of-run slab audit: the
-    /// outstanding handle count must equal the owners — resident lines,
-    /// backing entries, data-bearing pending/queued messages and evict
-    /// transactions.
-    fn check_slab_refs(&self) -> Result<(), String> {
+    /// The data-slab refcount audit, at any state of the choice plane or
+    /// at the end of a serial run: the outstanding handle count must equal
+    /// the owners — resident lines, backing entries, data-bearing pending
+    /// or queued messages and evict transactions. More is a leaked handle,
+    /// fewer an unaccounted owner (a double release panics inside the slab
+    /// first).
+    pub(crate) fn check_slab_refs(&self) -> Result<(), String> {
         let resident: usize =
             self.tiles.iter().map(|t| t.l1i.len() + t.l1d.len() + t.l2.len()).sum();
         let mut expected = resident + self.backing.len();
-        for (_, _, ev) in &self.choice_plane().pending {
+        // A serial run is audited once its queue has drained.
+        let pending = match &self.events {
+            EventPlane::Choice(plane) => &plane.pending[..],
+            EventPlane::Serial(_) => &[],
+        };
+        for (_, _, ev) in pending {
             if let Event::Deliver(m) = ev {
                 expected += payload_handles(&m.payload);
             }
@@ -721,12 +729,7 @@ fn remap_endpoints(msg: &Message, perm: &[usize]) -> (u64, u64) {
         | Payload::WbNack
         | Payload::EvictNotify { .. } => (perm[s] as u64, d as u64),
         // Home → core.
-        Payload::GrantLine { .. }
-        | Payload::GrantUpgrade { .. }
-        | Payload::WordReadReply { .. }
-        | Payload::WordWriteAck { .. }
-        | Payload::Inv { .. }
-        | Payload::WbReq => (s as u64, perm[d] as u64),
+        Payload::Reply { .. } | Payload::Inv { .. } | Payload::WbReq => (s as u64, perm[d] as u64),
         // Home ↔ memory controller: both physical.
         Payload::DramFetch | Payload::DramData { .. } | Payload::DramWriteBack { .. } => {
             (s as u64, d as u64)
@@ -752,17 +755,19 @@ fn encode_message(msg: &Message, slab: &DataSlab, perm: &[usize], out: &mut Vec<
             out.push(*word as u64);
             out.push(*value);
         }
-        Payload::GrantLine { mesi, data, .. } => {
-            out.push(2);
-            out.push(mesi_tag(*mesi));
-            out.extend_from_slice(slab.get(*data).words());
-        }
-        Payload::GrantUpgrade { .. } => out.push(3),
-        Payload::WordReadReply { value, .. } => {
-            out.push(4);
-            out.push(*value);
-        }
-        Payload::WordWriteAck { .. } => out.push(5),
+        Payload::Reply { reply, .. } => match reply {
+            Reply::Line { mesi, data } => {
+                out.push(2);
+                out.push(mesi_tag(*mesi));
+                out.extend_from_slice(slab.get(*data).words());
+            }
+            Reply::Upgrade => out.push(3),
+            Reply::WordRead { value } => {
+                out.push(4);
+                out.push(*value);
+            }
+            Reply::WordWrite => out.push(5),
+        },
         Payload::Inv { back } => {
             out.push(6);
             out.push(u64::from(*back));
@@ -810,10 +815,12 @@ fn payload_name(p: &Payload) -> &'static str {
     match p {
         Payload::ReadReq { .. } => "ReadReq",
         Payload::WriteReq { .. } => "WriteReq",
-        Payload::GrantLine { .. } => "GrantLine",
-        Payload::GrantUpgrade { .. } => "GrantUpgrade",
-        Payload::WordReadReply { .. } => "WordReadReply",
-        Payload::WordWriteAck { .. } => "WordWriteAck",
+        Payload::Reply { reply, .. } => match reply {
+            Reply::Line { .. } => "GrantLine",
+            Reply::Upgrade => "GrantUpgrade",
+            Reply::WordRead { .. } => "WordReadReply",
+            Reply::WordWrite => "WordWriteAck",
+        },
         Payload::Inv { .. } => "Inv",
         Payload::InvAck { .. } => "InvAck",
         Payload::WbReq => "WbReq",
@@ -830,7 +837,9 @@ fn payload_name(p: &Payload) -> &'static str {
 /// consume-on-delivery ledger of `crate::msg`).
 fn payload_handles(p: &Payload) -> usize {
     match p {
-        Payload::GrantLine { .. } | Payload::DramData { .. } | Payload::DramWriteBack { .. } => 1,
+        Payload::Reply { reply: Reply::Line { .. }, .. }
+        | Payload::DramData { .. }
+        | Payload::DramWriteBack { .. } => 1,
         Payload::InvAck { data, .. }
         | Payload::WbData { data }
         | Payload::EvictNotify { data, .. } => usize::from(data.is_some()),

@@ -12,8 +12,8 @@
 //! Slab handle lifetimes on this side (DESIGN.md §6.2): an incoming dirty
 //! `InvAck`/`EvictNotify`/`WbData` handle is *adopted* as the new resident
 //! L2 data (the previous resident handle is released); a `DramData` handle
-//! transfers straight into the resident array on install. Outgoing
-//! `GrantLine` payloads retain (alias) the resident handle — no bytes
+//! transfers straight into the resident array on install. Outgoing line
+//! grants (`Reply::Line`) retain (alias) the resident handle — no bytes
 //! move — and `DramWriteBack` transfers the victim's handle to the memory
 //! controller. A clean L2 eviction is a pure release.
 
@@ -27,7 +27,7 @@ use lacc_core::mesi::MesiState;
 use lacc_core::sharer::SharerTracker;
 use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
 
-use crate::msg::{Message, Payload};
+use crate::msg::{Message, Payload, Reply};
 
 use super::explore::FaultInjection;
 use super::state::{BusyLine, EvictTxn, HomeTxn, L2Line, Phase, RequestTxn};
@@ -113,7 +113,6 @@ impl Simulator {
                     dst: home,
                     line,
                     payload: Payload::DramData { data },
-                    sent: now,
                 }),
             );
             return;
@@ -433,7 +432,7 @@ impl Simulator {
         if promoted {
             self.protocol.promotions += 1;
         }
-        let payload = {
+        let reply = {
             let l2line = self.tiles[tile].l2.get_mut(line).expect("resident during txn");
             match grant {
                 Grant::LineShared | Grant::LineExclusive | Grant::LineModified => {
@@ -456,13 +455,13 @@ impl Simulator {
                     } else {
                         self.slab.retain(l2line.data)
                     };
-                    Payload::GrantLine { mesi, data, ann }
+                    Reply::Line { mesi, data }
                 }
                 Grant::Upgrade => {
                     self.counts.dir_updates += 1;
                     self.protocol.upgrades += 1;
                     l2line.entry.complete_grant(requester, grant);
-                    Payload::GrantUpgrade { ann }
+                    Reply::Upgrade
                 }
                 Grant::WordRead => {
                     self.counts.l2_word_reads += 1;
@@ -471,7 +470,7 @@ impl Simulator {
                     l2line.entry.complete_grant(requester, grant);
                     let value = self.slab.get(l2line.data).word(txn.word);
                     self.monitor.on_read(requester, line, txn.word, value, now);
-                    Payload::WordReadReply { value, ann }
+                    Reply::WordRead { value }
                 }
                 Grant::WordWrite => {
                     self.counts.l2_word_writes += 1;
@@ -484,11 +483,11 @@ impl Simulator {
                     l2line.dirty = true;
                     l2line.entry.complete_grant(requester, grant);
                     self.monitor.on_write(requester, line, txn.word, txn.value, now);
-                    Payload::WordWriteAck { ann }
+                    Reply::WordWrite
                 }
             }
         };
-        self.send(home, requester, line, payload, now);
+        self.send(home, requester, line, Payload::Reply { ann, reply }, now);
         self.start_next_queued(tile, queued, now);
     }
 

@@ -90,24 +90,21 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 /// ```
 /// use lacc_sim::SimOptions;
 ///
-/// let opts = SimOptions::default();
-/// assert!(opts.monitor && opts.panic_on_violation);
-/// let sweep = SimOptions { monitor: false, ..SimOptions::default() };
+/// assert!(SimOptions::default().monitor);
+/// let sweep = SimOptions { monitor: false };
 /// assert!(!sweep.monitor);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SimOptions {
-    /// Run the shadow-memory coherence monitor (functional oracle). Large
-    /// calibration sweeps disable it to save the shadow-map traffic.
+    /// Run the shadow-memory coherence monitor (functional oracle), which
+    /// panics on the first coherence violation. Large calibration sweeps
+    /// disable it to save the shadow-map traffic.
     pub monitor: bool,
-    /// Panic on the first coherence violation (tests) instead of counting
-    /// violations into the report. Irrelevant when `monitor` is off.
-    pub panic_on_violation: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions { monitor: true, panic_on_violation: true }
+        SimOptions { monitor: true }
     }
 }
 
@@ -294,9 +291,9 @@ impl Simulator {
         let events = EventPlane::Serial(CalendarQueue::new());
 
         let tiles = (0..cfg.num_cores)
-            .map(|i| TileState {
-                l1i: L1Cache::new(&cfg.l1i, cfg.line_bytes, CoreId::new(i)),
-                l1d: L1Cache::new(&cfg.l1d, cfg.line_bytes, CoreId::new(i)),
+            .map(|_| TileState {
+                l1i: L1Cache::new(&cfg.l1i, cfg.line_bytes),
+                l1d: L1Cache::new(&cfg.l1d, cfg.line_bytes),
                 l2: SetAssocCache::new(cfg.l2.num_sets(cfg.line_bytes), cfg.l2.associativity),
                 busy: LineMap::default(),
             })
@@ -313,10 +310,7 @@ impl Simulator {
             net,
             dram,
             sync: SyncManager::new(active),
-            monitor: CoherenceMonitor::new(
-                options.monitor,
-                options.monitor && options.panic_on_violation,
-            ),
+            monitor: CoherenceMonitor::new(options.monitor, options.monitor),
             counts: EnergyCounts::default(),
             energy_params: EnergyParams::isca13_11nm(),
             slab: Box::default(),
@@ -347,7 +341,8 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the system deadlocks (an event-queue drain while cores are
-    /// still blocked) — this is a protocol-bug detector, not a user error.
+    /// still blocked or lines still busy) or the data-slab audit finds a
+    /// leaked handle — protocol-bug detectors, not user errors.
     pub fn run(mut self) -> SimReport {
         self.event_loop();
         self.finish()
@@ -403,7 +398,8 @@ impl Simulator {
         }
     }
 
-    /// Post-drain checks and report construction.
+    /// Post-drain checks — the model checker's quiescence check and slab
+    /// audit, run on the drained queue — and report construction.
     fn finish(mut self) -> SimReport {
         if let Some(p) = self.profile.take() {
             // Stderr only — stdout stays byte-identical with profiling on.
@@ -422,46 +418,11 @@ impl Simulator {
                 ms(p.phase_ns[2]),
             );
         }
-        let stuck: Vec<usize> =
-            (0..self.cores.len()).filter(|&c| !self.cores[c].finished).collect();
-        assert!(
-            stuck.is_empty(),
-            "deadlock: cores {stuck:?} never finished (blocked states: {:?})",
-            stuck.iter().map(|&c| self.cores[c].blocked).collect::<Vec<_>>()
-        );
-        // Data-plane refcount audit. With the event queue drained, the
-        // only legitimate handle owners are the resident L1/L2 lines and
-        // the DRAM backing store: every message payload must have been
-        // consumed on delivery and every home transaction retired. The
-        // outstanding handle count must match the owners exactly — more is
-        // a leaked handle, fewer is an unaccounted owner (a double release
-        // panics inside the slab long before this). `live()` can be
-        // smaller than the owner count (aliased slots), never larger.
-        let resident_lines: usize =
-            self.tiles.iter().map(|t| t.l1i.len() + t.l1d.len() + t.l2.len()).sum();
-        let expected = resident_lines + self.backing.len();
-        assert_eq!(
-            self.slab.total_refs(),
-            expected,
-            "data-slab handle leak: {} outstanding handles but \
-             {} owners ({} resident L1/L2 lines + {} backing-store entries)",
-            self.slab.total_refs(),
-            expected,
-            resident_lines,
-            self.backing.len()
-        );
-        assert!(
-            self.slab.live() <= expected,
-            "data-slab leak: {} live slots exceed {} handle owners",
-            self.slab.live(),
-            expected
-        );
-        for (t, tile) in self.tiles.iter().enumerate() {
-            assert!(
-                tile.busy.is_empty(),
-                "tile {t}: {} home transaction(s) never retired",
-                tile.busy.len()
-            );
+        if let Err(e) = self.check_quiescent() {
+            panic!("deadlock: {e}");
+        }
+        if let Err(e) = self.check_slab_refs() {
+            panic!("{e}");
         }
         self.build_report()
     }
@@ -482,7 +443,7 @@ impl Simulator {
     ) {
         let flits = payload.flits();
         let arrival = self.net.unicast(src, dst, flits, now);
-        self.schedule(arrival, Event::Deliver(Message { src, dst, line, payload, sent: now }));
+        self.schedule(arrival, Event::Deliver(Message { src, dst, line, payload }));
     }
 
     /// Broadcasts an invalidation of `line` from `home`. The mesh carries
@@ -508,7 +469,7 @@ impl Simulator {
                 continue;
             }
             let dst = CoreId::new(t);
-            let msg = Message { src, dst, line, payload: Payload::Inv { back }, sent: now };
+            let msg = Message { src, dst, line, payload: Payload::Inv { back } };
             self.events.push(at, Event::Deliver(msg));
         }
     }
@@ -524,10 +485,9 @@ impl Simulator {
             Payload::ReadReq { .. } | Payload::WriteReq { .. } => {
                 self.home_request_arrival(msg, now);
             }
-            Payload::GrantLine { .. }
-            | Payload::GrantUpgrade { .. }
-            | Payload::WordReadReply { .. }
-            | Payload::WordWriteAck { .. } => self.core_resume(msg, now),
+            Payload::Reply { ann, reply } => {
+                self.core_resume(msg.dst.index(), msg.line, ann, reply, now);
+            }
             Payload::Inv { back } => {
                 self.l1_invalidate(msg.dst.index(), msg.src, msg.line, back, now)
             }

@@ -38,8 +38,9 @@ pub(crate) enum Blocked {
 pub(crate) struct Outstanding {
     pub line: LineAddr,
     pub word: usize,
-    pub is_store: bool,
-    pub value: u64,
+    /// The value a store writes; `None` for a load or an instruction
+    /// fetch.
+    pub store: Option<u64>,
     pub issue_time: Cycle,
     pub instr: bool,
 }
@@ -54,7 +55,8 @@ pub(crate) struct CoreState {
     pub miss_class: MissClassifier,
     pub l1d_stats: MissStats,
     pub l1i_stats: MissStats,
-    pub pending_compute: u32,
+    /// The op to run before the trace's next one: an op that could not
+    /// finish yet (a compute run as `Compute(left)`), put back.
     pub replay: Option<TraceOp>,
     pub replay_ifetched: bool,
     pub blocked: Blocked,
@@ -77,7 +79,6 @@ impl CoreState {
             miss_class: MissClassifier::new(),
             l1d_stats: MissStats::default(),
             l1i_stats: MissStats::default(),
-            pending_compute: 0,
             replay: None,
             replay_ifetched: false,
             blocked: Blocked::No,

@@ -21,12 +21,18 @@
 //! end-of-run refcount audit in `Simulator::run` catches any violation;
 //! DESIGN.md §6.2 tabulates who retains and who consumes per message
 //! type.
+//!
+//! A miss is one request to the line's home (`ReadReq` for a load or an
+//! instruction fetch, `WriteReq` for a store) and one reply,
+//! [`Payload::Reply`]: its [`Reply`] says what the home served (a line, an
+//! upgrade, or a remote word read or write), and its annotation carries the
+//! home's latency attribution.
 
 use lacc_cache::DataRef;
 use lacc_core::classifier::RequestHints;
 use lacc_core::mesi::MesiState;
 use lacc_model::addr::LINE_BYTES;
-use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
+use lacc_model::{CoreId, LatencyAnnotation, LineAddr};
 
 #[cfg(doc)]
 use lacc_cache::DataSlab;
@@ -61,31 +67,12 @@ pub enum Payload {
         /// The 64-bit value to write.
         value: u64,
     },
-    /// Home → requester: a whole-line grant.
-    GrantLine {
-        /// MESI state granted (S, E or M).
-        mesi: MesiState,
-        /// Line content (slab handle; released by the requester).
-        data: DataRef,
+    /// Home → requester: the one reply that ends a miss.
+    Reply {
         /// Latency attribution.
         ann: LatencyAnnotation,
-    },
-    /// Home → requester: write permission for a line already held in S.
-    GrantUpgrade {
-        /// Latency attribution.
-        ann: LatencyAnnotation,
-    },
-    /// Home → requester: remote word-read reply.
-    WordReadReply {
-        /// The word value.
-        value: u64,
-        /// Latency attribution.
-        ann: LatencyAnnotation,
-    },
-    /// Home → requester: remote word-write acknowledgement.
-    WordWriteAck {
-        /// Latency attribution.
-        ann: LatencyAnnotation,
+        /// What the home served.
+        reply: Reply,
     },
     /// Home → sharer: invalidate your copy. `back` marks inclusive-L2
     /// back-invalidations (classified as capacity, not sharing).
@@ -140,6 +127,28 @@ pub enum Payload {
     },
 }
 
+/// What a home's reply to a miss carries: the grant's line or
+/// permission, or the remote word access it served.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Reply {
+    /// A whole-line grant.
+    Line {
+        /// MESI state granted (S, E or M).
+        mesi: MesiState,
+        /// Line content (slab handle; consumed by the requester's L1).
+        data: DataRef,
+    },
+    /// Write permission for a line already held in S.
+    Upgrade,
+    /// A remote word read.
+    WordRead {
+        /// The word value.
+        value: u64,
+    },
+    /// A remote word write's acknowledgement.
+    WordWrite,
+}
+
 impl Payload {
     /// Message size in flits (Table 1 / §3.6), derived from the payload
     /// shape: header-only variants (and acks/notifies with `data: None`)
@@ -150,16 +159,17 @@ impl Payload {
         match self {
             // Header-only messages.
             Payload::ReadReq { .. }
-            | Payload::GrantUpgrade { .. }
-            | Payload::WordWriteAck { .. }
+            | Payload::Reply { reply: Reply::Upgrade | Reply::WordWrite, .. }
             | Payload::Inv { .. }
             | Payload::WbReq
             | Payload::WbNack
             | Payload::DramFetch => 1,
             // Header + one word.
-            Payload::WriteReq { .. } | Payload::WordReadReply { .. } => WORD_MSG_FLITS,
+            Payload::WriteReq { .. } | Payload::Reply { reply: Reply::WordRead { .. }, .. } => {
+                WORD_MSG_FLITS
+            }
             // Header + full line.
-            Payload::GrantLine { .. }
+            Payload::Reply { reply: Reply::Line { .. }, .. }
             | Payload::WbData { .. }
             | Payload::DramData { .. }
             | Payload::DramWriteBack { .. } => LINE_MSG_FLITS,
@@ -187,18 +197,17 @@ pub struct Message {
     pub line: LineAddr,
     /// Payload.
     pub payload: Payload,
-    /// Cycle at which the message was injected.
-    pub sent: Cycle,
 }
 
 // Data-plane size pins. Every `Event::Deliver` moves a `Message` through
 // the calendar queue, so these bounds are hot-path regressions, not
 // style: pre-refactor (inline `LineData` payloads) the sizes were
 // Payload = 96 and Message = 120 bytes; handle-carrying payloads bound
-// them at 40 and 64. Growing past the bound breaks the build here.
+// them at 40 and 64, and a message keeps no send cycle, which nothing
+// reads, so it is 56. Growing past the bound breaks the build here.
 const _: () = {
     assert!(std::mem::size_of::<Payload>() <= 40);
-    assert!(std::mem::size_of::<Message>() <= 64);
+    assert!(std::mem::size_of::<Message>() <= 56);
     // The whole point of `Option<DataRef>`: absence is free.
     assert!(std::mem::size_of::<Option<DataRef>>() == 8);
 };
@@ -215,20 +224,15 @@ mod tests {
         let h = RequestHints::default();
         assert_eq!(Payload::ReadReq { hints: h, word: 0, instr: false }.flits(), 1);
         assert_eq!(Payload::WriteReq { hints: h, word: 0, value: 0 }.flits(), 2);
+        let reply = |reply| Payload::Reply { ann: LatencyAnnotation::default(), reply }.flits();
         assert_eq!(
-            Payload::GrantLine {
-                mesi: MesiState::Shared,
-                data: r(),
-                ann: LatencyAnnotation::default()
-            }
-            .flits(),
+            reply(Reply::Line { mesi: MesiState::Shared, data: r() }),
             9,
             "header + 8 data flits for a 64-byte line"
         );
-        assert_eq!(
-            Payload::WordReadReply { value: 0, ann: LatencyAnnotation::default() }.flits(),
-            2
-        );
+        assert_eq!(reply(Reply::Upgrade), 1);
+        assert_eq!(reply(Reply::WordRead { value: 0 }), 2);
+        assert_eq!(reply(Reply::WordWrite), 1);
         assert_eq!(Payload::Inv { back: false }.flits(), 1);
         assert_eq!(Payload::InvAck { util: 3, data: Some(r()), back: false }.flits(), 9);
         assert_eq!(Payload::WbData { data: Some(r()) }.flits(), 9);

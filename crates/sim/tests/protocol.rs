@@ -373,6 +373,8 @@ fn instruction_footprint_larger_than_l1i_thrashes() {
     };
     let r = Simulator::new(SystemConfig::small_for_tests(2), w).unwrap().run();
     assert!(r.l1i.of(MissClass::Capacity) > 0, "looping footprint must thrash");
+    // Instruction lines are always private: their evictions demote no one.
+    assert_eq!(r.protocol.demotions, 0);
 }
 
 #[test]
