@@ -1,49 +1,4 @@
-//! §5 preamble: "We have compared the baseline ACKwise4 with a full-map
-//! directory protocol and the average performance and energy consumption
-//! were found to be within 1% of each other."
-
-use lacc_experiments::{csv_row, geomean, open_results_file, Cli, Table};
-use lacc_model::config::DirectoryKind;
-
+//! §5 preamble, ACKwise4 vs full-map: see `lacc_experiments::figures::ackwise_vs_fullmap`.
 fn main() {
-    let cli = Cli::parse();
-    let ackwise = cli.base_config().with_pct(1);
-    let fullmap = cli.base_config().with_pct(1).with_directory(DirectoryKind::FullMap);
-    let mut jobs = Vec::new();
-    for b in cli.benchmarks() {
-        jobs.push(("ackwise4".to_string(), b, ackwise.clone()));
-        jobs.push(("fullmap".to_string(), b, fullmap.clone()));
-    }
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("ackwise_vs_fullmap.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,completion_ratio,energy_ratio".split(',').map(String::from).collect::<Vec<_>>(),
-    );
-
-    println!("\nBaseline check: ACKwise4 / Full-map at PCT=1 (1.0 = identical)");
-    let t = Table::new(&[14, 16, 12]);
-    t.row(&["benchmark".to_string(), "CompletionTime".to_string(), "Energy".to_string()]);
-    t.sep();
-    let mut times = Vec::new();
-    let mut energies = Vec::new();
-    for b in cli.benchmarks() {
-        let a = &results[&("ackwise4".to_string(), b.name())];
-        let f = &results[&("fullmap".to_string(), b.name())];
-        let rt = a.completion_time as f64 / f.completion_time.max(1) as f64;
-        let re = a.energy.total() / f.energy.total().max(1e-9);
-        times.push(rt);
-        energies.push(re);
-        t.row(&[b.name().to_string(), format!("{rt:.3}"), format!("{re:.3}")]);
-        csv_row(&mut csv, &[b.name().to_string(), format!("{rt:.4}"), format!("{re:.4}")]);
-    }
-    t.sep();
-    let (gt, ge) = (geomean(&times), geomean(&energies));
-    t.row(&["geomean".to_string(), format!("{gt:.3}"), format!("{ge:.3}")]);
-    println!(
-        "\nGeomean deltas: completion {:.1}%, energy {:.1}% (paper: within 1%)",
-        100.0 * (gt - 1.0).abs(),
-        100.0 * (ge - 1.0).abs()
-    );
+    lacc_experiments::figures::ackwise_vs_fullmap::FIGURE.main();
 }

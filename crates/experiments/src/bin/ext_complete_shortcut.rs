@@ -1,97 +1,4 @@
-//! Extension experiment (§5.3's closing remark): "the Complete locality
-//! classifier can also be equipped with such a learning short-cut".
-//!
-//! Compares, at PCT = 4: the plain Complete classifier, Complete with the
-//! first-touch majority-vote shortcut, and Limited_3 (whose replacement
-//! policy has the shortcut built in). On one-touch-per-core sharing
-//! patterns the shortcut lets fresh sharers skip the private
-//! classification phase entirely — this experiment quantifies how much of
-//! Limited_3's advantage over Complete (Figure 13) the shortcut recovers.
-
-use lacc_experiments::{csv_row, geomean, open_results_file, Cli, Table};
-use lacc_model::config::{ClassifierConfig, TrackingKind};
-
+//! Extension, Complete + learning shortcut: see `lacc_experiments::figures::ext_complete_shortcut`.
 fn main() {
-    let cli = Cli::parse();
-    let variants = vec![
-        (
-            "Complete",
-            ClassifierConfig {
-                tracking: TrackingKind::Complete,
-                ..ClassifierConfig::isca13_default()
-            },
-        ),
-        (
-            "Compl+SC",
-            ClassifierConfig {
-                tracking: TrackingKind::Complete,
-                shortcut: true,
-                ..ClassifierConfig::isca13_default()
-            },
-        ),
-        ("Limited-3", ClassifierConfig::isca13_default()),
-    ];
-    let jobs = variants
-        .iter()
-        .flat_map(|(label, ccfg)| {
-            let cfg = cli.base_config().with_classifier(*ccfg);
-            cli.benchmarks().into_iter().map(move |b| (label.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("ext_complete_shortcut.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,variant,completion_norm,energy_norm"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-
-    println!("\nExtension: Complete + learning shortcut (normalized to plain Complete, PCT=4)");
-    let t = Table::new(&[14, 11, 11, 11, 11, 11, 11]);
-    t.row(
-        &"benchmark,Compl t,SC t,Lim3 t,Compl e,SC e,Lim3 e"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-    t.sep();
-    let mut sc_t = Vec::new();
-    let mut lim_t = Vec::new();
-    for b in cli.benchmarks() {
-        let base = &results[&("Complete".to_string(), b.name())];
-        let mut row = vec![b.name().to_string()];
-        let mut times = vec![];
-        let mut energies = vec![];
-        for (label, _) in &variants {
-            let r = &results[&(label.to_string(), b.name())];
-            times.push(r.completion_time as f64 / base.completion_time.max(1) as f64);
-            energies.push(r.energy.total() / base.energy.total().max(1e-9));
-        }
-        sc_t.push(times[1]);
-        lim_t.push(times[2]);
-        row.extend(times.iter().map(|v| format!("{v:.3}")));
-        row.extend(energies.iter().map(|v| format!("{v:.3}")));
-        t.row(&row);
-        for (vi, (label, _)) in variants.iter().enumerate() {
-            csv_row(
-                &mut csv,
-                &[
-                    b.name().to_string(),
-                    (*label).to_string(),
-                    format!("{:.4}", times[vi]),
-                    format!("{:.4}", energies[vi]),
-                ],
-            );
-        }
-    }
-    t.sep();
-    println!(
-        "geomean completion: shortcut {:.3}, Limited-3 {:.3} (vs plain Complete 1.000)",
-        geomean(&sc_t),
-        geomean(&lim_t)
-    );
-    println!("\nThe shortcut should recover most of Limited-3's Figure-13 advantage.");
+    lacc_experiments::figures::ext_complete_shortcut::FIGURE.main();
 }

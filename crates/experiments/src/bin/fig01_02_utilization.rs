@@ -1,55 +1,4 @@
-//! Figures 1 and 2 (§2.2 motivation): breakdown of invalidated and evicted
-//! cache lines by utilization bins {1, 2-3, 4-5, 6-7, >=8}, measured on the
-//! baseline directory protocol (PCT = 1).
-//!
-//! Paper anchor: "in streamcluster, 80% of the cache lines that are
-//! invalidated have utilization < 4".
-
-use lacc_experiments::{csv_row, open_results_file, Cli, Table};
-use lacc_model::UtilizationHistogram;
-
+//! Figures 1 and 2 (§2.2): see `lacc_experiments::figures::fig01_02_utilization`.
 fn main() {
-    let cli = Cli::parse();
-    let cfg = cli.base_config().with_pct(1);
-    let jobs = cli.benchmarks().into_iter().map(|b| ("pct1".to_string(), b, cfg.clone())).collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig01_02_utilization.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,kind,u1,u2-3,u4-5,u6-7,u8+".split(',').map(String::from).collect::<Vec<_>>(),
-    );
-
-    for (title, pick) in [
-        ("Figure 1: Invalidations breakdown (%) vs utilization", 0usize),
-        ("Figure 2: Evictions breakdown (%) vs utilization", 1usize),
-    ] {
-        println!("\n{title}");
-        let t = Table::new(&[14, 8, 8, 8, 8, 8]);
-        let mut header = vec!["benchmark".to_string()];
-        header.extend(UtilizationHistogram::LABELS.iter().map(|s| (*s).to_string()));
-        t.row(&header);
-        t.sep();
-        for b in cli.benchmarks() {
-            let r = &results[&("pct1".to_string(), b.name())];
-            let h = if pick == 0 { r.inval_histogram } else { r.evict_histogram };
-            let f = h.fractions();
-            let mut row = vec![b.name().to_string()];
-            row.extend(f.iter().map(|v| format!("{:.1}", 100.0 * v)));
-            t.row(&row);
-            let mut cells =
-                vec![b.name().to_string(), if pick == 0 { "inval" } else { "evict" }.into()];
-            cells.extend(f.iter().map(|v| format!("{:.4}", v)));
-            csv_row(&mut csv, &cells);
-        }
-    }
-
-    // The paper's §2.2 anchor observation.
-    let sc = &results[&("pct1".to_string(), "streamclus.")];
-    if sc.inval_histogram.total() > 0 {
-        println!(
-            "\nstreamcluster: {:.0}% of invalidated lines have utilization < 4 (paper: ~80%)",
-            100.0 * sc.inval_histogram.below(4)
-        );
-    }
+    lacc_experiments::figures::fig01_02_utilization::FIGURE.main();
 }

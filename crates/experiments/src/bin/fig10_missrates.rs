@@ -1,60 +1,4 @@
-//! Figure 10 (§5.1): L1-D cache miss rate and miss-type breakdown (cold,
-//! capacity, upgrade, sharing, word) as PCT sweeps {1, 2, 3, 4, 6, 8}.
-//!
-//! Paper anchors: water-sp/susan sit near 0.2%; concomp reaches ~50%+;
-//! blackscholes/bodytrack/dijkstra-ap/matmul *drop* in miss rate from
-//! PCT 1 to 2 (better cache utilization); capacity and sharing misses
-//! convert into word misses as PCT rises.
-
-use lacc_experiments::{csv_row, open_results_file, Cli, Table, FIG10_PCTS};
-use lacc_model::MissClass;
-
+//! Figure 10 (§5.1): see `lacc_experiments::figures::fig10_missrates`.
 fn main() {
-    let cli = Cli::parse();
-    let jobs = FIG10_PCTS
-        .iter()
-        .flat_map(|&pct| {
-            let cfg = cli.base_config().with_pct(pct);
-            cli.benchmarks().into_iter().map(move |b| (format!("pct{pct}"), b, cfg.clone()))
-        })
-        .collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig10_missrates.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,pct,miss_rate_pct,cold,capacity,upgrade,sharing,word"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-
-    println!("\nFigure 10: L1-D miss rate (%) and miss-type breakdown vs PCT");
-    let t = Table::new(&[14, 4, 9, 9, 9, 9, 9, 9]);
-    t.row(
-        &"benchmark,PCT,miss%,Cold,Capacity,Upgrade,Sharing,Word"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-    t.sep();
-    for b in cli.benchmarks() {
-        for &pct in &FIG10_PCTS {
-            let r = &results[&(format!("pct{pct}"), b.name())];
-            let total = r.l1d.total_accesses().max(1) as f64;
-            let mut row = vec![b.name().to_string(), pct.to_string()];
-            row.push(format!("{:.2}", r.l1d_miss_rate_pct()));
-            for c in MissClass::ALL {
-                row.push(format!("{:.2}", 100.0 * r.l1d.of(c) as f64 / total));
-            }
-            t.row(&row);
-            let mut cells = vec![b.name().to_string(), pct.to_string()];
-            cells.push(format!("{:.4}", r.l1d_miss_rate_pct()));
-            for c in MissClass::ALL {
-                cells.push(r.l1d.of(c).to_string());
-            }
-            csv_row(&mut csv, &cells);
-        }
-        t.sep();
-    }
+    lacc_experiments::figures::fig10_missrates::FIGURE.main();
 }

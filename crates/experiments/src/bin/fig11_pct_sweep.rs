@@ -1,52 +1,4 @@
-//! Figure 11 (§5.1.3): geometric means of completion time and energy as
-//! PCT sweeps {1..8, 10..20}, normalized to PCT = 1 — the plot that
-//! justifies the static choice of PCT = 4.
-//!
-//! Paper anchors: completion time falls to ~0.85 by PCT 3-4 then rises;
-//! energy falls to ~0.75 by PCT 4-5, stays flat to ~8, then rises.
-
-use lacc_experiments::{csv_row, geomean, open_results_file, Cli, Table, FIG11_PCTS};
-
+//! Figure 11 (§5.1.3): see `lacc_experiments::figures::fig11_pct_sweep`.
 fn main() {
-    let cli = Cli::parse();
-    let jobs = FIG11_PCTS
-        .iter()
-        .flat_map(|&pct| {
-            let cfg = cli.base_config().with_pct(pct);
-            cli.benchmarks().into_iter().map(move |b| (format!("pct{pct}"), b, cfg.clone()))
-        })
-        .collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig11_pct_sweep.csv");
-    csv_row(
-        &mut csv,
-        &"pct,geomean_completion,geomean_energy".split(',').map(String::from).collect::<Vec<_>>(),
-    );
-
-    println!("\nFigure 11: Geomean completion time and energy vs PCT (normalized to PCT=1)");
-    let t = Table::new(&[6, 16, 12]);
-    t.row(&["PCT".to_string(), "CompletionTime".to_string(), "Energy".to_string()]);
-    t.sep();
-    let mut best = (1u32, 2.0f64);
-    for &pct in &FIG11_PCTS {
-        let mut times = Vec::new();
-        let mut energies = Vec::new();
-        for b in cli.benchmarks() {
-            let base = &results[&("pct1".to_string(), b.name())];
-            let r = &results[&(format!("pct{pct}"), b.name())];
-            times.push(r.completion_time as f64 / base.completion_time.max(1) as f64);
-            energies.push(r.energy.total() / base.energy.total().max(1e-9));
-        }
-        let (gt, ge) = (geomean(&times), geomean(&energies));
-        if gt + ge < best.1 {
-            best = (pct, gt + ge);
-        }
-        t.row(&[pct.to_string(), format!("{gt:.3}"), format!("{ge:.3}")]);
-        csv_row(&mut csv, &[pct.to_string(), format!("{gt:.4}"), format!("{ge:.4}")]);
-    }
-    println!(
-        "\nBest combined PCT = {} (paper selects PCT = 4: ~15% time, ~25% energy reduction)",
-        best.0
-    );
+    lacc_experiments::figures::fig11_pct_sweep::FIGURE.main();
 }

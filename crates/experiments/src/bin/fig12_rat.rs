@@ -1,50 +1,4 @@
-//! Figure 12 (§5.2): sensitivity of the RAT approximation — completion
-//! time and energy for {Timestamp, L-1, L-2/T-8, L-2/T-16, L-4/T-8,
-//! L-4/T-16, L-8/T-16}, normalized to the Timestamp scheme, at PCT = 4.
-//!
-//! Paper anchors: completion time is flat across the variants; energy is
-//! ~9% worse with a single RAT level; with RATmax = 16 the gap to
-//! Timestamp closes and nRATlevels in {2, 4, 8} are indistinguishable, so
-//! the paper picks L-2/T-16.
-
-use lacc_experiments::{csv_row, fig12_variants, geomean, open_results_file, Cli, Table};
-
+//! Figure 12 (§5.2): see `lacc_experiments::figures::fig12_rat`.
 fn main() {
-    let cli = Cli::parse();
-    let jobs = fig12_variants()
-        .into_iter()
-        .flat_map(|(label, ccfg)| {
-            let cfg = cli.base_config().with_classifier(ccfg);
-            cli.benchmarks().into_iter().map(move |b| (label.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig12_rat.csv");
-    csv_row(
-        &mut csv,
-        &"variant,geomean_completion,geomean_energy"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-
-    println!("\nFigure 12: RAT sensitivity at PCT=4 (normalized to Timestamp)");
-    let t = Table::new(&[12, 16, 12]);
-    t.row(&["variant".to_string(), "CompletionTime".to_string(), "Energy".to_string()]);
-    t.sep();
-    for (label, _) in fig12_variants() {
-        let mut times = Vec::new();
-        let mut energies = Vec::new();
-        for b in cli.benchmarks() {
-            let base = &results[&("Timestamp".to_string(), b.name())];
-            let r = &results[&(label.to_string(), b.name())];
-            times.push(r.completion_time as f64 / base.completion_time.max(1) as f64);
-            energies.push(r.energy.total() / base.energy.total().max(1e-9));
-        }
-        let (gt, ge) = (geomean(&times), geomean(&energies));
-        t.row(&[label.to_string(), format!("{gt:.3}"), format!("{ge:.3}")]);
-        csv_row(&mut csv, &[label.to_string(), format!("{gt:.4}"), format!("{ge:.4}")]);
-    }
-    println!("\nPaper: L-1 is ~9% worse in energy; L-2/T-16 matches Timestamp and is the default.");
+    lacc_experiments::figures::fig12_rat::FIGURE.main();
 }

@@ -1,81 +1,4 @@
-//! Figure 13 (§5.3): accuracy of the Limited_k classifier — per-benchmark
-//! completion time and energy for k in {1, 3, 5, 7} and the Complete
-//! classifier (= Limited_64), normalized to Complete, at PCT = 4.
-//!
-//! Paper anchors: Limited_3 never exceeds Complete by more than ~3%;
-//! streamcluster/dijkstra-ss *beat* Complete (the majority vote learns
-//! remote mode faster); Limited_1 misclassifies radix (starts sharers
-//! remote) and bodytrack (starts them private).
-
-use lacc_experiments::{csv_row, fig13_variants, geomean, open_results_file, Cli, Table};
-
+//! Figure 13 (§5.3): see `lacc_experiments::figures::fig13_limitedk`.
 fn main() {
-    let cli = Cli::parse();
-    let variants = fig13_variants(cli.cores);
-    let jobs = variants
-        .iter()
-        .flat_map(|(label, ccfg)| {
-            let cfg = cli.base_config().with_classifier(*ccfg);
-            let label = label.clone();
-            cli.benchmarks().into_iter().map(move |b| (label.clone(), b, cfg.clone()))
-        })
-        .collect();
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig13_limitedk.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,variant,completion_norm,energy_norm"
-            .split(',')
-            .map(String::from)
-            .collect::<Vec<_>>(),
-    );
-
-    for (title, metric) in [
-        ("Completion Time (normalized to Complete)", 0usize),
-        ("Energy (normalized to Complete)", 1),
-    ] {
-        println!("\nFigure 13: {title}");
-        let mut widths = vec![14usize];
-        widths.extend(std::iter::repeat(11).take(variants.len()));
-        let t = Table::new(&widths);
-        let mut header = vec!["benchmark".to_string()];
-        header.extend(variants.iter().map(|(l, _)| l.clone()));
-        t.row(&header);
-        t.sep();
-        let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-        for b in cli.benchmarks() {
-            let base = &results[&("Complete".to_string(), b.name())];
-            let mut row = vec![b.name().to_string()];
-            for (vi, (label, _)) in variants.iter().enumerate() {
-                let r = &results[&(label.clone(), b.name())];
-                let v = if metric == 0 {
-                    r.completion_time as f64 / base.completion_time.max(1) as f64
-                } else {
-                    r.energy.total() / base.energy.total().max(1e-9)
-                };
-                per_variant[vi].push(v);
-                row.push(format!("{v:.3}"));
-                if metric == 0 {
-                    csv_row(
-                        &mut csv,
-                        &[
-                            b.name().to_string(),
-                            label.clone(),
-                            format!("{v:.4}"),
-                            format!("{:.4}", r.energy.total() / base.energy.total().max(1e-9)),
-                        ],
-                    );
-                }
-            }
-            t.row(&row);
-        }
-        t.sep();
-        let mut row = vec!["geomean".to_string()];
-        row.extend(per_variant.iter().map(|v| format!("{:.3}", geomean(v))));
-        t.row(&row);
-    }
-    println!(
-        "\nPaper: Limited-3 stays within ~3% of Complete; Limited-1 misclassifies radix/bodytrack."
-    );
+    lacc_experiments::figures::fig13_limitedk::FIGURE.main();
 }

@@ -1,54 +1,4 @@
-//! Figure 14 (§5.4): the cost of removing remote→private transitions —
-//! per-benchmark ratio of Adapt1-way over Adapt2-way completion time and
-//! energy at PCT = 4.
-//!
-//! Paper anchors: Adapt1-way is worse by 34% (completion) and 13% (energy)
-//! on average; bodytrack reaches 3.3x and dijkstra-ss 2.3x in completion
-//! time.
-
-use lacc_experiments::{csv_row, geomean, open_results_file, Cli, Table};
-use lacc_model::config::ClassifierConfig;
-
+//! Figure 14 (§5.4): see `lacc_experiments::figures::fig14_oneway`.
 fn main() {
-    let cli = Cli::parse();
-    let two_way = cli.base_config();
-    let one_way = cli
-        .base_config()
-        .with_classifier(ClassifierConfig { one_way: true, ..ClassifierConfig::isca13_default() });
-    let mut jobs = Vec::new();
-    for b in cli.benchmarks() {
-        jobs.push(("2way".to_string(), b, two_way.clone()));
-        jobs.push(("1way".to_string(), b, one_way.clone()));
-    }
-    let results = cli.run_jobs(jobs);
-
-    let mut csv = open_results_file("fig14_oneway.csv");
-    csv_row(
-        &mut csv,
-        &"benchmark,completion_ratio,energy_ratio".split(',').map(String::from).collect::<Vec<_>>(),
-    );
-
-    println!("\nFigure 14: Adapt1-way / Adapt2-way ratios at PCT=4 (higher = 1-way worse)");
-    let t = Table::new(&[14, 16, 12]);
-    t.row(&["benchmark".to_string(), "CompletionTime".to_string(), "Energy".to_string()]);
-    t.sep();
-    let mut times = Vec::new();
-    let mut energies = Vec::new();
-    for b in cli.benchmarks() {
-        let two = &results[&("2way".to_string(), b.name())];
-        let one = &results[&("1way".to_string(), b.name())];
-        let rt = one.completion_time as f64 / two.completion_time.max(1) as f64;
-        let re = one.energy.total() / two.energy.total().max(1e-9);
-        times.push(rt);
-        energies.push(re);
-        t.row(&[b.name().to_string(), format!("{rt:.2}"), format!("{re:.2}")]);
-        csv_row(&mut csv, &[b.name().to_string(), format!("{rt:.4}"), format!("{re:.4}")]);
-    }
-    t.sep();
-    t.row(&[
-        "geomean".to_string(),
-        format!("{:.2}", geomean(&times)),
-        format!("{:.2}", geomean(&energies)),
-    ]);
-    println!("\nPaper: 1-way is worse by ~34% completion / ~13% energy; bodytrack 3.3x, dijkstra-ss 2.3x.");
+    lacc_experiments::figures::fig14_oneway::FIGURE.main();
 }

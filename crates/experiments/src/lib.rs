@@ -1,9 +1,11 @@
 //! # lacc-experiments — the figure/table regeneration harness
 //!
-//! One binary per table and figure of the paper's evaluation (§5), all
-//! built on the helpers here: benchmark runners, PCT sweeps, classifier
-//! sweeps, normalization, geometric means and paper-style table printing.
-//! Binaries write a CSV per figure into `./results/` and print the same
+//! Every table and figure of the paper's evaluation (§5) is a
+//! [`figures::Figure`] value: the simulations it needs and how it prints
+//! and saves them. Each has a binary of its own, and `all_figures` runs
+//! them all in one process. All are built on the helpers here: the
+//! sweep pool, normalization, geometric means and paper-style table
+//! printing. Figures write a CSV into `./results/` and print the same
 //! series to stdout. `docs/EXPERIMENTS.md` maps every figure and table to
 //! its binary and documents the CSV schemas.
 //!
@@ -24,13 +26,13 @@
 //! ## Parallel sweeps are deterministic
 //!
 //! Every simulation runs on one thread. Every grid point of a figure is
-//! an independent simulation, so [`Cli::run_jobs`] dispatches them
-//! across a scoped worker pool — but it aggregates results, prints
-//! progress and reports failures **in submission order**. Figure CSVs and
-//! stdout tables are byte-identical for any worker count (see DESIGN.md
-//! §7 for why this holds).
+//! an independent simulation, so [`Cli::run_grids`] runs each distinct
+//! one once across a scoped worker pool — but it aggregates results,
+//! prints progress and reports failures **in submission order**. Figure
+//! CSVs and stdout tables are byte-identical for any worker count (see
+//! DESIGN.md §7 for why this holds).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
@@ -41,6 +43,8 @@ use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
 use lacc_model::{SystemConfig, MAX_CORES};
 use lacc_sim::{SimOptions, SimReport, Simulator};
 use lacc_workloads::Benchmark;
+
+pub mod figures;
 
 /// The flags of the figure and table binaries, for the usage line.
 const FLAGS: &str = "[--scale F] [--cores N] [--bench NAME]... [--jobs N] [--quiet] [--no-monitor]";
@@ -196,7 +200,7 @@ pub struct Cli {
     pub cores: usize,
     /// Benchmark filter (empty = all 21).
     pub benches: Vec<Benchmark>,
-    /// Worker threads for [`Cli::run_jobs`]: `0` = one per available
+    /// Worker threads for [`Cli::run_grids`]: `0` = one per available
     /// hardware thread, `1` = serial on the calling thread.
     pub jobs: usize,
     /// Suppress progress output.
@@ -274,26 +278,8 @@ impl Cli {
         config_for_cores(self.cores)
     }
 
-    /// Runs a set of `(label, benchmark, config)` jobs with this
-    /// invocation's scale, verbosity, monitor setting and `--jobs` worker
-    /// count, and aggregates the reports **in submission order** — the
-    /// one sweep call every figure binary uses.
-    ///
-    /// Each job builds, owns and runs its own [`Simulator`] — nothing is
-    /// shared between workers except the read-only job list, which the
-    /// compiler enforces via the `Send` assertions in `lacc-sim`. Progress
-    /// lines (unless `quiet`) are printed by the aggregator as the completed
-    /// prefix of the submission order grows, so stderr is as deterministic as
-    /// the results themselves.
-    ///
-    /// With more than one worker, jobs are dispatched largest-first by
-    /// [`Benchmark::cost_hint`], which packs the long simulations into the
-    /// front of the sweep instead of letting one late-dispatched giant
-    /// straggle after every other worker has drained (the classic LPT
-    /// schedule). Dispatch order affects wall-clock only: aggregation,
-    /// progress printing and the returned [`SweepResults`] remain strictly
-    /// submission-ordered, so output bytes are the same for any worker
-    /// count.
+    /// Runs one grid of `(label, benchmark, config)` jobs: [`Cli::run_grids`]
+    /// with a single grid, the sweep call of a figure binary run alone.
     ///
     /// # Examples
     ///
@@ -318,28 +304,58 @@ impl Cli {
     ///
     /// # Panics
     ///
-    /// Panics if two jobs share a `(label, benchmark)` key, or — after
-    /// every remaining job has finished — if any job panicked, with a
-    /// message naming each failed job. A panicking job never deadlocks the
-    /// pool or poisons the other jobs' results.
+    /// As [`Cli::run_grids`].
     #[must_use]
-    pub fn run_jobs(&self, jobs: Vec<(String, Benchmark, SystemConfig)>) -> SweepResults {
+    pub fn run_jobs(&self, jobs: Vec<Job>) -> SweepResults {
+        self.run_grids(vec![jobs]).pop().expect("one result per grid")
+    }
+
+    /// Runs grids of `(label, benchmark, config)` jobs with this
+    /// invocation's scale, verbosity, monitor setting and `--jobs` worker
+    /// count, and returns one [`SweepResults`] per grid, under that grid's
+    /// own labels — the one sweep path of the harness.
+    ///
+    /// Each distinct `(benchmark, config)` pair is simulated once, however
+    /// many grids or labels name it. Each simulation builds, owns and runs
+    /// its own [`Simulator`]; workers share only the read-only job list
+    /// (the `Send` assertions in `lacc-sim` enforce this). With more than
+    /// one worker, simulations are dispatched largest-first by
+    /// [`Benchmark::cost_hint`] (the LPT schedule), so a late giant cannot
+    /// straggle after the other workers drain. Dispatch order affects
+    /// wall-clock only: progress lines (unless `quiet`, naming each
+    /// simulation by the first label that asked for it), failures and the
+    /// returned [`SweepResults`] all follow submission order, so output
+    /// bytes are the same for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two jobs of one grid share a `(label, benchmark)` key, or
+    /// — after every remaining simulation has finished — if any panicked,
+    /// with a message naming each failed one. A panicking simulation never
+    /// deadlocks the pool or poisons the others' results.
+    #[must_use]
+    pub fn run_grids(&self, grids: Vec<Vec<Job>>) -> Vec<SweepResults> {
+        let (runs, index) = distinct_runs(&grids);
+        let reports = self.run_pool(&runs);
+        let view = |(grid, index): (Vec<Job>, Vec<usize>)| {
+            let mut order = Vec::with_capacity(grid.len());
+            let mut map = HashMap::with_capacity(grid.len());
+            for ((label, bench, _), i) in grid.into_iter().zip(index) {
+                let key = (label, bench.name());
+                map.insert(key.clone(), reports[i].clone()); // keys pre-checked unique
+                order.push(key);
+            }
+            SweepResults { order, map }
+        };
+        grids.into_iter().zip(index).map(view).collect()
+    }
+
+    /// Simulates every job of `jobs` and returns the reports in
+    /// submission order (see [`Cli::run_grids`]).
+    fn run_pool(&self, jobs: &[Job]) -> Vec<SimReport> {
         let (scale, quiet) = (self.scale, self.quiet);
         let opts = SimOptions { monitor: !self.no_monitor };
         let n = jobs.len();
-        // Reject key collisions before dispatch: a duplicate would silently
-        // shadow a result, and a full-scale sweep is far too expensive to run
-        // just to find out at aggregation time.
-        let mut seen = std::collections::HashSet::with_capacity(n);
-        for (label, bench, _) in &jobs {
-            assert!(
-                seen.insert((label.as_str(), bench.name())),
-                "duplicate sweep job ({label:?}, {:?}): labels must disambiguate grid points",
-                bench.name()
-            );
-        }
-        drop(seen);
-
         let workers = if self.jobs == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
@@ -356,20 +372,19 @@ impl Cli {
             // Serial path (`--jobs 1`): run on the calling thread, no pool.
             // Dispatch order is moot with a single worker — the makespan is
             // the sum either way — so jobs run in submission order.
-            for (slot, (label, bench, cfg)) in slots.iter_mut().zip(&jobs) {
+            for (slot, (label, bench, cfg)) in slots.iter_mut().zip(jobs) {
                 let res = run_caught(*bench, cfg, scale, opts);
                 progress(quiet, label, &res);
                 *slot = Some(res);
             }
         } else {
-            let dispatch = dispatch_order(&jobs);
+            let dispatch = dispatch_order(jobs);
             let next = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, String>)>();
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
-                    let jobs = &jobs;
                     let dispatch = &dispatch;
                     s.spawn(move || loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
@@ -402,17 +417,12 @@ impl Cli {
             });
         }
 
-        let mut order = Vec::with_capacity(n);
-        let mut map = HashMap::with_capacity(n);
+        let mut reports = Vec::with_capacity(n);
         let mut failures = Vec::new();
         for (slot, (label, bench, _)) in slots.into_iter().zip(jobs) {
-            let key = (label, bench.name());
             match slot.expect("every job has a result once the pool drains") {
-                Ok(report) => {
-                    map.insert(key.clone(), report); // keys pre-checked unique
-                    order.push(key);
-                }
-                Err(msg) => failures.push(format!("[{}] {}: {msg}", key.0, key.1)),
+                Ok(report) => reports.push(report),
+                Err(msg) => failures.push(format!("[{label}] {}: {msg}", bench.name())),
             }
         }
         assert!(
@@ -421,8 +431,45 @@ impl Cli {
             failures.len(),
             failures.join("\n  ")
         );
-        SweepResults { order, map }
+        reports
     }
+}
+
+/// One sweep job: a label (the figure's grid point), a benchmark, and the
+/// machine to simulate it on.
+pub type Job = (String, Benchmark, SystemConfig);
+
+/// The distinct `(benchmark, config)` simulations of `grids`, each under
+/// the first label that names it, and for each grid the index of each of
+/// its jobs' simulation.
+///
+/// # Panics
+///
+/// If two jobs of one grid share a `(label, benchmark)` key: a duplicate
+/// would silently shadow a result, and a full-scale sweep is far too
+/// expensive to run just to find out at aggregation time.
+fn distinct_runs(grids: &[Vec<Job>]) -> (Vec<Job>, Vec<Vec<usize>>) {
+    let mut runs: Vec<Job> = Vec::new();
+    let mut index = Vec::with_capacity(grids.len());
+    for grid in grids {
+        let mut seen = HashSet::with_capacity(grid.len());
+        let mut grid_index = Vec::with_capacity(grid.len());
+        for job @ (label, bench, cfg) in grid {
+            assert!(
+                seen.insert((label.as_str(), bench.name())),
+                "duplicate sweep job ({label:?}, {:?}): labels must disambiguate grid points",
+                bench.name()
+            );
+            // `SystemConfig` holds an `f64`, so runs are matched by `==`.
+            let run = runs.iter().position(|(_, b, c)| b == bench && c == cfg);
+            grid_index.push(run.unwrap_or_else(|| {
+                runs.push(job.clone());
+                runs.len() - 1
+            }));
+        }
+        index.push(grid_index);
+    }
+    (runs, index)
 }
 
 /// The Table-1 machine scaled to `cores`: memory controllers, instruction
@@ -461,7 +508,7 @@ pub fn config_for_cores(cores: usize) -> SystemConfig {
 /// Results of one sweep, keyed by `(label, benchmark name)` and ordered
 /// by submission.
 ///
-/// Produced by [`Cli::run_jobs`]. Lookups are O(1) via [`SweepResults::get`]
+/// Produced by [`Cli::run_grids`]. Lookups are O(1) via [`SweepResults::get`]
 /// or indexing; [`SweepResults::iter`] walks the reports in the exact
 /// order the jobs were submitted, never the order worker threads finished
 /// in — which is what keeps every figure CSV and stdout table
@@ -520,7 +567,7 @@ impl std::ops::Index<&(String, &'static str)> for SweepResults {
 /// [`Benchmark::cost_hint`], submission order breaking ties. Dispatch
 /// order affects wall-clock only — results are aggregated by submission
 /// index regardless.
-fn dispatch_order(jobs: &[(String, Benchmark, SystemConfig)]) -> Vec<usize> {
+fn dispatch_order(jobs: &[Job]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     // sort_by_key is stable: equal costs keep submission order.
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].1.cost_hint()));
@@ -567,7 +614,7 @@ fn progress(quiet: bool, label: &str, res: &Result<SimReport, String>) {
 
 /// Geometric mean of positive values (1.0 for an empty slice).
 #[must_use]
-pub fn geomean(values: &[f64]) -> f64 {
+pub(crate) fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
@@ -576,7 +623,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 
 /// Arithmetic mean (the paper plots the *Average* in Figures 8–9).
 #[must_use]
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -584,7 +631,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// A figure's CSV file under `./results/`, opened by [`open_results_file`].
-pub struct ResultsFile {
+pub(crate) struct ResultsFile {
     path: String,
     file: std::fs::File,
 }
@@ -595,27 +642,37 @@ fn exit_unwritable(path: &str, err: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Ensures `./results` exists and opens `results/<name>` for writing;
-/// on an I/O error, prints it naming the file and exits with status 1.
+/// Ensures `./results` exists, opens `results/<name>` for writing and
+/// writes the comma-separated `header` row; on an I/O error, prints it
+/// naming the file and exits with status 1.
 #[must_use]
-pub fn open_results_file(name: &str) -> ResultsFile {
+pub(crate) fn open_results_file(name: &str, header: &str) -> ResultsFile {
     let path = format!("results/{name}");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::File::create(&path)) {
-        Ok(file) => ResultsFile { path, file },
-        Err(e) => exit_unwritable(&path, &e),
-    }
+    let mut csv =
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::File::create(&path)) {
+            Ok(file) => ResultsFile { path, file },
+            Err(e) => exit_unwritable(&path, &e),
+        };
+    csv_row(&mut csv, &cells(header));
+    csv
+}
+
+/// The cells of a comma-separated row such as a table or CSV header.
+#[must_use]
+pub(crate) fn cells(row: &str) -> Vec<String> {
+    row.split(',').map(String::from).collect()
 }
 
 /// Writes one CSV row; on an I/O error, prints it naming the file and
 /// exits with status 1.
-pub fn csv_row(f: &mut ResultsFile, cells: &[String]) {
+pub(crate) fn csv_row(f: &mut ResultsFile, cells: &[String]) {
     if let Err(e) = writeln!(f.file, "{}", cells.join(",")) {
         exit_unwritable(&f.path, &e);
     }
 }
 
 /// A fixed-width table printer for paper-style output.
-pub struct Table {
+pub(crate) struct Table {
     widths: Vec<usize>,
 }
 
@@ -642,6 +699,12 @@ impl Table {
         println!("{}", line.trim_end());
     }
 
+    /// Prints a comma-separated header row and a separator under it.
+    pub fn header(&self, row: &str) {
+        self.row(&cells(row));
+        self.sep();
+    }
+
     /// Prints a separator sized to the table.
     pub fn sep(&self) {
         let total: usize = self.widths.iter().sum::<usize>() + self.widths.len();
@@ -650,11 +713,11 @@ impl Table {
 }
 
 /// The PCT values of Figures 8 and 9.
-pub const FIG89_PCTS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+pub(crate) const FIG89_PCTS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 /// The PCT values of Figure 10.
-pub const FIG10_PCTS: [u32; 6] = [1, 2, 3, 4, 6, 8];
+pub(crate) const FIG10_PCTS: [u32; 6] = [1, 2, 3, 4, 6, 8];
 /// The PCT values of Figure 11.
-pub const FIG11_PCTS: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20];
+pub(crate) const FIG11_PCTS: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20];
 
 /// Classifier variants of Figure 12, with the paper's labels.
 ///
@@ -670,50 +733,18 @@ pub const FIG11_PCTS: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 2
 pub fn fig12_variants() -> Vec<(&'static str, ClassifierConfig)> {
     let base =
         ClassifierConfig { tracking: TrackingKind::Complete, ..ClassifierConfig::isca13_default() };
+    let rat = |levels, rat_max| ClassifierConfig {
+        mechanism: MechanismKind::RatLevels { levels, rat_max },
+        ..base
+    };
     vec![
         ("Timestamp", ClassifierConfig { mechanism: MechanismKind::Timestamp, ..base }),
-        (
-            "L-1",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 1, rat_max: 16 },
-                ..base
-            },
-        ),
-        (
-            "L-2,T-8",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 2, rat_max: 8 },
-                ..base
-            },
-        ),
-        (
-            "L-2,T-16",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 2, rat_max: 16 },
-                ..base
-            },
-        ),
-        (
-            "L-4,T-8",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 4, rat_max: 8 },
-                ..base
-            },
-        ),
-        (
-            "L-4,T-16",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 4, rat_max: 16 },
-                ..base
-            },
-        ),
-        (
-            "L-8,T-16",
-            ClassifierConfig {
-                mechanism: MechanismKind::RatLevels { levels: 8, rat_max: 16 },
-                ..base
-            },
-        ),
+        ("L-1", rat(1, 16)),
+        ("L-2,T-8", rat(2, 8)),
+        ("L-2,T-16", rat(2, 16)),
+        ("L-4,T-8", rat(4, 8)),
+        ("L-4,T-16", rat(4, 16)),
+        ("L-8,T-16", rat(8, 16)),
     ]
 }
 
@@ -835,6 +866,41 @@ mod tests {
             ("a".to_string(), Benchmark::WaterSp, cfg),
         ];
         let _ = sweep_cli(1).run_jobs(jobs);
+    }
+
+    #[test]
+    fn all_figures_simulates_each_distinct_run_once() {
+        for (cores, distinct) in [(8, 597), (64, 587)] {
+            let cli = Cli { cores, ..Cli::default() };
+            let grids: Vec<_> = figures::FIGURES.iter().map(|f| (f.jobs)(&cli)).collect();
+            let (runs, index) = distinct_runs(&grids);
+            assert_eq!(index.iter().map(Vec::len).sum::<usize>(), 1206, "{cores} cores");
+            assert_eq!(runs.len(), distinct, "{cores} cores");
+        }
+    }
+
+    #[test]
+    fn grids_sharing_a_run_each_see_it_under_their_own_label() {
+        let cfg = SystemConfig::small_for_tests(4);
+        let grids = vec![
+            vec![
+                ("a".to_string(), Benchmark::WaterSp, cfg.clone()),
+                ("b".to_string(), Benchmark::WaterSp, cfg.clone().with_pct(1)),
+            ],
+            vec![("c".to_string(), Benchmark::WaterSp, cfg.clone())],
+        ];
+        assert_eq!(distinct_runs(&grids).0.len(), 2);
+        let out = sweep_cli(2).run_grids(grids);
+        assert_eq!(out.iter().map(SweepResults::len).collect::<Vec<_>>(), [2, 1]);
+        let (a, c) =
+            (&out[0][&("a".to_string(), "water-sp")], &out[1][&("c".to_string(), "water-sp")]);
+        assert_eq!(a.summary(), c.summary());
+        assert!(!out[1].contains_key(&("a".to_string(), "water-sp")));
+
+        // A duplicate label within one grid is still rejected before any run.
+        let dup = vec![("a".to_string(), Benchmark::WaterSp, cfg); 2];
+        let err = catch_unwind(|| sweep_cli(1).run_grids(vec![vec![], dup])).unwrap_err();
+        assert!(err.downcast_ref::<String>().unwrap().contains("duplicate sweep job"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! status 2 and an error naming the flag, before any simulation starts —
 //! never an index-out-of-bounds or `expect` panic. Bad run-time input to
 //! the trace tools (an unwritable output path, a trace the machine cannot
-//! run) and an unwritable `results/` directory under a figure binary exit
-//! 1 with an `error: …` line, again without a panic.
+//! run) and an unwritable `results/` directory under a figure binary or
+//! `all_figures` exit 1 with an `error: …` line, again without a panic.
 
 use std::process::Command;
 
@@ -128,15 +128,25 @@ fn unwritable_results_dir_exits_1_without_a_panic() {
     std::fs::create_dir_all(&dir).unwrap();
     // A regular file where the figure binary wants its `results` directory.
     std::fs::write(dir.join("results"), b"").unwrap();
-    let exe = env!("CARGO_BIN_EXE_fig14_oneway");
-    let out = Command::new(exe)
-        .args(["--bench", "water-sp", "--cores", "4", "--scale", "0.01", "--quiet"])
-        .current_dir(&dir)
-        .output()
-        .expect("launch binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("error: cannot write results/fig14_oneway.csv"), "{stderr:?}");
-    assert!(!stderr.contains("panicked"), "{stderr:?}");
+    // `all_figures` renders the tables first; the first figure with a CSV
+    // is the one that fails.
+    let cases = [
+        (env!("CARGO_BIN_EXE_fig14_oneway"), "fig14_oneway.csv"),
+        (env!("CARGO_BIN_EXE_all_figures"), "fig01_02_utilization.csv"),
+    ];
+    for (exe, csv) in cases {
+        let out = Command::new(exe)
+            .args(["--bench", "water-sp", "--cores", "4", "--scale", "0.01", "--quiet"])
+            .current_dir(&dir)
+            .output()
+            .expect("launch binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: cannot write results/{csv}")),
+            "{exe}: {stderr:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{exe}: {stderr:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -79,8 +79,8 @@ pub(crate) enum Event {
 // Every queued occurrence moves one `Event` through the calendar queue,
 // so its size is the hot-path unit of the whole simulation. Payloads
 // carry slab handles instead of inline `LineData` (which made `Event`
-// 120 bytes); this pins the bound.
-const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+// 120 bytes); this pins the bound at today's 56 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
 
 /// Run-time switches that do not belong to the simulated machine
 /// ([`SystemConfig`] describes the machine; this describes the run).
