@@ -81,32 +81,49 @@ pub struct ClassifyOutcome {
 const FLAG_PRIVATE: u8 = 1;
 const FLAG_ACTIVE: u8 = 2;
 const FLAG_STICKY_REMOTE: u8 = 4;
+/// The flags take the low three bits of [`CoreInfo::bits`] and the RAT
+/// level (below [`MAX_RAT_LEVELS`], so three bits) the next three.
+const FLAG_MASK: u8 = 0b111;
+const RAT_SHIFT: u32 = 3;
 
 /// Locality record for one core: mode bit, remote utilization counter and
 /// RAT level (Figures 6 and 7), plus the active bit §3.4 uses to pick
 /// replacement victims and the sticky bit of the one-way protocol (§3.7).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct CoreInfo {
     core: u16,
-    flags: u8,
+    /// The flags and the RAT level, packed (see [`RAT_SHIFT`]).
+    bits: u8,
     remote_util: u8,
-    rat_level: u8,
 }
 
 impl CoreInfo {
     fn fresh(core: CoreId, mode: SharerMode, one_way: bool) -> Self {
-        let mut flags = if mode == SharerMode::Private { FLAG_PRIVATE } else { 0 };
+        let mut bits = if mode == SharerMode::Private { FLAG_PRIVATE } else { 0 };
         // Under Adapt1-way (§3.7) remote is absorbing: a core that *enters*
         // remote mode — whether by its own demotion or by majority-vote
         // initialization — can never be promoted.
         if one_way && mode == SharerMode::Remote {
-            flags |= FLAG_STICKY_REMOTE;
+            bits |= FLAG_STICKY_REMOTE;
         }
-        CoreInfo { core: core.index() as u16, flags, remote_util: 0, rat_level: 0 }
+        CoreInfo { core: core.index() as u16, bits, remote_util: 0 }
+    }
+
+    fn flags(&self) -> u8 {
+        self.bits & FLAG_MASK
+    }
+
+    fn rat_level(&self) -> u8 {
+        self.bits >> RAT_SHIFT
+    }
+
+    fn set_rat_level(&mut self, level: u8) {
+        debug_assert!(usize::from(level) < MAX_RAT_LEVELS, "RAT level {level} beyond the ladder");
+        self.bits = self.flags() | level << RAT_SHIFT;
     }
 
     fn mode(&self) -> SharerMode {
-        if self.flags & FLAG_PRIVATE != 0 {
+        if self.bits & FLAG_PRIVATE != 0 {
             SharerMode::Private
         } else {
             SharerMode::Remote
@@ -115,25 +132,25 @@ impl CoreInfo {
 
     fn set_mode(&mut self, mode: SharerMode) {
         match mode {
-            SharerMode::Private => self.flags |= FLAG_PRIVATE,
-            SharerMode::Remote => self.flags &= !FLAG_PRIVATE,
+            SharerMode::Private => self.bits |= FLAG_PRIVATE,
+            SharerMode::Remote => self.bits &= !FLAG_PRIVATE,
         }
     }
 
     fn active(&self) -> bool {
-        self.flags & FLAG_ACTIVE != 0
+        self.bits & FLAG_ACTIVE != 0
     }
 
     fn set_active(&mut self, a: bool) {
         if a {
-            self.flags |= FLAG_ACTIVE;
+            self.bits |= FLAG_ACTIVE;
         } else {
-            self.flags &= !FLAG_ACTIVE;
+            self.bits &= !FLAG_ACTIVE;
         }
     }
 
     fn sticky_remote(&self) -> bool {
-        self.flags & FLAG_STICKY_REMOTE != 0
+        self.bits & FLAG_STICKY_REMOTE != 0
     }
 }
 
@@ -192,20 +209,96 @@ impl ClassifierPolicy {
     }
 }
 
+/// Records a classifier keeps inline: Table 1's Limited_3 list.
+const INLINE: usize = 3;
+
+/// A classifier's records in list order: inline up to [`INLINE`], then
+/// on the heap. Only a list wider than that (Limited_k with k > 3, or
+/// Complete) moves to the heap, when its fourth core arrives.
+#[derive(Clone)]
+enum Records {
+    Inline { len: u8, infos: [CoreInfo; INLINE] },
+    Spilled(Vec<CoreInfo>),
+}
+
 /// The per-directory-entry locality classifier: the locality records of
-/// the tracked cores, in list order. It starts empty and allocates on the
-/// first tracked core, so an L2 install allocates nothing.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// the tracked cores, in list order. It starts empty, and a list of at
+/// most three cores (all of Limited_3's) allocates nothing.
+#[derive(Clone)]
 pub struct LocalityClassifier {
-    infos: Vec<CoreInfo>,
+    records: Records,
+}
+
+// Every resident L2 line holds one.
+const _: () = assert!(std::mem::size_of::<LocalityClassifier>() <= 24);
+
+impl Default for LocalityClassifier {
+    fn default() -> Self {
+        LocalityClassifier {
+            records: Records::Inline { len: 0, infos: [CoreInfo::default(); INLINE] },
+        }
+    }
+}
+
+impl PartialEq for LocalityClassifier {
+    fn eq(&self, other: &Self) -> bool {
+        self.infos() == other.infos()
+    }
+}
+
+impl Eq for LocalityClassifier {}
+
+impl std::fmt::Debug for LocalityClassifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.infos()).finish()
+    }
 }
 
 impl LocalityClassifier {
+    /// The tracked cores' records, in list order.
+    fn infos(&self) -> &[CoreInfo] {
+        match &self.records {
+            Records::Inline { len, infos } => &infos[..usize::from(*len)],
+            Records::Spilled(infos) => infos,
+        }
+    }
+
+    fn infos_mut(&mut self) -> &mut [CoreInfo] {
+        match &mut self.records {
+            Records::Inline { len, infos } => &mut infos[..usize::from(*len)],
+            Records::Spilled(infos) => infos,
+        }
+    }
+
+    /// Appends `info` at the end of the list, moving a full inline list
+    /// to the heap first.
+    fn push(&mut self, info: CoreInfo) -> &mut CoreInfo {
+        if let Records::Inline { len, infos } = &self.records {
+            if usize::from(*len) == INLINE {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(infos);
+                self.records = Records::Spilled(spilled);
+            }
+        }
+        match &mut self.records {
+            Records::Inline { len, infos } => {
+                let slot = &mut infos[usize::from(*len)];
+                *len += 1;
+                *slot = info;
+                slot
+            }
+            Records::Spilled(infos) => {
+                infos.push(info);
+                infos.last_mut().expect("just pushed")
+            }
+        }
+    }
+
     /// The mode this entry would use for `core` right now, without updating
     /// any state (untracked cores report the majority vote).
     #[cfg(test)]
     fn mode_of(&self, core: CoreId) -> SharerMode {
-        self.infos
+        self.infos()
             .iter()
             .find(|i| i.core as usize == core.index())
             .map_or_else(|| self.majority_vote(), |i| i.mode())
@@ -214,7 +307,13 @@ impl LocalityClassifier {
     /// Number of cores currently tracked.
     #[cfg(test)]
     fn tracked_count(&self) -> usize {
-        self.infos.len()
+        self.infos().len()
+    }
+
+    /// Whether the records moved to the heap.
+    #[cfg(test)]
+    pub(crate) fn spilled(&self) -> bool {
+        matches!(self.records, Records::Spilled(_))
     }
 
     /// Appends a canonical encoding of the classifier's mutable state to
@@ -225,12 +324,13 @@ impl LocalityClassifier {
     /// §3.4 replacement policy, so two states whose lists differ only in
     /// order are behaviorally distinct.
     pub fn encode_state(&self, out: &mut Vec<u64>, map: &mut dyn FnMut(usize) -> usize) {
-        out.push(self.infos.len() as u64);
-        out.extend(self.infos.iter().map(|info| {
+        let infos = self.infos();
+        out.push(infos.len() as u64);
+        out.extend(infos.iter().map(|info| {
             ((map(info.core as usize) as u64) << 24)
-                | (u64::from(info.flags) << 16)
+                | (u64::from(info.flags()) << 16)
                 | (u64::from(info.remote_util) << 8)
-                | u64::from(info.rat_level)
+                | u64::from(info.rat_level())
         }));
     }
 
@@ -281,7 +381,7 @@ impl LocalityClassifier {
         let threshold = if policy.timestamp_mech || hints.set_has_invalid {
             policy.pct
         } else {
-            policy.ladder[(info.rat_level as usize).min(policy.ladder.len() - 1)]
+            policy.ladder[usize::from(info.rat_level()).min(policy.ladder.len() - 1)]
         };
 
         if info.remote_util as u32 >= threshold && !(policy.one_way && info.sticky_remote()) {
@@ -299,7 +399,7 @@ impl LocalityClassifier {
     /// and those sharers become inactive (§3.2, §3.4 — "a remote sharer
     /// becomes inactive on a write by another core").
     pub fn on_write(&mut self, writer: CoreId) {
-        for info in &mut self.infos {
+        for info in self.infos_mut() {
             if info.core as usize != writer.index() && info.mode() == SharerMode::Remote {
                 info.remote_util = 0;
                 info.set_active(false);
@@ -336,18 +436,18 @@ impl LocalityClassifier {
             SharerMode::Private => {
                 // §3.3: classified private on removal -> RAT resets so the
                 // core can re-learn its classification.
-                info.rat_level = 0;
+                info.set_rat_level(0);
                 info.set_mode(SharerMode::Private);
             }
             SharerMode::Remote => {
                 if reason == RemovalReason::Eviction {
                     // Eviction signals set pressure: harder to re-promote.
                     let max_level = (policy.ladder.len() - 1) as u8;
-                    info.rat_level = (info.rat_level + 1).min(max_level);
+                    info.set_rat_level((info.rat_level() + 1).min(max_level));
                 }
                 info.set_mode(SharerMode::Remote);
                 if policy.one_way {
-                    info.flags |= FLAG_STICKY_REMOTE;
+                    info.bits |= FLAG_STICKY_REMOTE;
                 }
             }
         }
@@ -360,8 +460,9 @@ impl LocalityClassifier {
     /// Majority vote over tracked modes; ties and an empty list report
     /// `Private`, the §3.2 initial mode.
     fn majority_vote(&self) -> SharerMode {
-        let private = self.infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
-        if 2 * private >= self.infos.len() {
+        let infos = self.infos();
+        let private = infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
+        if 2 * private >= infos.len() {
             SharerMode::Private
         } else {
             SharerMode::Remote
@@ -376,25 +477,291 @@ impl LocalityClassifier {
         policy: &ClassifierPolicy,
         core: CoreId,
     ) -> Option<&mut CoreInfo> {
-        if let Some(pos) = self.infos.iter().position(|i| i.core as usize == core.index()) {
-            return Some(&mut self.infos[pos]);
+        if let Some(pos) = self.infos().iter().position(|i| i.core as usize == core.index()) {
+            return Some(&mut self.infos_mut()[pos]);
         }
-        if self.infos.len() < policy.k {
+        if self.infos().len() < policy.k {
             // Free entry: "it allocates the entry to the core and the
             // actions described in Section 3.2 are carried out" — i.e. the
             // §3.2 initial mode, Private, unless the §5.3 shortcut infers
             // it from the cores already tracked.
             let mode = if policy.infer_first { self.majority_vote() } else { SharerMode::Private };
-            self.infos.push(CoreInfo::fresh(core, mode, policy.one_way));
-            return self.infos.last_mut();
+            return Some(self.push(CoreInfo::fresh(core, mode, policy.one_way)));
         }
         // Replace an inactive sharer if one exists (§3.4): an ideal
         // candidate "is a core that is currently not using the cache
         // line". It starts in the majority mode of the tracked cores.
         let mode = self.majority_vote();
-        let pos = self.infos.iter().position(|i| !i.active())?;
-        self.infos[pos] = CoreInfo::fresh(core, mode, policy.one_way);
-        Some(&mut self.infos[pos])
+        let pos = self.infos().iter().position(|i| !i.active())?;
+        let slot = &mut self.infos_mut()[pos];
+        *slot = CoreInfo::fresh(core, mode, policy.one_way);
+        Some(slot)
+    }
+}
+
+/// A classifier that keeps its unpacked records in one `Vec`, in list
+/// order: the reference the inline store is checked against.
+#[cfg(test)]
+mod reference {
+    use lacc_model::{CoreId, Cycle};
+
+    use super::{
+        ClassifierPolicy, ClassifyOutcome, RemovalReason, RequestHints, SharerMode, FLAG_ACTIVE,
+        FLAG_PRIVATE, FLAG_STICKY_REMOTE,
+    };
+
+    /// Locality record for one core: mode bit, remote utilization counter and
+    /// RAT level (Figures 6 and 7), plus the active bit §3.4 uses to pick
+    /// replacement victims and the sticky bit of the one-way protocol (§3.7).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct CoreInfo {
+        core: u16,
+        flags: u8,
+        remote_util: u8,
+        rat_level: u8,
+    }
+
+    impl CoreInfo {
+        fn fresh(core: CoreId, mode: SharerMode, one_way: bool) -> Self {
+            let mut flags = if mode == SharerMode::Private { FLAG_PRIVATE } else { 0 };
+            // Under Adapt1-way (§3.7) remote is absorbing: a core that *enters*
+            // remote mode — whether by its own demotion or by majority-vote
+            // initialization — can never be promoted.
+            if one_way && mode == SharerMode::Remote {
+                flags |= FLAG_STICKY_REMOTE;
+            }
+            CoreInfo { core: core.index() as u16, flags, remote_util: 0, rat_level: 0 }
+        }
+
+        fn mode(&self) -> SharerMode {
+            if self.flags & FLAG_PRIVATE != 0 {
+                SharerMode::Private
+            } else {
+                SharerMode::Remote
+            }
+        }
+
+        fn set_mode(&mut self, mode: SharerMode) {
+            match mode {
+                SharerMode::Private => self.flags |= FLAG_PRIVATE,
+                SharerMode::Remote => self.flags &= !FLAG_PRIVATE,
+            }
+        }
+
+        fn active(&self) -> bool {
+            self.flags & FLAG_ACTIVE != 0
+        }
+
+        fn set_active(&mut self, a: bool) {
+            if a {
+                self.flags |= FLAG_ACTIVE;
+            } else {
+                self.flags &= !FLAG_ACTIVE;
+            }
+        }
+
+        fn sticky_remote(&self) -> bool {
+            self.flags & FLAG_STICKY_REMOTE != 0
+        }
+    }
+
+    /// The per-directory-entry locality classifier: the locality records of
+    /// the tracked cores, in list order. It starts empty and allocates on the
+    /// first tracked core, so an L2 install allocates nothing.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub(super) struct LocalityClassifier {
+        infos: Vec<CoreInfo>,
+    }
+
+    impl LocalityClassifier {
+        /// Appends a canonical encoding of the classifier's mutable state to
+        /// `out`, remapping core indices through `map` (the model checker's
+        /// symmetry-reduction hook; identity for an unpermuted fingerprint).
+        ///
+        /// Entries are emitted in *list order*: the list position feeds the
+        /// §3.4 replacement policy, so two states whose lists differ only in
+        /// order are behaviorally distinct.
+        pub(super) fn encode_state(&self, out: &mut Vec<u64>, map: &mut dyn FnMut(usize) -> usize) {
+            out.push(self.infos.len() as u64);
+            out.extend(self.infos.iter().map(|info| {
+                ((map(info.core as usize) as u64) << 24)
+                    | (u64::from(info.flags) << 16)
+                    | (u64::from(info.remote_util) << 8)
+                    | u64::from(info.rat_level)
+            }));
+        }
+
+        /// Classifies a miss request from `core` and updates utilization
+        /// counters per §3.2/§3.3.
+        ///
+        /// `line_last_access` is the line's last-access time at the L2 (used by
+        /// the Timestamp check); `now` is the current cycle. The caller must
+        /// afterwards call [`LocalityClassifier::on_write`] if the request is a
+        /// write, and hand out a line or word according to the returned mode.
+        pub(super) fn classify_request(
+            &mut self,
+            policy: &ClassifierPolicy,
+            core: CoreId,
+            hints: RequestHints,
+            line_last_access: Cycle,
+        ) -> ClassifyOutcome {
+            let Some(info) = self.lookup_or_allocate(policy, core) else {
+                // Limited_k list full of active sharers: classify by majority
+                // vote, leave the list unchanged (§3.4).
+                return ClassifyOutcome {
+                    mode: self.majority_vote(),
+                    promoted: false,
+                    tracked: false,
+                };
+            };
+
+            if info.mode() == SharerMode::Private {
+                info.set_active(true);
+                return ClassifyOutcome {
+                    mode: SharerMode::Private,
+                    promoted: false,
+                    tracked: true,
+                };
+            }
+
+            // Remote sharer: update the remote utilization counter.
+            if policy.timestamp_mech {
+                // Timestamp check (§3.2): count the access only if the line at
+                // the L2 is more recent than the coldest line of the
+                // requester's L1 set (trivially true with an invalid way).
+                let passes = hints.set_has_invalid || line_last_access > hints.set_min_last_access;
+                if passes {
+                    info.remote_util = info.remote_util.saturating_add(1);
+                } else {
+                    info.remote_util = 1;
+                }
+            } else {
+                info.remote_util = info.remote_util.saturating_add(1).min(policy.util_cap);
+            }
+
+            // Promotion threshold: PCT under Timestamp; the RAT ladder under
+            // the approximation, with the §3.3 shortcut that an invalid way in
+            // the requester's set lowers the bar back to PCT (promotion cannot
+            // pollute the cache).
+            let threshold = if policy.timestamp_mech || hints.set_has_invalid {
+                policy.pct
+            } else {
+                policy.ladder[(info.rat_level as usize).min(policy.ladder.len() - 1)]
+            };
+
+            if info.remote_util as u32 >= threshold && !(policy.one_way && info.sticky_remote()) {
+                info.set_mode(SharerMode::Private);
+                info.set_active(true);
+                ClassifyOutcome { mode: SharerMode::Private, promoted: true, tracked: true }
+            } else {
+                info.set_active(true);
+                ClassifyOutcome { mode: SharerMode::Remote, promoted: false, tracked: true }
+            }
+        }
+
+        /// A write by `writer` has been serialized at this entry: the remote
+        /// utilization counters of all *other* remote sharers are reset to zero
+        /// and those sharers become inactive (§3.2, §3.4 — "a remote sharer
+        /// becomes inactive on a write by another core").
+        pub(super) fn on_write(&mut self, writer: CoreId) {
+            for info in &mut self.infos {
+                if info.core as usize != writer.index() && info.mode() == SharerMode::Remote {
+                    info.remote_util = 0;
+                    info.set_active(false);
+                }
+            }
+        }
+
+        /// A private copy held by `core` was removed (invalidation ack or
+        /// eviction notify) carrying `private_util`. Runs the §3.2
+        /// classification — stay private iff `private + remote >= PCT` — and
+        /// the §3.3 RAT adjustment. Returns the core's new mode.
+        pub(super) fn on_sharer_removed(
+            &mut self,
+            policy: &ClassifierPolicy,
+            core: CoreId,
+            private_util: u32,
+            reason: RemovalReason,
+        ) -> SharerMode {
+            let pct = policy.pct;
+            let Some(info) = self.lookup_or_allocate(policy, core) else {
+                // Untracked and unallocatable: the classification cannot be
+                // stored. Compute it against a zero remote counter anyway so
+                // the caller can at least report it.
+                return if private_util >= pct { SharerMode::Private } else { SharerMode::Remote };
+            };
+
+            let total = private_util + info.remote_util as u32;
+            let new_mode = if total >= pct && !(policy.one_way && info.sticky_remote()) {
+                SharerMode::Private
+            } else {
+                SharerMode::Remote
+            };
+            match new_mode {
+                SharerMode::Private => {
+                    // §3.3: classified private on removal -> RAT resets so the
+                    // core can re-learn its classification.
+                    info.rat_level = 0;
+                    info.set_mode(SharerMode::Private);
+                }
+                SharerMode::Remote => {
+                    if reason == RemovalReason::Eviction {
+                        // Eviction signals set pressure: harder to re-promote.
+                        let max_level = (policy.ladder.len() - 1) as u8;
+                        info.rat_level = (info.rat_level + 1).min(max_level);
+                    }
+                    info.set_mode(SharerMode::Remote);
+                    if policy.one_way {
+                        info.flags |= FLAG_STICKY_REMOTE;
+                    }
+                }
+            }
+            info.remote_util = 0;
+            // A private sharer becomes inactive on invalidation or eviction.
+            info.set_active(false);
+            new_mode
+        }
+
+        /// Majority vote over tracked modes; ties and an empty list report
+        /// `Private`, the §3.2 initial mode.
+        fn majority_vote(&self) -> SharerMode {
+            let private = self.infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
+            if 2 * private >= self.infos.len() {
+                SharerMode::Private
+            } else {
+                SharerMode::Remote
+            }
+        }
+
+        /// Finds the record for `core`, allocating a free entry or replacing
+        /// an inactive sharer. Returns `None` when the list holds `k` active
+        /// sharers.
+        fn lookup_or_allocate(
+            &mut self,
+            policy: &ClassifierPolicy,
+            core: CoreId,
+        ) -> Option<&mut CoreInfo> {
+            if let Some(pos) = self.infos.iter().position(|i| i.core as usize == core.index()) {
+                return Some(&mut self.infos[pos]);
+            }
+            if self.infos.len() < policy.k {
+                // Free entry: "it allocates the entry to the core and the
+                // actions described in Section 3.2 are carried out" — i.e. the
+                // §3.2 initial mode, Private, unless the §5.3 shortcut infers
+                // it from the cores already tracked.
+                let mode =
+                    if policy.infer_first { self.majority_vote() } else { SharerMode::Private };
+                self.infos.push(CoreInfo::fresh(core, mode, policy.one_way));
+                return self.infos.last_mut();
+            }
+            // Replace an inactive sharer if one exists (§3.4): an ideal
+            // candidate "is a core that is currently not using the cache
+            // line". It starts in the majority mode of the tracked cores.
+            let mode = self.majority_vote();
+            let pos = self.infos.iter().position(|i| !i.active())?;
+            self.infos[pos] = CoreInfo::fresh(core, mode, policy.one_way);
+            Some(&mut self.infos[pos])
+        }
     }
 }
 
@@ -830,7 +1197,81 @@ mod proptests {
         )
     }
 
+    fn state(encode: impl FnOnce(&mut Vec<u64>, &mut dyn FnMut(usize) -> usize)) -> Vec<u64> {
+        let mut out = Vec::new();
+        encode(&mut out, &mut |i| i);
+        out
+    }
+
     proptest! {
+        /// The inline store behaves exactly like the `Vec`-backed
+        /// reference on a 64-core machine: Limited_k with k of 1, 3
+        /// (inline only), 5 and 64 (both spill to the heap), and
+        /// Complete with or without the §5.3 shortcut. After every
+        /// event, both return the same outcome and encode the same
+        /// state, list order included.
+        #[test]
+        fn inline_store_matches_vec_reference(
+            setting in (1u32..6, 0usize..5, 0usize..4, proptest::bool::ANY, proptest::bool::ANY),
+            events in proptest::collection::vec(
+                (prop_oneof![0usize..8, 0usize..64], 0u8..3, 0u32..8, 0u8..4, 0u64..16),
+                1..200,
+            ),
+        ) {
+            let (pct, tracking, levels, one_way, shortcut) = setting;
+            let cfg = ClassifierConfig {
+                pct,
+                tracking: match tracking {
+                    4 => TrackingKind::Complete,
+                    i => TrackingKind::Limited { k: [1, 3, 5, 64][i] },
+                },
+                mechanism: match levels {
+                    0 => MechanismKind::Timestamp,
+                    levels => MechanismKind::RatLevels { levels, rat_max: pct + 12 },
+                },
+                one_way,
+                shortcut,
+            };
+            let policy = ClassifierPolicy::new(&cfg, 64);
+            let mut inline = LocalityClassifier::default();
+            let mut reference = super::reference::LocalityClassifier::default();
+            for (core, ev, util, how, when) in events {
+                let core = CoreId::new(core);
+                match ev {
+                    0 => {
+                        let hints =
+                            RequestHints { set_min_last_access: when, set_has_invalid: how == 0 };
+                        prop_assert_eq!(
+                            inline.classify_request(&policy, core, hints, 8),
+                            reference.classify_request(&policy, core, hints, 8)
+                        );
+                    }
+                    1 => {
+                        let reason = [
+                            RemovalReason::Eviction,
+                            RemovalReason::Invalidation,
+                            RemovalReason::BackInvalidation,
+                        ][usize::from(how % 3)];
+                        prop_assert_eq!(
+                            inline.on_sharer_removed(&policy, core, util, reason),
+                            reference.on_sharer_removed(&policy, core, util, reason)
+                        );
+                    }
+                    _ => {
+                        inline.on_write(core);
+                        reference.on_write(core);
+                    }
+                }
+                prop_assert_eq!(
+                    state(|out, map| inline.encode_state(out, map)),
+                    state(|out, map| reference.encode_state(out, map))
+                );
+                if policy.k <= INLINE {
+                    prop_assert!(!inline.spilled(), "a list of at most {} cores stays inline", INLINE);
+                }
+            }
+        }
+
         /// The classifier never crashes and always returns a definite mode
         /// under arbitrary event interleavings, and Limited_k never tracks
         /// more than k cores.

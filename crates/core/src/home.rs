@@ -101,6 +101,9 @@ pub struct HomeDecision {
     pub outcome: ClassifyOutcome,
 }
 
+// Each request's decision moves through the home; this pins its size.
+const _: () = assert!(std::mem::size_of::<HomeDecision>() <= 32);
+
 /// The directory settings of one machine, shared by all its entries: the
 /// sharer pointer budget and the classifier policy.
 #[derive(PartialEq, Eq, Debug)]
@@ -578,6 +581,41 @@ mod tests {
             e.complete_grant(c(core), Grant::LineShared);
         }
         assert_eq!(e.sharers.known_sharers().map(|s| s.len()), Some(8));
+    }
+
+    /// A Table-1 line (64 cores, ACKwise_4, Limited_3) keeps its sharers
+    /// and its locality list inline through any mix of requests and
+    /// removals: its directory state never allocates.
+    #[test]
+    fn table1_entry_state_stays_inline() {
+        let cfg = lacc_model::SystemConfig::isca13_64core();
+        let mut e = DirectoryEntry::new(cfg.directory, &cfg.classifier, cfg.num_cores);
+        let mut now = 0;
+        for round in 0..40usize {
+            for core in (round % 7..64).step_by(5) {
+                now += 1;
+                let req = if (core + round) % 9 == 0 { write(core) } else { read(core) };
+                let d = e.begin_request(&req, now);
+                if let Some(o) = d.fetch_from_owner {
+                    e.owner_downgraded(o);
+                }
+                if let Some(plan) = &d.invalidate {
+                    let cores: Vec<CoreId> = match plan {
+                        SharerTracker::Exact(set) => set.iter().collect(),
+                        SharerTracker::CountOnly(_) => (0..64).map(c).collect(),
+                    };
+                    for s in cores {
+                        e.sharer_response(s, (core % 5) as u32, RemovalReason::Invalidation);
+                    }
+                }
+                e.complete_grant(c(core), d.grant);
+                if core % 4 == 0 {
+                    e.sharer_response(c(core), 2, RemovalReason::Eviction);
+                }
+                assert!(!e.sharers.spilled(), "sharers of 64 cores stay in one word");
+                assert!(!e.classifier.spilled(), "Limited_3 records stay inline");
+            }
+        }
     }
 
     #[test]

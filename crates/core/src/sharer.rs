@@ -11,11 +11,118 @@
 //! unicast round, a `CountOnly` count a broadcast), and the responses a
 //! home still awaits, drained by [`SharerTracker::remove`].
 //!
-//! Sharer identities are stored as [`CoreSet`] bitmaps — fixed-width,
-//! allocation-free, O(1) membership — rather than heap vectors; unicast
-//! invalidation rounds therefore visit sharers in ascending core order.
+//! An exact set is sized to the machine, not to the largest machine the
+//! simulator accepts: cores 0..63 live in one inline word, and cores 64
+//! and up in a boxed [`CoreSet`] that exists only while one of them is a
+//! member. On a machine of at most 64 cores (Table 1 and every figure) a
+//! sharer set never allocates. Iteration is ascending, the low word first,
+//! so unicast invalidation rounds visit sharers in ascending core order.
+
+use std::fmt;
 
 use lacc_model::{CoreId, CoreSet};
+
+/// Cores below this index live in the inline word of a [`SharerSet`].
+const LOW_CORES: usize = 64;
+
+/// An exact set of sharers: an inline word for cores 0..63 and, only
+/// while a core at index 64 or above is a member, a boxed [`CoreSet`]
+/// holding those cores.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct SharerSet {
+    low: u64,
+    /// Members at index 64 and above; `None` whenever there are none.
+    high: Option<Box<CoreSet>>,
+}
+
+impl SharerSet {
+    /// Creates an empty set.
+    #[must_use]
+    pub const fn new() -> Self {
+        SharerSet { low: 0, high: None }
+    }
+
+    /// Number of member cores.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.as_ref().map_or(0, |h| h.len())
+    }
+
+    /// `true` when no core is a member.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_none()
+    }
+
+    /// Whether `core` is a member.
+    #[must_use]
+    pub fn contains(&self, core: CoreId) -> bool {
+        let i = core.index();
+        if i < LOW_CORES {
+            self.low >> i & 1 == 1
+        } else {
+            self.high.as_ref().is_some_and(|h| h.contains(core))
+        }
+    }
+
+    /// Adds `core`; returns `true` if it was not already a member.
+    pub fn insert(&mut self, core: CoreId) -> bool {
+        let i = core.index();
+        if i < LOW_CORES {
+            let fresh = self.low >> i & 1 == 0;
+            self.low |= 1 << i;
+            fresh
+        } else {
+            self.high.get_or_insert_with(Box::default).insert(core)
+        }
+    }
+
+    /// Removes `core`; returns `true` if it was a member. The boxed part
+    /// is freed when its last member leaves.
+    pub fn remove(&mut self, core: CoreId) -> bool {
+        let i = core.index();
+        if i < LOW_CORES {
+            let present = self.low >> i & 1 == 1;
+            self.low &= !(1 << i);
+            return present;
+        }
+        let Some(high) = &mut self.high else { return false };
+        let present = high.remove(core);
+        if high.is_empty() {
+            self.high = None;
+        }
+        present
+    }
+
+    /// Iterates the members in ascending core order.
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
+        let mut low = self.low;
+        std::iter::from_fn(move || {
+            (low != 0).then(|| {
+                let bit = low.trailing_zeros() as usize;
+                low &= low - 1;
+                CoreId::new(bit)
+            })
+        })
+        .chain(self.high.iter().flat_map(|h| h.iter()))
+    }
+}
+
+impl fmt::Debug for SharerSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter().map(|c| c.index())).finish()
+    }
+}
+
+impl FromIterator<CoreId> for SharerSet {
+    fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> Self {
+        let mut s = SharerSet::new();
+        for c in iter {
+            s.insert(c);
+        }
+        s
+    }
+}
 
 /// Sharer-set representation for one directory entry: ACKwise_p (§3.1),
 /// exact pointers until overflow, then a bare count (identities dropped).
@@ -25,17 +132,20 @@ use lacc_model::{CoreId, CoreSet};
 /// [`SharerTracker::add`]. A full map is ACKwise_n on an n-core machine:
 /// a core outside a set of n sharers does not exist, so n pointers never
 /// overflow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SharerTracker {
     /// Exact sharer pointers (count <= p).
-    Exact(CoreSet),
+    Exact(SharerSet),
     /// Sharer count only, after pointer overflow.
-    CountOnly(usize),
+    CountOnly(u32),
 }
+
+// Every resident L2 line and every in-flight invalidation round holds one.
+const _: () = assert!(std::mem::size_of::<SharerTracker>() <= 24);
 
 impl Default for SharerTracker {
     fn default() -> Self {
-        SharerTracker::Exact(CoreSet::new())
+        SharerTracker::Exact(SharerSet::new())
     }
 }
 
@@ -46,14 +156,17 @@ impl SharerTracker {
     pub fn count(&self) -> usize {
         match self {
             SharerTracker::Exact(s) => s.len(),
-            SharerTracker::CountOnly(n) => *n,
+            SharerTracker::CountOnly(n) => *n as usize,
         }
     }
 
     /// `true` when no core holds a private copy.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        match self {
+            SharerTracker::Exact(s) => s.is_empty(),
+            SharerTracker::CountOnly(n) => *n == 0,
+        }
     }
 
     /// Whether `core` is a sharer: `Some(bool)` when the representation
@@ -77,9 +190,10 @@ impl SharerTracker {
         match self {
             SharerTracker::Exact(s) => {
                 if !s.contains(core) {
-                    if s.len() == pointers {
+                    let len = s.len();
+                    if len == pointers {
                         // Overflow: drop identities, keep the count.
-                        *self = SharerTracker::CountOnly(s.len() + 1);
+                        *self = SharerTracker::CountOnly(len as u32 + 1);
                     } else {
                         s.insert(core);
                     }
@@ -110,11 +224,18 @@ impl SharerTracker {
         }
     }
 
+    /// Whether an exact set holds a core at index 64 or above, and so a
+    /// boxed part.
+    #[cfg(test)]
+    pub(crate) fn spilled(&self) -> bool {
+        matches!(self, SharerTracker::Exact(s) if s.high.is_some())
+    }
+
     /// Sharer identities, when known exactly.
     #[must_use]
     pub fn known_sharers(&self) -> Option<CoreSet> {
         match self {
-            SharerTracker::Exact(s) => Some(*s),
+            SharerTracker::Exact(s) => Some(s.iter().collect()),
             SharerTracker::CountOnly(_) => None,
         }
     }
@@ -125,7 +246,7 @@ impl SharerTracker {
     /// count is a broadcast awaiting that many responses.
     #[must_use]
     pub fn invalidation_plan(&self, skip: Option<CoreId>) -> Option<SharerTracker> {
-        let mut plan = *self;
+        let mut plan = self.clone();
         if let (SharerTracker::Exact(set), Some(s)) = (&mut plan, skip) {
             set.remove(s);
         }
@@ -147,6 +268,10 @@ mod tests {
 
     fn set(cores: &[usize]) -> CoreSet {
         cores.iter().map(|&n| c(n)).collect()
+    }
+
+    fn exact(cores: &[usize]) -> SharerTracker {
+        SharerTracker::Exact(cores.iter().map(|&n| c(n)).collect())
     }
 
     /// The pointer budget of a full map on the largest machine.
@@ -199,9 +324,9 @@ mod tests {
         assert_eq!(t.invalidation_plan(None), None);
         t.add(c(1), 4);
         t.add(c(2), 4);
-        assert_eq!(t.invalidation_plan(None), Some(SharerTracker::Exact(set(&[1, 2]))));
+        assert_eq!(t.invalidation_plan(None), Some(exact(&[1, 2])));
         // Skip the requester during an upgrade.
-        assert_eq!(t.invalidation_plan(Some(c(1))), Some(SharerTracker::Exact(set(&[2]))));
+        assert_eq!(t.invalidation_plan(Some(c(1))), Some(exact(&[2])));
         assert_eq!(t.invalidation_plan(Some(c(9))).unwrap().count(), 2);
         t.remove(c(2));
         assert_eq!(t.invalidation_plan(Some(c(1))), None, "only the requester holds it");
@@ -213,10 +338,32 @@ mod tests {
         assert_eq!(t.invalidation_plan(Some(c(1))), Some(SharerTracker::CountOnly(5)));
     }
 
+    /// Cores below 64 stay in the inline word; the first core at 64 or
+    /// above boxes the rest of the set, and the box goes with the last one.
+    #[test]
+    fn high_cores_spill_and_return() {
+        let mut s: SharerSet = [63, 0, 5].into_iter().map(c).collect();
+        assert!(s.high.is_none(), "cores below 64 allocate nothing");
+        assert!(s.insert(c(700)));
+        assert!(s.insert(c(64)));
+        assert!(!s.insert(c(64)));
+        assert_eq!(s.len(), 5);
+        assert!(s.contains(c(700)) && s.contains(c(63)) && !s.contains(c(65)));
+        let order: Vec<usize> = s.iter().map(CoreId::index).collect();
+        assert_eq!(order, [0, 5, 63, 64, 700], "ascending, the inline word first");
+        assert_eq!(format!("{s:?}"), "{0, 5, 63, 64, 700}");
+        assert!(s.remove(c(64)));
+        assert!(!s.remove(c(64)));
+        assert!(s.remove(c(700)));
+        assert!(s.high.is_none(), "the box goes with its last core");
+        assert!(!s.remove(c(900)));
+        assert_eq!(s, [0, 5, 63].into_iter().map(c).collect());
+    }
+
     /// A home awaiting a unicast round counts each awaited core once.
     #[test]
     fn exact_remove_tracks_identities() {
-        let mut a = SharerTracker::Exact(set(&[1, 4]));
+        let mut a = exact(&[1, 4]);
         assert!(!a.is_empty());
         assert!(a.remove(c(4)));
         assert!(!a.remove(c(4)), "double response not awaited");
@@ -239,10 +386,118 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use lacc_model::MAX_CORES as MAX;
     use proptest::prelude::*;
 
+    /// The reference ACKwise_p tracker: a `BTreeSet` of identities, or a
+    /// bare count after overflow.
+    #[derive(Clone, Debug)]
+    enum Model {
+        Exact(BTreeSet<usize>),
+        Count(usize),
+    }
+
+    impl Model {
+        fn add(&mut self, core: usize, pointers: usize) {
+            match self {
+                Model::Exact(set) if !set.contains(&core) && set.len() == pointers => {
+                    *self = Model::Count(set.len() + 1);
+                }
+                Model::Exact(set) => {
+                    set.insert(core);
+                }
+                Model::Count(n) => *n += 1,
+            }
+        }
+
+        fn remove(&mut self, core: usize) -> bool {
+            match self {
+                Model::Exact(set) => set.remove(&core),
+                Model::Count(n) => {
+                    *n -= 1;
+                    if *n == 0 {
+                        *self = Model::Exact(BTreeSet::new());
+                    }
+                    true
+                }
+            }
+        }
+
+        fn plan(&self, skip: Option<usize>) -> Option<Result<Vec<usize>, usize>> {
+            match self {
+                Model::Exact(set) => {
+                    let rest: Vec<usize> =
+                        set.iter().copied().filter(|&c| Some(c) != skip).collect();
+                    (!rest.is_empty()).then_some(Ok(rest))
+                }
+                Model::Count(n) => Some(Err(*n)),
+            }
+        }
+    }
+
+    /// What a tracker shows: its identities in iteration order, or its
+    /// bare count.
+    fn observe(t: &SharerTracker) -> Result<Vec<usize>, usize> {
+        match t {
+            SharerTracker::Exact(set) => Ok(set.iter().map(CoreId::index).collect()),
+            SharerTracker::CountOnly(n) => Err(*n as usize),
+        }
+    }
+
     proptest! {
+        /// The tracker agrees with the reference after every add and
+        /// remove, over the whole 1024-core range (so the boxed part of a
+        /// set is reached) and pointer budgets from ACKwise_1 to a full
+        /// map: count, membership, known identities, ascending iteration
+        /// and the invalidation plan with and without a skipped core.
+        #[test]
+        fn tracker_matches_reference(
+            ops in proptest::collection::vec(
+                (prop_oneof![0usize..80, 0usize..MAX], proptest::bool::ANY),
+                1..120,
+            ),
+            budget in 0usize..4,
+        ) {
+            let pointers = [1, 4, 64, MAX][budget];
+            let mut t = SharerTracker::default();
+            let mut model = Model::Exact(BTreeSet::new());
+            for (core, add) in ops {
+                let id = CoreId::new(core);
+                if add {
+                    t.add(id, pointers);
+                    model.add(core, pointers);
+                } else {
+                    prop_assert_eq!(t.remove(id), model.remove(core));
+                }
+                let shown = observe(&t);
+                match &model {
+                    Model::Exact(set) => {
+                        prop_assert_eq!(&shown, &Ok(set.iter().copied().collect::<Vec<_>>()));
+                        prop_assert_eq!(t.count(), set.len());
+                        for probe in [core, 0, 63, 64, MAX - 1] {
+                            prop_assert_eq!(t.contains(CoreId::new(probe)), Some(set.contains(&probe)));
+                        }
+                        let known = t.known_sharers().map(|k| k.iter().map(CoreId::index).collect());
+                        prop_assert_eq!(known, Some(set.iter().copied().collect::<Vec<_>>()));
+                    }
+                    Model::Count(n) => {
+                        prop_assert_eq!(&shown, &Err(*n));
+                        prop_assert_eq!(t.count(), *n);
+                        prop_assert_eq!(t.contains(id), None);
+                        prop_assert!(t.known_sharers().is_none());
+                    }
+                }
+                prop_assert_eq!(t.is_empty(), t.count() == 0);
+                for skip in [None, Some(core)] {
+                    let plan = t.invalidation_plan(skip.map(CoreId::new));
+                    prop_assert_eq!(plan.as_ref().map(observe), model.plan(skip));
+                }
+            }
+        }
+
         /// ACKwise always reports the exact sharer count, matching a
         /// reference set, no matter how adds and removes interleave — the
         /// property that makes broadcast-ack collection terminate.

@@ -695,7 +695,7 @@ fn encode_sharers(sharers: &SharerTracker, out: &mut Vec<u64>, perm: &[usize]) {
         }
         SharerTracker::CountOnly(n) => {
             out.push(1);
-            out.push(*n as u64);
+            out.push(u64::from(*n));
         }
     }
 }

@@ -197,7 +197,7 @@ impl Simulator {
         match sharers {
             SharerTracker::Exact(cores) => {
                 let home = CoreId::new(tile);
-                for c in cores {
+                for c in cores.iter() {
                     self.protocol.invalidations_sent += 1;
                     self.send(home, c, line, Payload::Inv { back }, now);
                 }
@@ -249,7 +249,8 @@ impl Simulator {
             // planned unicast invalidations — neither sent nor awaited.
             if self.fault == Some(FaultInjection::DropInvalidation) {
                 if let SharerTracker::Exact(cores) = &mut awaiting {
-                    if let Some(victim) = cores.iter().next() {
+                    let first = cores.iter().next();
+                    if let Some(victim) = first {
                         cores.remove(victim);
                     }
                 }

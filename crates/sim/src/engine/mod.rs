@@ -620,4 +620,164 @@ mod tests {
         }
         Simulator::new(base.with_pct(255), idle()).unwrap().run();
     }
+
+    /// Runs a 128-core `small_for_tests` machine, twice the 64 cores of
+    /// Table 1 and of every figure, so directory sharer sets hold cores
+    /// at index 64 and above. Every core stores and reloads six lines of
+    /// its own that share an L2 set, reads a shared 32-line table and
+    /// writes one line of it once, and all cores fetch one text segment.
+    /// Returns the report and whether, at the end, some L2 line's exact
+    /// sharer set holds a core at index 64 or above.
+    fn run_128(cfg: SystemConfig) -> (SimReport, bool) {
+        use crate::trace::RegionDecl;
+        use lacc_model::Addr;
+        const CORES: u64 = 128;
+        const SHARED: u64 = 0x1000;
+        let at = |line: u64, word: u64| Addr::new(line * 64 + word * 8);
+        let traces = (0..CORES)
+            .map(|c| {
+                let mut ops = Vec::new();
+                for round in 0..8 {
+                    let own = 0x10_0000 + c * 256 + round % 6 * 32;
+                    ops.push(TraceOp::Store { addr: at(own, round), value: c * 100 + round });
+                    ops.push(TraceOp::Load { addr: at(SHARED + (c * 3 + round * 5) % 32, 0) });
+                    ops.push(TraceOp::Compute(3));
+                    if c % 8 == round {
+                        let line = SHARED + (c + round) % 32;
+                        ops.push(TraceOp::Store { addr: at(line, 1), value: c });
+                    }
+                    ops.push(TraceOp::Load { addr: at(own, 0) });
+                }
+                VecTrace::new(ops)
+            })
+            .collect();
+        let w = Workload {
+            name: "cores128".into(),
+            traces,
+            regions: vec![RegionDecl {
+                first_line: LineAddr::new(SHARED),
+                lines: 32,
+                class: RegionClass::Shared,
+            }],
+            instr_lines: 4,
+            instr_base: default_instr_base(),
+        };
+        let mut sim = Simulator::new(cfg, w).expect("valid config");
+        sim.event_loop();
+        let high = sim.tiles.iter().any(|tile| {
+            tile.l2.iter().any(|(_, l2line)| {
+                l2line
+                    .entry
+                    .sharers
+                    .known_sharers()
+                    .is_some_and(|s| s.iter().any(|c| c.index() >= 64))
+            })
+        });
+        (sim.finish(), high)
+    }
+
+    /// Above 64 cores a sharer set reaches its cores at index 64 and up;
+    /// the runs under ACKwise_4, the full map and the Complete classifier
+    /// are pinned to the counters they had while every sharer set was one
+    /// fixed 1024-bit map.
+    #[test]
+    fn machines_above_64_cores_are_pinned() {
+        use lacc_dram::DramStats;
+        use lacc_model::config::{DirectoryKind, TrackingKind};
+        use lacc_network::NetStats;
+        let base = SystemConfig::small_for_tests(128);
+        let full_map = SystemConfig { directory: DirectoryKind::FullMap, ..base.clone() };
+        let mut complete = base.clone();
+        complete.classifier.tracking = TrackingKind::Complete;
+        let pinned = [
+            (
+                "ackwise4",
+                base,
+                12_872,
+                ProtocolStats {
+                    line_grants: 2342,
+                    upgrades: 2,
+                    word_reads: 360,
+                    word_writes: 110,
+                    promotions: 0,
+                    demotions: 934,
+                    invalidations_sent: 166,
+                    broadcasts: 13,
+                    write_backs: 194,
+                    evictions: 770,
+                    l2_evictions: 577,
+                },
+                NetStats {
+                    unicasts: 6866,
+                    broadcasts: 13,
+                    router_flits: 282_601,
+                    link_flits: 250_768,
+                    contention_cycles: 701_198,
+                },
+                DramStats { accesses: 1761, bytes: 112_704, queue_cycles: 635_687 },
+            ),
+            (
+                "full_map",
+                full_map,
+                12_791,
+                ProtocolStats {
+                    line_grants: 2343,
+                    upgrades: 2,
+                    word_reads: 359,
+                    word_writes: 110,
+                    promotions: 0,
+                    demotions: 935,
+                    invalidations_sent: 294,
+                    broadcasts: 0,
+                    write_backs: 193,
+                    evictions: 770,
+                    l2_evictions: 577,
+                },
+                NetStats {
+                    unicasts: 7004,
+                    broadcasts: 0,
+                    router_flits: 281_966,
+                    link_flits: 250_009,
+                    contention_cycles: 712_460,
+                },
+                DramStats { accesses: 1761, bytes: 112_704, queue_cycles: 634_863 },
+            ),
+            (
+                "complete",
+                complete,
+                12_918,
+                ProtocolStats {
+                    line_grants: 2778,
+                    upgrades: 2,
+                    word_reads: 20,
+                    word_writes: 18,
+                    promotions: 0,
+                    demotions: 1311,
+                    invalidations_sent: 306,
+                    broadcasts: 36,
+                    write_backs: 263,
+                    evictions: 840,
+                    l2_evictions: 577,
+                },
+                NetStats {
+                    unicasts: 7482,
+                    broadcasts: 36,
+                    router_flits: 323_768,
+                    link_flits: 287_381,
+                    contention_cycles: 772_572,
+                },
+                DramStats { accesses: 1761, bytes: 112_704, queue_cycles: 507_257 },
+            ),
+        ];
+        for (name, cfg, completion, protocol, net, dram) in pinned {
+            let (r, high) = run_128(cfg);
+            assert!(high, "{name}: no exact sharer set holds a core above 63");
+            assert_eq!(r.monitor.violations, 0, "{name}");
+            assert_eq!(r.instructions, 6272, "{name}");
+            assert_eq!(r.completion_time, completion, "{name}");
+            assert_eq!(r.protocol, protocol, "{name}");
+            assert_eq!(r.net, net, "{name}");
+            assert_eq!(r.dram, dram, "{name}");
+        }
+    }
 }

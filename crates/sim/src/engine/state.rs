@@ -107,8 +107,9 @@ pub(crate) struct L2Line {
 
 // A Table-1 machine holds 64 × 4096 L2 ways, so each byte here is up to
 // 256 KiB of resident memory. The entry keeps only its line's state (the
-// settings live in the shared `DirectoryPolicy`); this pins the bound.
-const _: () = assert!(std::mem::size_of::<L2Line>() <= 208);
+// settings live in the shared `DirectoryPolicy`), its sharers and its
+// locality list inline at 64 cores; this pins the bound.
+const _: () = assert!(std::mem::size_of::<L2Line>() <= 88);
 
 /// Where an in-flight request transaction stands, with what that step
 /// still needs: the grant and promotion flag once the directory has
@@ -180,7 +181,7 @@ pub(crate) struct BusyLine {
 
 // A request keeps only what its phase needs, and an eviction only the
 // sharers it awaits; this pins the bound.
-const _: () = assert!(std::mem::size_of::<BusyLine>() <= 256);
+const _: () = assert!(std::mem::size_of::<BusyLine>() <= 136);
 
 /// One tile: the private L1 pair and the local shared-L2 slice with its
 /// busy lines.
