@@ -11,118 +11,12 @@
 //! unicast round, a `CountOnly` count a broadcast), and the responses a
 //! home still awaits, drained by [`SharerTracker::remove`].
 //!
-//! An exact set is sized to the machine, not to the largest machine the
-//! simulator accepts: cores 0..63 live in one inline word, and cores 64
-//! and up in a boxed [`CoreSet`] that exists only while one of them is a
-//! member. On a machine of at most 64 cores (Table 1 and every figure) a
-//! sharer set never allocates. Iteration is ascending, the low word first,
-//! so unicast invalidation rounds visit sharers in ascending core order.
-
-use std::fmt;
+//! The exact identities are a [`CoreSet`], sized to the machine rather
+//! than to the largest machine the simulator accepts: on at most 64 cores
+//! (Table 1 and every figure) a tracker never allocates. Its iteration is
+//! ascending, so unicast invalidation rounds visit sharers in core order.
 
 use lacc_model::{CoreId, CoreSet};
-
-/// Cores below this index live in the inline word of a [`SharerSet`].
-const LOW_CORES: usize = 64;
-
-/// An exact set of sharers: an inline word for cores 0..63 and, only
-/// while a core at index 64 or above is a member, a boxed [`CoreSet`]
-/// holding those cores.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct SharerSet {
-    low: u64,
-    /// Members at index 64 and above; `None` whenever there are none.
-    high: Option<Box<CoreSet>>,
-}
-
-impl SharerSet {
-    /// Creates an empty set.
-    #[must_use]
-    pub const fn new() -> Self {
-        SharerSet { low: 0, high: None }
-    }
-
-    /// Number of member cores.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.low.count_ones() as usize + self.high.as_ref().map_or(0, |h| h.len())
-    }
-
-    /// `true` when no core is a member.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.low == 0 && self.high.is_none()
-    }
-
-    /// Whether `core` is a member.
-    #[must_use]
-    pub fn contains(&self, core: CoreId) -> bool {
-        let i = core.index();
-        if i < LOW_CORES {
-            self.low >> i & 1 == 1
-        } else {
-            self.high.as_ref().is_some_and(|h| h.contains(core))
-        }
-    }
-
-    /// Adds `core`; returns `true` if it was not already a member.
-    pub fn insert(&mut self, core: CoreId) -> bool {
-        let i = core.index();
-        if i < LOW_CORES {
-            let fresh = self.low >> i & 1 == 0;
-            self.low |= 1 << i;
-            fresh
-        } else {
-            self.high.get_or_insert_with(Box::default).insert(core)
-        }
-    }
-
-    /// Removes `core`; returns `true` if it was a member. The boxed part
-    /// is freed when its last member leaves.
-    pub fn remove(&mut self, core: CoreId) -> bool {
-        let i = core.index();
-        if i < LOW_CORES {
-            let present = self.low >> i & 1 == 1;
-            self.low &= !(1 << i);
-            return present;
-        }
-        let Some(high) = &mut self.high else { return false };
-        let present = high.remove(core);
-        if high.is_empty() {
-            self.high = None;
-        }
-        present
-    }
-
-    /// Iterates the members in ascending core order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let mut low = self.low;
-        std::iter::from_fn(move || {
-            (low != 0).then(|| {
-                let bit = low.trailing_zeros() as usize;
-                low &= low - 1;
-                CoreId::new(bit)
-            })
-        })
-        .chain(self.high.iter().flat_map(|h| h.iter()))
-    }
-}
-
-impl fmt::Debug for SharerSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter().map(|c| c.index())).finish()
-    }
-}
-
-impl FromIterator<CoreId> for SharerSet {
-    fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> Self {
-        let mut s = SharerSet::new();
-        for c in iter {
-            s.insert(c);
-        }
-        s
-    }
-}
 
 /// Sharer-set representation for one directory entry: ACKwise_p (§3.1),
 /// exact pointers until overflow, then a bare count (identities dropped).
@@ -135,7 +29,7 @@ impl FromIterator<CoreId> for SharerSet {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SharerTracker {
     /// Exact sharer pointers (count <= p).
-    Exact(SharerSet),
+    Exact(CoreSet),
     /// Sharer count only, after pointer overflow.
     CountOnly(u32),
 }
@@ -145,7 +39,7 @@ const _: () = assert!(std::mem::size_of::<SharerTracker>() <= 24);
 
 impl Default for SharerTracker {
     fn default() -> Self {
-        SharerTracker::Exact(SharerSet::new())
+        SharerTracker::Exact(CoreSet::new())
     }
 }
 
@@ -224,18 +118,11 @@ impl SharerTracker {
         }
     }
 
-    /// Whether an exact set holds a core at index 64 or above, and so a
-    /// boxed part.
-    #[cfg(test)]
-    pub(crate) fn spilled(&self) -> bool {
-        matches!(self, SharerTracker::Exact(s) if s.high.is_some())
-    }
-
     /// Sharer identities, when known exactly.
     #[must_use]
-    pub fn known_sharers(&self) -> Option<CoreSet> {
+    pub fn known_sharers(&self) -> Option<&CoreSet> {
         match self {
-            SharerTracker::Exact(s) => Some(s.iter().collect()),
+            SharerTracker::Exact(s) => Some(s),
             SharerTracker::CountOnly(_) => None,
         }
     }
@@ -289,7 +176,7 @@ mod tests {
         assert!(t.remove(c(127)));
         assert!(!t.remove(c(127)));
         assert_eq!(t.count(), 1);
-        assert_eq!(t.known_sharers(), Some(set(&[0])));
+        assert_eq!(t.known_sharers(), Some(&set(&[0])));
     }
 
     #[test]
@@ -297,7 +184,7 @@ mod tests {
         let mut t = SharerTracker::default();
         t.add(c(1), 2);
         t.add(c(2), 2);
-        assert_eq!(t.known_sharers(), Some(set(&[1, 2])));
+        assert_eq!(t.known_sharers(), Some(&set(&[1, 2])));
         t.add(c(3), 2); // overflow: identities dropped
         assert_eq!(t.count(), 3);
         assert_eq!(t.known_sharers(), None);
@@ -315,7 +202,7 @@ mod tests {
         assert!(t.is_empty());
         // Back to exact mode.
         t.add(c(5), 1);
-        assert_eq!(t.known_sharers(), Some(set(&[5])));
+        assert_eq!(t.known_sharers(), Some(&set(&[5])));
     }
 
     #[test]
@@ -336,28 +223,6 @@ mod tests {
         assert_eq!(t.invalidation_plan(None), Some(SharerTracker::CountOnly(5)));
         // A broadcast cannot skip anyone.
         assert_eq!(t.invalidation_plan(Some(c(1))), Some(SharerTracker::CountOnly(5)));
-    }
-
-    /// Cores below 64 stay in the inline word; the first core at 64 or
-    /// above boxes the rest of the set, and the box goes with the last one.
-    #[test]
-    fn high_cores_spill_and_return() {
-        let mut s: SharerSet = [63, 0, 5].into_iter().map(c).collect();
-        assert!(s.high.is_none(), "cores below 64 allocate nothing");
-        assert!(s.insert(c(700)));
-        assert!(s.insert(c(64)));
-        assert!(!s.insert(c(64)));
-        assert_eq!(s.len(), 5);
-        assert!(s.contains(c(700)) && s.contains(c(63)) && !s.contains(c(65)));
-        let order: Vec<usize> = s.iter().map(CoreId::index).collect();
-        assert_eq!(order, [0, 5, 63, 64, 700], "ascending, the inline word first");
-        assert_eq!(format!("{s:?}"), "{0, 5, 63, 64, 700}");
-        assert!(s.remove(c(64)));
-        assert!(!s.remove(c(64)));
-        assert!(s.remove(c(700)));
-        assert!(s.high.is_none(), "the box goes with its last core");
-        assert!(!s.remove(c(900)));
-        assert_eq!(s, [0, 5, 63].into_iter().map(c).collect());
     }
 
     /// A home awaiting a unicast round counts each awaited core once.

@@ -11,10 +11,11 @@
 //!
 //! `--cores` defaults to the trace's own core count; `--small` swaps the
 //! Table-1 machine for the reduced test configuration (what the repo's
-//! tests use at small scales). An unreadable or malformed trace, or a
-//! machine too small for it, exits 1 with an `error: …` line.
+//! tests use at small scales). A `--cores` outside 1..=1024 is a usage
+//! error (exit 2), as in every other tool. An unreadable or malformed
+//! trace, or a machine too small for it, exits 1 with an `error: …` line.
 
-use lacc_experiments::{config_for_cores, flag_value, or_exit, CliError};
+use lacc_experiments::{config_for_cores, flag_cores, flag_value, or_exit, CliError};
 use lacc_model::SystemConfig;
 use lacc_sim::{ltf, Simulator};
 
@@ -35,7 +36,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--cores" => cores = Some(flag_value(&mut args, "--cores", "an integer")?),
+            "--cores" => cores = Some(flag_cores(&mut args, "--cores")?),
             "--pct" => pct = Some(flag_value(&mut args, "--pct", "an integer")?),
             "--small" => small = true,
             flag if flag.starts_with("--") => return Err(CliError::UnknownFlag(arg)),

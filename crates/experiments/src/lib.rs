@@ -13,7 +13,8 @@
 //!
 //! * `--scale <f64>` — workload scale factor (default 1.0);
 //! * `--cores <n>` — machine size (default 64, Table 1);
-//! * `--bench <name>` — restrict to one benchmark (repeatable);
+//! * `--bench <name>` — restrict to one benchmark (repeatable; a
+//!   repeated name counts once);
 //! * `--jobs <n>` — worker threads for the sweep (default: all cores;
 //!   `--jobs 1` runs serially on the calling thread);
 //! * `--quiet` — suppress per-run progress lines;
@@ -252,7 +253,13 @@ impl Cli {
             match arg.as_str() {
                 "--scale" => cli.scale = flag_scale(&mut args, "--scale")?,
                 "--cores" => cli.cores = flag_cores(&mut args, "--cores")?,
-                "--bench" => cli.benches.push(flag_benchmark(&mut args, "--bench")?),
+                "--bench" => {
+                    let bench = flag_benchmark(&mut args, "--bench")?;
+                    // A repeated name would be one sweep job twice.
+                    if !cli.benches.contains(&bench) {
+                        cli.benches.push(bench);
+                    }
+                }
                 "--jobs" => cli.jobs = flag_value(&mut args, "--jobs", "an integer (0 = auto)")?,
                 "--quiet" => cli.quiet = true,
                 "--no-monitor" => cli.no_monitor = true,
@@ -970,6 +977,14 @@ mod tests {
         assert_eq!((cli.scale, cli.cores, cli.jobs), (0.25, 16, 3));
         assert_eq!(cli.benches, [Benchmark::WaterSp, Benchmark::Radix]);
         assert!(cli.quiet && cli.no_monitor);
+    }
+
+    #[test]
+    fn a_repeated_bench_counts_once() {
+        let cli =
+            Cli::parse_from(["--bench", "water-sp", "--bench", "radix", "--bench", "water-sp"])
+                .unwrap();
+        assert_eq!(cli.benches, [Benchmark::WaterSp, Benchmark::Radix]);
     }
 
     #[test]

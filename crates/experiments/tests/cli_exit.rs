@@ -4,6 +4,7 @@
 //! the trace tools (an unwritable output path, a trace the machine cannot
 //! run) and an unwritable `results/` directory under a figure binary or
 //! `all_figures` exit 1 with an `error: …` line, again without a panic.
+//! A benchmark named twice is run once.
 
 use std::process::Command;
 
@@ -14,7 +15,7 @@ fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flags_exit_2_and_name_the_flag() {
-    let cases: [(&str, &[&str], &str); 11] = [
+    let cases: [(&str, &[&str], &str); 13] = [
         (env!("CARGO_BIN_EXE_fig11_pct_sweep"), &["--jobs"], "--jobs needs a value"),
         (
             env!("CARGO_BIN_EXE_all_figures"),
@@ -46,6 +47,16 @@ fn bad_flags_exit_2_and_name_the_flag() {
             env!("CARGO_BIN_EXE_trace_dump"),
             &["--bench", "water-sp", "--cores", "0"],
             "--cores takes an integer from 1 to 1024, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_replay"),
+            &["x.ltf", "--cores", "0"],
+            "--cores takes an integer from 1 to 1024, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_replay"),
+            &["x.ltf", "--cores", "1025"],
+            "--cores takes an integer from 1 to 1024, got '1025'",
         ),
         (
             env!("CARGO_BIN_EXE_fig14_oneway"),
@@ -148,5 +159,31 @@ fn unwritable_results_dir_exits_1_without_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "{exe}: {stderr:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A benchmark named twice is run once: the figure prints and writes
+/// what it does for one `--bench`.
+#[test]
+fn a_repeated_bench_runs_once() {
+    let dir = std::env::temp_dir().join(format!("lacc_cli_repeat_{}", std::process::id()));
+    let run_in = |sub: &str, benches: &[&str]| {
+        let cwd = dir.join(sub);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let mut args: Vec<&str> = benches.iter().flat_map(|b| ["--bench", b]).collect();
+        args.extend(["--cores", "4", "--scale", "0.01", "--quiet", "--jobs", "1"]);
+        let out = Command::new(env!("CARGO_BIN_EXE_fig08_energy"))
+            .args(&args)
+            .current_dir(&cwd)
+            .output()
+            .expect("launch binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        let csv = std::fs::read(cwd.join("results/fig08_energy.csv")).expect("figure CSV");
+        (out.stdout, csv)
+    };
+    let once = run_in("once", &["water-sp"]);
+    let twice = run_in("twice", &["water-sp", "water-sp"]);
+    assert!(once == twice, "a repeated --bench changed the figure");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,7 @@
 //! attacker-controlled. This module provides an FxHash-style multiplicative
 //! hasher (the `rustc-hash` construction: rotate, xor, multiply by a
 //! golden-ratio-derived odd constant) with no external dependencies, plus
-//! the [`FxHashMap`] and [`LineMap`]/[`LineSet`] aliases those tables use.
+//! the [`FxHashMap`] and [`LineMap`] aliases those tables use.
 //! Only tables off the per-access path (barrier and lock state, the model
 //! checker's bookkeeping) keep `std`'s hasher.
 //!
@@ -28,7 +28,7 @@
 //! assert_eq!(m.get(&LineAddr::new(0x41)), Some(&7));
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::LineAddr;
@@ -111,14 +111,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
-
 /// The workspace's line-addressed table: `LineAddr -> V` with fx hashing.
 pub type LineMap<V> = FxHashMap<LineAddr, V>;
-
-/// A set of line addresses with fx hashing.
-pub type LineSet = FxHashSet<LineAddr>;
 
 #[cfg(test)]
 mod tests {
@@ -170,14 +164,5 @@ mod tests {
             assert_eq!(m.get(&LineAddr::new(i * 64 + 1)), Some(&i));
         }
         assert_eq!(m.len(), 10_000);
-    }
-
-    #[test]
-    fn line_set_membership() {
-        let mut s = LineSet::default();
-        assert!(s.insert(LineAddr::new(5)));
-        assert!(!s.insert(LineAddr::new(5)));
-        assert!(s.contains(&LineAddr::new(5)));
-        assert!(!s.contains(&LineAddr::new(6)));
     }
 }

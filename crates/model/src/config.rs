@@ -320,8 +320,8 @@ impl SystemConfig {
         }
         if self.num_cores > crate::coreset::MAX_CORES {
             return Err(ConfigError::new(format!(
-                "num_cores must be at most {} (the paper's largest machine; fixed-width \
-                 CoreSet bound)",
+                "num_cores must be at most {} (the paper's largest machine, and the \
+                 width of a CoreSet)",
                 crate::coreset::MAX_CORES
             )));
         }

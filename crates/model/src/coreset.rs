@@ -1,12 +1,12 @@
-//! A fixed-width bitset of [`CoreId`]s.
+//! A set of [`CoreId`]s, sized to the machine.
 //!
-//! Directory-side sharer lists and ack-collection sets were heap
-//! `Vec<CoreId>`s: every invalidation round allocated, and membership
-//! tests were linear scans. [`CoreSet`] packs the same information into
-//! `MAX_CORES / 64` inline words — no allocation, O(1) insert/remove/
-//! contains, popcount-backed length, and ascending-order iteration that
-//! compiles to `trailing_zeros` loops. The paper's largest evaluated
-//! machine is 1024 cores (Table 4), which bounds the width;
+//! [`CoreSet`] is the workspace's one set of cores: a directory entry's
+//! exact sharers, and the unicast invalidations a home sends and awaits.
+//! Cores 0..63 live in one inline word, and cores 64 and up in a boxed
+//! bitmap that exists only while one of them is a member, so on a machine
+//! of at most 64 cores (Table 1 and every figure) a set never allocates.
+//! Iteration is ascending, so invalidation rounds visit sharers in core
+//! order. The width is the paper's largest machine, 1024 cores (Table 4);
 //! [`SystemConfig::validate`](crate::SystemConfig::validate) rejects
 //! larger machines.
 //!
@@ -18,7 +18,12 @@
 //! let mut s: CoreSet = [3, 1, 60].into_iter().map(CoreId::new).collect();
 //! assert_eq!(s.len(), 3);
 //! assert!(s.contains(CoreId::new(60)));
-//! s.remove(CoreId::new(1));
+//! // The iterator owns its copy, so the set may change under it.
+//! for c in s.iter() {
+//!     if c.index() == 1 {
+//!         s.remove(c);
+//!     }
+//! }
 //! let members: Vec<usize> = s.iter().map(|c| c.index()).collect();
 //! assert_eq!(members, vec![3, 60]); // ascending order
 //! ```
@@ -27,43 +32,52 @@ use std::fmt;
 
 use crate::CoreId;
 
-/// Largest machine size any fixed-width per-core structure must handle
-/// (the paper's biggest evaluated configuration).
+/// Largest machine size the simulator accepts (the paper's biggest
+/// evaluated configuration).
 pub const MAX_CORES: usize = 1024;
 
-const WORDS: usize = MAX_CORES / 64;
+/// Words of the boxed part: cores 64..MAX_CORES.
+const HIGH_WORDS: usize = MAX_CORES / 64 - 1;
 
-/// A set of cores over `0..MAX_CORES`, stored as an inline bitmap with a
-/// cached population count.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// A set of cores over `0..MAX_CORES`: an inline word for cores 0..63
+/// and, only while a core at index 64 or above is a member, a boxed
+/// bitmap of those cores.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CoreSet {
-    words: [u64; WORDS],
-    count: u16,
+    low: u64,
+    /// Word `w` holds cores `64 * (w + 1)..64 * (w + 2)`; `None` whenever
+    /// none of them is a member.
+    high: Option<Box<[u64; HIGH_WORDS]>>,
 }
 
-impl Default for CoreSet {
-    fn default() -> Self {
-        Self::new()
-    }
+// Every resident L2 line's exact sharers are one of these.
+const _: () = assert!(std::mem::size_of::<CoreSet>() <= 16);
+
+/// The word index and bit mask of `core`.
+fn slot(core: CoreId) -> (usize, u64) {
+    let i = core.index();
+    assert!(i < MAX_CORES, "core index {i} exceeds MAX_CORES");
+    (i / 64, 1 << (i % 64))
 }
 
 impl CoreSet {
     /// Creates an empty set.
     #[must_use]
     pub const fn new() -> Self {
-        CoreSet { words: [0; WORDS], count: 0 }
+        CoreSet { low: 0, high: None }
     }
 
     /// Number of member cores.
     #[must_use]
     pub fn len(&self) -> usize {
-        usize::from(self.count)
+        let high = self.high.iter().flat_map(|h| h.iter());
+        (self.low.count_ones() + high.map(|w| w.count_ones()).sum::<u32>()) as usize
     }
 
     /// `true` when no core is a member.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.low == 0 && self.high.is_none()
     }
 
     /// Whether `core` is a member.
@@ -73,9 +87,13 @@ impl CoreSet {
     /// Panics if `core.index() >= MAX_CORES`.
     #[must_use]
     pub fn contains(&self, core: CoreId) -> bool {
-        let i = core.index();
-        assert!(i < MAX_CORES, "core index {i} exceeds MAX_CORES");
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        let (w, mask) = slot(core);
+        let word = match (w, &self.high) {
+            (0, _) => self.low,
+            (_, Some(high)) => high[w - 1],
+            (_, None) => 0,
+        };
+        word & mask != 0
     }
 
     /// Adds `core`; returns `true` if it was not already a member.
@@ -84,44 +102,43 @@ impl CoreSet {
     ///
     /// Panics if `core.index() >= MAX_CORES`.
     pub fn insert(&mut self, core: CoreId) -> bool {
-        let i = core.index();
-        assert!(i < MAX_CORES, "core index {i} exceeds MAX_CORES");
-        let mask = 1u64 << (i % 64);
-        let fresh = self.words[i / 64] & mask == 0;
-        if fresh {
-            self.words[i / 64] |= mask;
-            self.count += 1;
-        }
+        let (w, mask) = slot(core);
+        let word = match w {
+            0 => &mut self.low,
+            _ => &mut self.high.get_or_insert_with(Box::default)[w - 1],
+        };
+        let fresh = *word & mask == 0;
+        *word |= mask;
         fresh
     }
 
-    /// Removes `core`; returns `true` if it was a member.
+    /// Removes `core`; returns `true` if it was a member. The boxed part
+    /// is freed when its last member leaves.
     ///
     /// # Panics
     ///
     /// Panics if `core.index() >= MAX_CORES`.
     pub fn remove(&mut self, core: CoreId) -> bool {
-        let i = core.index();
-        assert!(i < MAX_CORES, "core index {i} exceeds MAX_CORES");
-        let mask = 1u64 << (i % 64);
-        let present = self.words[i / 64] & mask != 0;
-        if present {
-            self.words[i / 64] &= !mask;
-            self.count -= 1;
+        let (w, mask) = slot(core);
+        let word = match (w, &mut self.high) {
+            (0, _) => &mut self.low,
+            (_, Some(high)) => &mut high[w - 1],
+            (_, None) => return false,
+        };
+        let present = *word & mask != 0;
+        *word &= !mask;
+        if self.high.as_ref().is_some_and(|h| h.iter().all(|&x| x == 0)) {
+            self.high = None;
         }
         present
     }
 
-    /// Removes all members.
-    pub fn clear(&mut self) {
-        self.words = [0; WORDS];
-        self.count = 0;
-    }
-
-    /// Iterates the members in ascending core order.
+    /// Iterates the members in ascending core order. The iterator owns a
+    /// copy of the set, so the set may change while it runs; the copy
+    /// allocates only when a core above 63 is a member.
     #[must_use]
     pub fn iter(&self) -> CoreSetIter {
-        CoreSetIter { words: self.words, word: 0, remaining: self.count }
+        CoreSetIter { rest: self.clone(), word: 0 }
     }
 }
 
@@ -134,56 +151,43 @@ impl fmt::Debug for CoreSet {
 impl FromIterator<CoreId> for CoreSet {
     fn from_iter<I: IntoIterator<Item = CoreId>>(iter: I) -> Self {
         let mut s = CoreSet::new();
-        s.extend(iter);
+        for c in iter {
+            s.insert(c);
+        }
         s
     }
 }
 
-impl Extend<CoreId> for CoreSet {
-    fn extend<I: IntoIterator<Item = CoreId>>(&mut self, iter: I) {
-        for c in iter {
-            self.insert(c);
-        }
-    }
-}
-
-impl IntoIterator for &CoreSet {
-    type Item = CoreId;
-    type IntoIter = CoreSetIter;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Ascending-order iterator over a [`CoreSet`] (by value — the set is a
-/// small inline array).
+/// Ascending-order iterator over a [`CoreSet`]: its own copy of the
+/// members not yet yielded, drained a word at a time.
 #[derive(Clone, Debug)]
 pub struct CoreSetIter {
-    words: [u64; WORDS],
+    rest: CoreSet,
+    /// The word being drained: 0 is the inline word, `w` the boxed `w - 1`.
     word: usize,
-    remaining: u16,
 }
 
 impl Iterator for CoreSetIter {
     type Item = CoreId;
 
     fn next(&mut self) -> Option<CoreId> {
-        while self.word < WORDS {
-            let w = self.words[self.word];
-            if w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.words[self.word] = w & (w - 1);
-                self.remaining -= 1;
+        loop {
+            let bits = match self.word {
+                0 => &mut self.rest.low,
+                w => self.rest.high.as_mut()?.get_mut(w - 1)?,
+            };
+            if *bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
                 return Some(CoreId::new(self.word * 64 + bit));
             }
             self.word += 1;
         }
-        None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (usize::from(self.remaining), Some(usize::from(self.remaining)))
+        let n = self.rest.len();
+        (n, Some(n))
     }
 }
 
@@ -222,13 +226,18 @@ mod tests {
         assert_eq!(s.iter().len(), 4);
     }
 
+    /// Emptying a set member by member frees its box; `Debug` prints the
+    /// members in order.
     #[test]
     fn clear_and_debug() {
-        let mut s: CoreSet = [1, 2].into_iter().map(c).collect();
-        assert_eq!(format!("{s:?}"), "{1, 2}");
-        s.clear();
-        assert!(s.is_empty());
+        let mut s: CoreSet = [1, 2, 700].into_iter().map(c).collect();
+        assert_eq!(format!("{s:?}"), "{1, 2, 700}");
+        for m in [1, 2, 700] {
+            s.remove(c(m));
+        }
+        assert!(s.is_empty() && s.high.is_none());
         assert_eq!(s.iter().next(), None);
+        assert_eq!(format!("{s:?}"), "{}");
     }
 
     #[test]
@@ -236,6 +245,45 @@ mod tests {
     fn out_of_width_panics() {
         let mut s = CoreSet::new();
         s.insert(c(MAX_CORES));
+    }
+
+    /// Cores below 64 stay in the inline word; the first core at 64 or
+    /// above boxes the rest of the set, and the box goes with the last one.
+    #[test]
+    fn high_cores_spill_and_return() {
+        let mut s: CoreSet = [63, 0, 5].into_iter().map(c).collect();
+        assert!(s.high.is_none(), "cores below 64 allocate nothing");
+        assert!(s.insert(c(700)));
+        assert!(s.insert(c(64)));
+        assert!(!s.insert(c(64)));
+        assert_eq!(s.len(), 5);
+        assert!(s.contains(c(700)) && s.contains(c(63)) && !s.contains(c(65)));
+        let order: Vec<usize> = s.iter().map(CoreId::index).collect();
+        assert_eq!(order, [0, 5, 63, 64, 700], "ascending, the inline word first");
+        assert_eq!(format!("{s:?}"), "{0, 5, 63, 64, 700}");
+        assert!(s.remove(c(64)));
+        assert!(!s.remove(c(64)));
+        assert!(s.remove(c(700)));
+        assert!(s.high.is_none(), "the box goes with its last core");
+        assert!(!s.remove(c(900)));
+        assert_eq!(s, [0, 5, 63].into_iter().map(c).collect());
+    }
+
+    /// The iterator does not borrow the set: a caller may remove each
+    /// member as it is visited, and still sees every one of them, in
+    /// order, whether or not the set spans its boxed part.
+    #[test]
+    fn members_can_be_removed_while_iterating() {
+        for cores in [&[1, 7, 63][..], &[0, 64, 65, 1000]] {
+            let mut s: CoreSet = cores.iter().copied().map(c).collect();
+            let mut seen = Vec::new();
+            for m in s.iter() {
+                assert!(s.remove(m));
+                seen.push(m.index());
+            }
+            assert_eq!(seen, cores);
+            assert!(s.is_empty() && s.high.is_none());
+        }
     }
 }
 
@@ -246,10 +294,15 @@ mod proptests {
 
     proptest! {
         /// CoreSet behaves exactly like a reference BTreeSet under any
-        /// interleaving of inserts and removes, including iteration order.
+        /// interleaving of inserts and removes: return values, length and
+        /// membership after every op, the boxed part present exactly while
+        /// a core above 63 is a member, and the iteration order.
         #[test]
         fn matches_btreeset_model(
-            ops in proptest::collection::vec((0usize..MAX_CORES, proptest::bool::ANY), 1..200)
+            ops in proptest::collection::vec(
+                (prop_oneof![0usize..80, 0usize..MAX_CORES], proptest::bool::ANY),
+                1..200,
+            )
         ) {
             let mut s = CoreSet::new();
             let mut model = std::collections::BTreeSet::new();
@@ -260,6 +313,10 @@ mod proptests {
                     prop_assert_eq!(s.remove(CoreId::new(i)), model.remove(&i));
                 }
                 prop_assert_eq!(s.len(), model.len());
+                for probe in [i, 0, 63, 64, 79, MAX_CORES - 1] {
+                    prop_assert_eq!(s.contains(CoreId::new(probe)), model.contains(&probe));
+                }
+                prop_assert_eq!(s.high.is_some(), model.range(64..).next().is_some());
             }
             let got: Vec<usize> = s.iter().map(|x| x.index()).collect();
             let want: Vec<usize> = model.into_iter().collect();

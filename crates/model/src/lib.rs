@@ -31,7 +31,7 @@ pub mod stats;
 pub mod time;
 
 pub use addr::{Addr, LineAddr, PageAddr};
-pub use collections::{FxBuildHasher, FxHashMap, FxHashSet, LineMap, LineSet};
+pub use collections::{FxBuildHasher, FxHashMap, LineMap};
 pub use config::{
     CacheConfig, ClassifierConfig, DirectoryKind, MechanismKind, SystemConfig, TrackingKind,
 };
