@@ -2,12 +2,12 @@
 //!
 //! [`read_workload`] is the replay entry point: it reads the file once
 //! into an owned buffer and hands it to [`workload_from_bytes`], which
-//! decodes and validates header, region table and every op of every
-//! stream in a single pass over that buffer, then hands back a
-//! [`Workload`] whose per-core traces are [`VecTrace`]s — the same type
-//! generated traces use — that all share the one buffer and decode in
-//! place, one op per call ([`VecTrace::next_op`], which the engine calls
-//! directly). Nothing is copied out of the buffer and no per-core file
+//! decodes header and region table and validates every record of every
+//! stream in a single pass over that buffer (a walk that builds no ops),
+//! then hands back a [`Workload`] whose per-core traces are
+//! [`VecTrace`]s — the same type generated traces use — that all share
+//! the one buffer and decode in place, one op per call
+//! ([`VecTrace::next_op`], which the engine calls directly). Nothing is copied out of the buffer and no per-core file
 //! handles exist. Because the buffer is owned and immutable, replay
 //! decodes exactly the bytes that were validated, whatever happens to
 //! the file afterwards.
@@ -150,8 +150,9 @@ pub fn read_workload<P: AsRef<Path>>(path: P) -> Result<Workload, TraceError> {
 /// per-core traces are [`VecTrace`] cursors over `bytes`.
 ///
 /// The image is validated in a single pass — header, offset table, then
-/// every op of every stream exactly once — so any corruption surfaces
-/// here as a typed error rather than during simulation. The buffer is
+/// every record of every stream exactly once, by the decode walk run
+/// without building ops — so any corruption surfaces here as the typed
+/// error decoding would hit, rather than during simulation. The buffer is
 /// moved, not copied: every core's cursor shares it behind one `Arc`.
 ///
 /// # Errors

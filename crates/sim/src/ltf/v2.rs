@@ -212,6 +212,7 @@ impl V2Encoder {
 
     /// Flushes a pending compute run. Must be called after the last op of
     /// the stream (pushing any non-compute op flushes implicitly).
+    #[inline(always)]
     pub fn finish(&mut self, out: &mut Vec<u8>) {
         match self.run.take() {
             None => {}
@@ -280,7 +281,9 @@ impl V2Decoder {
     /// an undefined tag, [`TraceError::Corrupt`] when an operand is out
     /// of range (32-bit overflow, run length outside `2..=MAX_RUN`),
     /// [`TraceError::OverlongVarint`] on an over-long scalar.
-    #[inline]
+    // Forced inline, like `record`: a decode loop keeps its cursor in a
+    // register only when the whole step is inlined into it.
+    #[inline(always)]
     pub fn next(&mut self, bytes: &[u8], pos: &mut usize) -> Result<Option<TraceOp>, TraceError> {
         if let Some((n, remaining)) = &mut self.run {
             let op = TraceOp::Compute(*n);
@@ -290,55 +293,92 @@ impl V2Decoder {
             }
             return Ok(Some(op));
         }
-        let op = match take_u8(bytes, pos, "opcode")? {
-            OP2_END => return Ok(None),
-            OP2_COMPUTE => TraceOp::Compute(take_u32(bytes, pos, "compute count")?),
+        match self.record::<true>(bytes, pos)? {
+            Record::End => Ok(None),
+            Record::Op(op) => Ok(Some(op)),
+            Record::Skipped(_) => unreachable!("a building step returns its op"),
+        }
+    }
+
+    /// Decodes the record at `*pos`: the one walk over the grammar, which
+    /// [`next`](Self::next) builds ops with and [`count_ops`] validates
+    /// with. Both see the same checks in the same order, so both fail on
+    /// the same byte with the same error.
+    ///
+    /// With `BUILD` the record's op comes back as [`Record::Op`] (a run
+    /// record's further ops wait in `run`). Without it nothing is built
+    /// and neither `prev_line` nor `run` moves: the record comes back as
+    /// the number of ops it holds, a whole run at once.
+    #[inline(always)]
+    fn record<const BUILD: bool>(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+    ) -> Result<Record, TraceError> {
+        let tag = take_u8(bytes, pos, "opcode")?;
+        let op = match tag {
+            OP2_END => return Ok(Record::End),
+            OP2_COMPUTE => {
+                let n = take_u32(bytes, pos, "compute count")?;
+                BUILD.then_some(TraceOp::Compute(n))
+            }
             OP2_COMPUTE_RUN => {
                 let n = take_u32(bytes, pos, "compute count")?;
                 let repeat = varint::take(bytes, pos, "compute run length")?;
                 if !(2..=MAX_RUN).contains(&repeat) {
                     return Err(TraceError::Corrupt { what: "compute run length out of range" });
                 }
+                if !BUILD {
+                    return Ok(Record::Skipped(repeat));
+                }
                 self.run = Some((n, repeat - 1));
-                TraceOp::Compute(n)
+                Some(TraceOp::Compute(n))
             }
-            OP2_LOAD => TraceOp::Load { addr: self.take_addr(bytes, pos, "load address")? },
+            OP2_LOAD => {
+                let packed = varint::take(bytes, pos, "load address")?;
+                BUILD.then(|| TraceOp::Load { addr: self.packed_addr(packed) })
+            }
             OP2_STORE => {
-                let addr = self.take_addr(bytes, pos, "store address")?;
+                let packed = varint::take(bytes, pos, "store address")?;
                 let value = take_value(bytes, pos)?;
-                TraceOp::Store { addr, value }
+                BUILD.then(|| TraceOp::Store { addr: self.packed_addr(packed), value })
             }
-            OP2_BARRIER => TraceOp::Barrier { id: take_u32(bytes, pos, "barrier id")? },
-            OP2_ACQUIRE => TraceOp::Acquire { id: take_u32(bytes, pos, "lock id")? },
-            OP2_RELEASE => TraceOp::Release { id: take_u32(bytes, pos, "lock id")? },
+            OP2_BARRIER => {
+                let id = take_u32(bytes, pos, "barrier id")?;
+                BUILD.then_some(TraceOp::Barrier { id })
+            }
+            OP2_ACQUIRE => {
+                let id = take_u32(bytes, pos, "lock id")?;
+                BUILD.then_some(TraceOp::Acquire { id })
+            }
+            OP2_RELEASE => {
+                let id = take_u32(bytes, pos, "lock id")?;
+                BUILD.then_some(TraceOp::Release { id })
+            }
             tag @ OP2_COMPUTE_IMM..=IMM_COMPUTE_LAST => {
-                TraceOp::Compute(u32::from(tag - OP2_COMPUTE_IMM) + 1)
+                BUILD.then_some(TraceOp::Compute(u32::from(tag - OP2_COMPUTE_IMM) + 1))
             }
             tag @ OP2_LOAD_IMM..=IMM_LOAD_LAST => {
-                TraceOp::Load { addr: self.imm_addr(tag - OP2_LOAD_IMM) }
+                BUILD.then(|| TraceOp::Load { addr: self.imm_addr(tag - OP2_LOAD_IMM) })
             }
             tag @ OP2_STORE_IMM..=IMM_STORE_LAST => {
-                let addr = self.imm_addr(tag - OP2_STORE_IMM);
                 let value = take_value(bytes, pos)?;
-                TraceOp::Store { addr, value }
+                BUILD.then(|| TraceOp::Store { addr: self.imm_addr(tag - OP2_STORE_IMM), value })
             }
             code => return Err(TraceError::BadOpCode { code }),
         };
-        Ok(Some(op))
+        Ok(op.map_or(Record::Skipped(1), Record::Op))
     }
 
-    fn take_addr(
-        &mut self,
-        bytes: &[u8],
-        pos: &mut usize,
-        what: &'static str,
-    ) -> Result<Addr, TraceError> {
-        let packed = varint::take(bytes, pos, what)?;
+    /// Reconstructs an address from a packed `zigzag(delta)·64 + offset`
+    /// value.
+    #[inline]
+    fn packed_addr(&mut self, packed: u64) -> Addr {
         // Wrapping throughout: a corrupt packed value must decode to
         // *some* address, never trip debug overflow checks.
         let line = self.prev_line.wrapping_add(unzigzag(packed >> LINE_SHIFT));
         self.prev_line = line;
-        Ok(Addr::new((line << LINE_SHIFT) | (packed & (LINE_BYTES - 1))))
+        Addr::new((line << LINE_SHIFT) | (packed & (LINE_BYTES - 1)))
     }
 
     /// Reconstructs a word-aligned near address from an immediate tag
@@ -348,6 +388,41 @@ impl V2Decoder {
         let line = self.prev_line.wrapping_add(unzigzag(u64::from(imm) >> 3));
         self.prev_line = line;
         Addr::new((line << LINE_SHIFT) | (u64::from(imm & 7) << 3))
+    }
+}
+
+/// What [`V2Decoder::record`] read.
+enum Record {
+    /// The end-of-stream marker.
+    End,
+    /// The record's op (when building).
+    Op(TraceOp),
+    /// The number of ops the record holds (when only validating).
+    Skipped(u64),
+}
+
+/// Validates the stream starting at `bytes[start]` through its end
+/// marker without building an op. Returns the number of ops it holds and
+/// the offset just past the marker: what a loop over [`V2Decoder::next`]
+/// counts and where it stops, or the error that loop hits first.
+///
+/// # Errors
+///
+/// Those of [`V2Decoder::next`].
+// Kept out of line, with the cursor in a local: the loop is a file's
+// whole validation, and inlined into a large caller it kept `pos` in
+// memory, a store and a reload on every record.
+#[inline(never)]
+pub(crate) fn count_ops(bytes: &[u8], start: usize) -> Result<(u64, usize), TraceError> {
+    // Without `BUILD` the step reads no decoder state, so any base will do.
+    let mut dec = V2Decoder::new(0);
+    let (mut ops, mut pos) = (0u64, start);
+    loop {
+        match dec.record::<false>(bytes, &mut pos)? {
+            Record::End => return Ok((ops, pos)),
+            Record::Skipped(k) => ops += k,
+            Record::Op(_) => unreachable!("a validating step builds no op"),
+        }
     }
 }
 

@@ -63,15 +63,19 @@ pub fn take(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, Tr
             }
         }
     }
-    take_multibyte(bytes, start, pos, what)
+    let (value, end) = take_multibyte(bytes, start, what)?;
+    *pos = end;
+    Ok(value)
 }
 
+/// The general case of [`take`]: the value and the offset just past it.
+/// Out of line, it takes no pointer to the caller's cursor, so a decode
+/// loop can keep that cursor in a register.
 fn take_multibyte(
     bytes: &[u8],
     start: usize,
-    pos: &mut usize,
     what: &'static str,
-) -> Result<u64, TraceError> {
+) -> Result<(u64, usize), TraceError> {
     // Clamp a cursor already past the end so `start + i` cannot overflow.
     let start = start.min(bytes.len());
     let mut value: u64 = 0;
@@ -85,8 +89,7 @@ fn take_multibyte(
         }
         value |= u64::from(b & 0x7f) << (7 * i);
         if b & 0x80 == 0 {
-            *pos = start + i + 1;
-            return Ok(value);
+            return Ok((value, start + i + 1));
         }
     }
     Err(TraceError::OverlongVarint { what })

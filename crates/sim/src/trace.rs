@@ -13,7 +13,7 @@ use std::sync::Arc;
 use lacc_core::rnuca::RegionClass;
 use lacc_model::{Addr, LineAddr, TraceError};
 
-use crate::ltf::v2::{V2Decoder, V2Encoder, OP2_END};
+use crate::ltf::v2::{self, V2Decoder, V2Encoder, OP2_END};
 use crate::ltf::STREAMS_DO_NOT_TILE;
 
 /// One trace operation for an in-order core.
@@ -65,8 +65,9 @@ pub enum TraceOp {
 /// copies the bytes instead of re-encoding them.
 ///
 /// Ops come out one per call to [`next_op`](Self::next_op), decoded in
-/// place by [`V2Decoder::next`], the one decode walk in the workspace;
-/// the engine pulls each op a core executes straight from here.
+/// place by [`V2Decoder::next`]; the engine pulls each op a core
+/// executes straight from here. Opening a file's stream validates it
+/// with the same walk, run without building ops.
 ///
 /// The stream is valid by construction (encoded here) or validated when
 /// its file is opened, so decoding cannot fail. Cloning a trace shares
@@ -106,26 +107,24 @@ impl VecTrace {
     }
 
     /// Opens the stream occupying `buf[stream]`, whose first address
-    /// delta is relative to `base_line`: decodes it to its end marker
-    /// once (catching every malformation, and an end marker that is not
-    /// the range's last byte), then starts the cursor at its first op.
+    /// delta is relative to `base_line`: validates it to its end marker
+    /// with one walk that builds no op ([`v2::count_ops`], which fails
+    /// exactly where decoding would, and counts a compute run in one
+    /// step), checks that the marker is the range's last byte, then
+    /// starts the cursor at its first op.
     pub(crate) fn open(
         buf: Arc<Vec<u8>>,
         stream: Range<usize>,
         base_line: u64,
     ) -> Result<Self, TraceError> {
-        let mut dec = V2Decoder::new(base_line);
-        let (mut pos, mut ops) = (stream.start, 0);
-        while dec.next(&buf, &mut pos)?.is_some() {
-            ops += 1;
-        }
-        if pos != stream.end {
+        let (ops, end) = v2::count_ops(&buf, stream.start)?;
+        if end != stream.end {
             return Err(TraceError::Corrupt { what: STREAMS_DO_NOT_TILE });
         }
         Ok(VecTrace {
             buf,
             start: stream.start,
-            end: pos,
+            end,
             base_line,
             ops,
             pos: stream.start,
@@ -165,16 +164,25 @@ impl VecTrace {
     /// Appends up to `max` further operations to `out`, returning how
     /// many were appended. Appending fewer than `max` means the stream
     /// ended (and stays ended: later calls return 0), so consumers detect
-    /// exhaustion without a separate probe. A plain loop over
-    /// [`next_op`](Self::next_op), for callers that drain a trace in
-    /// chunks.
+    /// exhaustion without a separate probe. For callers that drain a
+    /// trace in chunks: the same walk as [`next_op`](Self::next_op), with
+    /// the cursor held in locals for the whole chunk.
     pub fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {
+        if self.finished {
+            return 0;
+        }
+        let (bytes, mut pos, mut dec) = (&self.buf[..], self.pos, self.dec.clone());
         let mut appended = 0;
         while appended < max {
-            let Some(op) = self.next_op() else { break };
+            let Some(op) = dec.next(bytes, &mut pos).expect(VALID) else {
+                self.finished = true;
+                break;
+            };
             out.push(op);
             appended += 1;
         }
+        self.pos = pos;
+        self.dec = dec;
         appended
     }
 }
@@ -348,6 +356,18 @@ mod tests {
     }
 
     #[test]
+    fn a_full_run_record_counts_as_max_run_ops() {
+        use crate::ltf::v2::{MAX_RUN, OP2_COMPUTE_RUN};
+        let t = VecTrace::new(vec![TraceOp::Compute(9); MAX_RUN as usize]);
+        let stream = t.stream().to_vec();
+        assert_eq!(stream[0], OP2_COMPUTE_RUN, "one run record");
+        let len = stream.len();
+        let opened = VecTrace::open(Arc::new(stream), 0..len, 0).unwrap();
+        assert_eq!(opened.total_ops(), MAX_RUN);
+        assert_eq!(opened.stream().len(), len);
+    }
+
+    #[test]
     fn workload_reports_active_cores() {
         let w = Workload {
             name: "t".into(),
@@ -406,6 +426,67 @@ mod proptests {
             single.prop_map(|op| (op, 1)),
             (arb_compute(), repeat).prop_map(|(n, k)| (TraceOp::Compute(n), k)),
         ]
+    }
+
+    fn encode(chunks: &[(TraceOp, u64)]) -> Vec<u8> {
+        let ops = chunks.iter().flat_map(|&(op, k)| std::iter::repeat(op).take(k as usize));
+        VecTrace::new(ops.collect()).stream().to_vec()
+    }
+
+    /// What opening `buf[stream]` must give, found by the op-building
+    /// walk: the first error of a loop over `V2Decoder::next`, or the
+    /// ops it counted and the offset just past the end marker, which must
+    /// be the range's end.
+    fn reference_open(buf: &[u8], stream: Range<usize>) -> Result<(u64, usize), TraceError> {
+        let mut dec = V2Decoder::new(0x41);
+        let (mut ops, mut pos) = (0, stream.start);
+        while dec.next(buf, &mut pos)?.is_some() {
+            ops += 1;
+        }
+        if pos != stream.end {
+            return Err(TraceError::Corrupt { what: STREAMS_DO_NOT_TILE });
+        }
+        Ok((ops, pos))
+    }
+
+    /// Opens `buf[stream]` through the validating walk, in the terms of
+    /// [`reference_open`].
+    fn open(buf: &[u8], stream: Range<usize>) -> Result<(u64, usize), TraceError> {
+        VecTrace::open(Arc::new(buf.to_vec()), stream, 0x41).map(|t| (t.total_ops(), t.end))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Opening a stream validates it exactly as decoding it would:
+        /// over every truncation and random single-byte overwrites of a
+        /// stream followed by another, the validating walk returns the
+        /// op-building walk's first error, or its op count and end.
+        #[test]
+        fn open_agrees_with_the_decoding_walk(
+            first in proptest::collection::vec(arb_chunk(), 0..6),
+            second in proptest::collection::vec(arb_chunk(), 0..3),
+            overwrites in proptest::collection::vec((0usize..1 << 16, 0u16..256), 1..48),
+        ) {
+            let mut buf = encode(&first);
+            let first_len = buf.len();
+            buf.extend(encode(&second));
+            let total: u64 = first.iter().map(|&(_, k)| k).sum();
+            prop_assert_eq!(reference_open(&buf, 0..first_len), Ok((total, first_len)));
+            prop_assert_eq!(open(&buf, 0..first_len), Ok((total, first_len)));
+            for cut in 0..=buf.len() {
+                let prefix = &buf[..cut];
+                let stream = 0..first_len.min(cut);
+                let (got, want) = (open(prefix, stream.clone()), reference_open(prefix, stream));
+                prop_assert_eq!(got, want, "cut at {cut}: open {got:?}, decoding {want:?}");
+            }
+            for &(at, byte) in &overwrites {
+                let mut bad = buf.clone();
+                bad[at % buf.len()] = byte as u8;
+                let (got, want) = (open(&bad, 0..first_len), reference_open(&bad, 0..first_len));
+                prop_assert_eq!(got, want, "byte {} = {byte:#x}: open {got:?}, decoding {want:?}", at % buf.len());
+            }
+        }
     }
 
     proptest! {

@@ -52,7 +52,10 @@ impl Region {
     /// (`idx` wraps around the region length).
     #[must_use]
     pub fn addr(&self, idx: u64, word: u64) -> Addr {
-        let line = self.base_line + (idx % self.lines.max(1));
+        // Almost every caller passes an index already inside the region,
+        // so the division is paid only on a wrap.
+        let idx = if idx < self.lines { idx } else { idx % self.lines.max(1) };
+        let line = self.base_line + idx;
         Addr::new(line * 64 + (word % 8) * 8)
     }
 
@@ -94,6 +97,20 @@ mod tests {
         assert_eq!(r.addr(0, 0).line().raw(), SHARED_BASE_LINE);
         assert_eq!(r.addr(4, 0), r.addr(0, 0), "index wraps");
         assert_eq!(r.addr(1, 9), r.addr(1, 1), "word wraps");
+    }
+
+    #[test]
+    fn addr_without_a_wrap_is_the_wrapped_address() {
+        for lines in [0, 1, 7, 96] {
+            let r = Region::shared(3, lines);
+            for idx in [0, lines.saturating_sub(1), lines, 2 * lines + 3, u64::MAX] {
+                for word in 0..9 {
+                    let line = r.base_line + idx % lines.max(1);
+                    let want = Addr::new(line * 64 + (word % 8) * 8);
+                    assert_eq!(r.addr(idx, word), want, "lines {lines}, idx {idx}, word {word}");
+                }
+            }
+        }
     }
 
     #[test]
